@@ -201,7 +201,8 @@ fn fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
 }
 
 fn dedup(constraints: &mut Vec<LinExpr>) {
-    constraints.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    // Formats each constraint once, not once per comparison.
+    constraints.sort_by_cached_key(|e| format!("{e:?}"));
     constraints.dedup();
 }
 

@@ -21,7 +21,8 @@ use crate::form::{Const, Form, Ident};
 use crate::rewrite::expand_set_membership;
 use crate::sequent::Sequent;
 use crate::simplify::{simplify, strip_comments_deep};
-use crate::subst::{free_vars, substitute, Subst};
+use crate::subst::{free_vars, subst_rec, Subst};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Returns `true` if `name` was introduced by the verification-condition generator rather
 /// than written by the developer: desugaring temporaries and snapshots contain a `$`
@@ -50,13 +51,49 @@ pub fn is_generated_name(name: &str) -> bool {
     }
 }
 
-/// Collects an acyclic substitution for generated variables from the definitional
-/// equalities among `assumptions`: every (comment-stripped) conjunct of the form `v = t`
-/// or `t = v` with `v` a generated variable not occurring in `t` contributes a binding.
-/// Chains are resolved (`v ↦ t` where `t` mentions another bound variable is rewritten),
-/// and bindings that would become cyclic are left unresolved.
+/// Collects a substitution for generated variables from the definitional equalities
+/// among `assumptions`: every (comment-stripped) conjunct of the form `v = t` or `t = v`
+/// with `v` a generated variable not occurring in `t` contributes a binding, the first
+/// one per variable winning.
+///
+/// Chains are resolved in one depth-first pass: each binding is rewritten once, by the
+/// already resolved bindings it mentions, so `t` in `v ↦ t` mentions no variable the
+/// substitution binds. Bindings on a cycle of definitions, and those that depend on one,
+/// are left as written; no binding mentions its own variable.
 pub fn definition_substitution(assumptions: &[Form]) -> Subst {
-    let mut map: Subst = Subst::new();
+    resolve_definitions(assumptions).0
+}
+
+/// [`definition_substitution`] together with the free variables of its replacement
+/// terms, which [`inline_definitions`] needs to apply it beneath binders.
+fn resolve_definitions(assumptions: &[Form]) -> (Subst, BTreeSet<Ident>) {
+    let mut map = collect_definitions(assumptions);
+    let raw_fvs: BTreeMap<Ident, BTreeSet<Ident>> =
+        map.iter().map(|(v, t)| (v.clone(), free_vars(t))).collect();
+    // Binders in the values are renamed against the free variables of every value as
+    // written, as a whole-map substitution of the values would.
+    let renaming_fvs: BTreeSet<Ident> = raw_fvs.values().flatten().cloned().collect();
+    let mut acyclic = BTreeMap::new();
+    for v in raw_fvs.keys() {
+        resolve(v, &mut map, &raw_fvs, &renaming_fvs, &mut acyclic);
+    }
+    // A resolved value mentions no variable the map binds; one left as written keeps
+    // those it mentions.
+    let mut fvs = BTreeSet::new();
+    for (v, raw) in &raw_fvs {
+        let keeps_keys = !acyclic[v];
+        fvs.extend(
+            raw.iter()
+                .filter(|u| keeps_keys || !map.contains_key(*u))
+                .cloned(),
+        );
+    }
+    (map, fvs)
+}
+
+/// The definitional links among `assumptions`, as written (comments stripped).
+fn collect_definitions(assumptions: &[Form]) -> Subst {
+    let mut map = Subst::new();
     for a in assumptions {
         let stripped = strip_comments_deep(a);
         for c in stripped.conjuncts() {
@@ -82,25 +119,36 @@ pub fn definition_substitution(assumptions: &[Form]) -> Subst {
             }
         }
     }
-    // Resolve chains: rewrite every binding by the whole map until nothing changes (the
-    // iteration count is bounded by the number of bindings, so this terminates even if a
-    // cyclic pair slipped in — cyclic rewrites are simply skipped).
-    let names: Vec<Ident> = map.keys().cloned().collect();
-    for _ in 0..names.len() {
-        let mut changed = false;
-        for v in &names {
-            let current = map[v].clone();
-            let next = substitute(&current, &map);
-            if next != current && !free_vars(&next).contains(v) {
-                map.insert(v.clone(), next);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
+    map
+}
+
+/// Resolves `v`'s binding in place after the bindings it mentions, each at most once,
+/// and returns whether it was resolved. `acyclic` marks every binding entered: `false`
+/// until it is resolved, so reaching a binding still on the current path closes a cycle,
+/// and everything on that path is left as written.
+fn resolve(
+    v: &Ident,
+    map: &mut Subst,
+    raw_fvs: &BTreeMap<Ident, BTreeSet<Ident>>,
+    renaming_fvs: &BTreeSet<Ident>,
+    acyclic: &mut BTreeMap<Ident, bool>,
+) -> bool {
+    if let Some(&known) = acyclic.get(v) {
+        return known;
+    }
+    acyclic.insert(v.clone(), false);
+    let mut resolvable = true;
+    for u in &raw_fvs[v] {
+        if raw_fvs.contains_key(u) {
+            resolvable &= resolve(u, map, raw_fvs, renaming_fvs, acyclic);
         }
     }
-    map
+    if resolvable {
+        let resolved = subst_rec(&map[v], map, renaming_fvs);
+        map.insert(v.clone(), resolved);
+        acyclic.insert(v.clone(), true);
+    }
+    resolvable
 }
 
 /// Inlines the definitional equalities of generated variables into the whole sequent.
@@ -126,21 +174,19 @@ pub fn definition_substitution(assumptions: &[Form]) -> Subst {
 /// assert!(inlined.assumptions.is_empty());
 /// ```
 pub fn inline_definitions(sequent: &Sequent) -> Sequent {
-    let sub = definition_substitution(&sequent.assumptions);
+    let (sub, fvs) = resolve_definitions(&sequent.assumptions);
     if sub.is_empty() {
         return sequent.clone();
     }
-    let mut assumptions = Vec::new();
-    for a in &sequent.assumptions {
-        let inlined = simplify(&substitute(a, &sub));
-        if inlined.is_true() {
-            continue;
-        }
-        assumptions.push(inlined);
-    }
+    let inline = |f: &Form| simplify(&subst_rec(f, &sub, &fvs));
     Sequent {
-        assumptions,
-        goal: simplify(&substitute(&sequent.goal, &sub)),
+        assumptions: sequent
+            .assumptions
+            .iter()
+            .map(inline)
+            .filter(|a| !a.is_true())
+            .collect(),
+        goal: inline(&sequent.goal),
         labels: sequent.labels.clone(),
     }
 }
@@ -340,6 +386,19 @@ mod tests {
         // The pair is mutually defined; both orientations are recorded but the cyclic
         // resolution is skipped, so applying the substitution once is still sound.
         assert!(sub.contains_key("a_1") || sub.contains_key("b_1"));
+    }
+
+    #[test]
+    fn inlining_keeps_quantifiers_out_of_reach_of_other_bindings() {
+        // Inlining `asg$1 = y` renames the bound `y` of the existential; the fresh
+        // name must not be `y_1`, which `y_1 = c` would then replace, turning the
+        // existential into the stronger ground fact `p y c`.
+        let sequent = Sequent::new(
+            vec![p("asg$1 = y"), p("y_1 = c"), p("EX y. p asg$1 y")],
+            p("q"),
+        );
+        let inlined = inline_definitions(&sequent);
+        assert_eq!(inlined.assumptions, vec![p("EX y_2. p y y_2")]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! of their translations.
 
 use crate::form::{Binder, Const, Form};
-use crate::subst::beta_reduce;
+use crate::subst::beta_normal;
 
 /// Simplifies a formula bottom-up: folds boolean constants, removes double negations,
 /// collapses trivial equalities and set operations with neutral elements, reduces
@@ -14,8 +14,7 @@ use crate::subst::beta_reduce;
 ///
 /// The result is logically equivalent to the input.
 pub fn simplify(form: &Form) -> Form {
-    let f = beta_reduce(form);
-    simp(&f)
+    simp(&beta_normal(form))
 }
 
 fn simp(form: &Form) -> Form {

@@ -5,6 +5,7 @@
 //! formula-approximation rewrites of §5.3.
 
 use crate::form::{Binder, Form, Ident};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A substitution from variable names to formulas.
@@ -94,7 +95,10 @@ pub fn substitute(form: &Form, sub: &Subst) -> Form {
     subst_rec(form, sub, &replacement_fvs)
 }
 
-fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> Form {
+/// Applies `sub` to `form` given `replacement_fvs`, the free variables of its
+/// replacement terms. [`substitute`] computes the set per call; a caller applying one
+/// substitution to many formulas computes it once and calls this directly.
+pub(crate) fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> Form {
     match form {
         Form::Var(v) => sub.get(v).cloned().unwrap_or_else(|| form.clone()),
         Form::Const(_) => form.clone(),
@@ -106,29 +110,42 @@ fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> For
         ),
         Form::Typed(f, t) => Form::Typed(Box::new(subst_rec(f, sub, replacement_fvs)), t.clone()),
         Form::Binder(binder, vars, body) => {
-            // Remove bindings shadowed by the binder.
-            let mut inner_sub: Subst = sub
-                .iter()
-                .filter(|(k, _)| !vars.iter().any(|(v, _)| v == *k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
+            // Remove bindings shadowed by the binder, copying the map only when one is.
+            let inner_sub = if vars.iter().any(|(v, _)| sub.contains_key(v)) {
+                Cow::Owned(
+                    sub.iter()
+                        .filter(|(k, _)| !vars.iter().any(|(v, _)| v == *k))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect(),
+                )
+            } else {
+                Cow::Borrowed(sub)
+            };
             if inner_sub.is_empty() {
                 return form.clone();
             }
+            if !vars.iter().any(|(v, _)| replacement_fvs.contains(v)) {
+                return Form::Binder(
+                    *binder,
+                    vars.clone(),
+                    Box::new(subst_rec(body, &inner_sub, replacement_fvs)),
+                );
+            }
             // Rename bound variables that would capture free variables of replacements.
+            // The renamed body is substituted next, so a fresh name must also avoid the
+            // substitution's keys (or the renamed variable would itself be replaced)
+            // and the binder's other variables.
+            let mut avoid: BTreeSet<Ident> = replacement_fvs.clone();
+            avoid.extend(free_vars(body));
+            avoid.extend(sub.keys().cloned());
+            avoid.extend(vars.iter().map(|(v, _)| v.clone()));
             let mut new_vars = Vec::with_capacity(vars.len());
             let mut body = body.as_ref().clone();
-            let mut avoid: BTreeSet<Ident> = replacement_fvs.clone();
-            avoid.extend(free_vars(&body));
             for (v, t) in vars {
                 if replacement_fvs.contains(v) {
                     let fresh = fresh_name(v, &avoid);
                     avoid.insert(fresh.clone());
-                    let mut rename = Subst::new();
-                    rename.insert(v.clone(), Form::Var(fresh.clone()));
-                    body = substitute(&body, &rename);
-                    // A binding for the original name must not leak into the renamed body.
-                    inner_sub.remove(v);
+                    body = substitute_one(&body, v, &Form::Var(fresh.clone()));
                     new_vars.push((fresh, t.clone()));
                 } else {
                     new_vars.push((v.clone(), t.clone()));
@@ -154,17 +171,44 @@ pub fn substitute_one(form: &Form, name: &str, replacement: &Form) -> Form {
 /// `(% x. e) a` reduces to `e[x := a]`, including partial application of multi-variable
 /// lambdas, and membership in comprehensions `x : {y. F}` reduces to `F[y := x]`.
 pub fn beta_reduce(form: &Form) -> Form {
+    beta_normal(form).into_owned()
+}
+
+/// [`beta_reduce`], borrowing `form` when it has no redex, which is the common case.
+pub(crate) fn beta_normal(form: &Form) -> Cow<'_, Form> {
+    if !has_redex(form) {
+        return Cow::Borrowed(form);
+    }
     let mut current = form.clone();
     // Iterate to a fixpoint; reductions can expose new redexes. The bound prevents
     // divergence on ill-typed self-applications (which cannot arise from the parser).
     for _ in 0..64 {
         let next = beta_step(&current);
         if next == current {
-            return next;
+            return Cow::Owned(next);
         }
         current = next;
     }
-    current
+    Cow::Owned(current)
+}
+
+/// Whether [`beta_step`] could change `form`: it contains a lambda application, a
+/// membership in a comprehension, or an application [`Form::app`] would rebuild
+/// (one with no arguments, or of an application).
+fn has_redex(form: &Form) -> bool {
+    match form {
+        Form::Var(_) | Form::Const(_) => false,
+        Form::Typed(f, _) => has_redex(f),
+        Form::Binder(_, _, body) => has_redex(body),
+        Form::App(f, args) => {
+            args.is_empty()
+                || matches!(**f, Form::App(..) | Form::Binder(Binder::Lambda, ..))
+                || (matches!(**f, Form::Const(crate::form::Const::Elem))
+                    && matches!(args.get(1), Some(Form::Binder(Binder::Comprehension, ..))))
+                || has_redex(f)
+                || args.iter().any(has_redex)
+        }
+    }
 }
 
 fn beta_step(form: &Form) -> Form {
@@ -230,6 +274,7 @@ fn reduce_comprehension_elem(
 mod tests {
     use super::*;
     use crate::form::Form;
+    use crate::parser::parse_form;
     use crate::types::Type;
 
     #[test]
@@ -265,6 +310,30 @@ mod tests {
     }
 
     #[test]
+    fn renamed_binders_avoid_the_substitution_keys() {
+        // (ALL y. p x y)[x := y, y_1 := c]: the bound y must be renamed to avoid
+        // capturing the replacement y, and not to y_1, which the same substitution
+        // would then replace by c (giving the stronger `ALL y_1. p y c`).
+        let f = parse_form("ALL y. p x y").expect("parse");
+        let mut s = Subst::new();
+        s.insert("x".to_string(), Form::var("y"));
+        s.insert("y_1".to_string(), Form::var("c"));
+        assert_eq!(
+            substitute(&f, &s),
+            parse_form("ALL y_2. p y y_2").expect("parse")
+        );
+    }
+
+    #[test]
+    fn renamed_binders_avoid_their_sibling_variables() {
+        // (% y y_1. y)[x := y]: renaming the first variable to y_1 would make the body
+        // refer to the second.
+        let f = parse_form("% y y_1. y").expect("parse");
+        let g = substitute_one(&f, "x", &Form::var("y"));
+        assert_eq!(g, parse_form("% y_2 y_1. y_2").expect("parse"));
+    }
+
+    #[test]
     fn substitution_respects_shadowing() {
         let f = Form::forall("x", Type::Obj, Form::var("x"));
         let g = substitute_one(&f, "x", &Form::int(1));
@@ -289,6 +358,20 @@ mod tests {
         );
         let app = Form::app(lam, vec![Form::var("a"), Form::var("b")]);
         assert_eq!(beta_reduce(&app), Form::eq(Form::var("a"), Form::var("b")));
+    }
+
+    #[test]
+    fn beta_reduction_uncurries_nested_applications() {
+        // `(f a) b` holds no lambda, but beta reduction rebuilds it through `Form::app`,
+        // which flattens it to `f a b`.
+        let nested = Form::App(
+            Box::new(Form::app(Form::var("f"), vec![Form::var("a")])),
+            vec![Form::var("b")],
+        );
+        assert_eq!(
+            beta_reduce(&nested),
+            Form::app(Form::var("f"), vec![Form::var("a"), Form::var("b")])
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use jahob_logic::form::Form;
 use jahob_logic::norm::{
     canonicalize, definition_substitution, inline_definitions, sort_commutative,
 };
+use jahob_logic::subst::free_vars;
 use jahob_logic::Sequent;
 use proptest::prelude::*;
 
@@ -94,6 +95,70 @@ proptest! {
         let inlined = inline_definitions(&sequent);
         prop_assert!(inlined.goal.is_true());
         prop_assert!(inlined.assumptions.is_empty());
+    }
+
+    /// Chains whose links run against key order (`asg$0 = asg$1`, ..., `asg$n = value`,
+    /// the worst case of a round-by-round fixpoint: one round per link) resolve every
+    /// link to the value.
+    #[test]
+    fn chains_against_key_order_resolve(value in arb_term(), len in 1usize..16) {
+        let mut assumptions: Vec<Form> = (0..len - 1)
+            .map(|i| Form::eq(Form::var(format!("asg${i}")), Form::var(format!("asg${}", i + 1))))
+            .collect();
+        assumptions.push(Form::eq(Form::var(format!("asg${}", len - 1)), value.clone()));
+        let sub = definition_substitution(&assumptions);
+        for i in 0..len {
+            prop_assert_eq!(sub.get(&format!("asg${i}")), Some(&value));
+        }
+
+        let sequent = Sequent::new(assumptions, Form::eq(Form::var("asg$0"), value));
+        let inlined = inline_definitions(&sequent);
+        prop_assert!(inlined.goal.is_true());
+        prop_assert!(inlined.assumptions.is_empty());
+    }
+
+    /// Diamonds, two bindings sharing a dependency, substitute the shared binding's
+    /// resolved value into both sides.
+    #[test]
+    fn diamonds_resolve_the_shared_dependency(
+        base in arb_term(),
+        a in arb_term(),
+        b in arb_term(),
+    ) {
+        let assumptions = vec![
+            Form::eq(Form::var("asg$0"), Form::union(Form::var("asg$1"), Form::var("asg$2"))),
+            Form::eq(Form::var("asg$1"), Form::union(Form::var("asg$3"), a.clone())),
+            Form::eq(Form::var("asg$2"), Form::inter(Form::var("asg$3"), b.clone())),
+            Form::eq(Form::var("asg$3"), base.clone()),
+        ];
+        let sub = definition_substitution(&assumptions);
+        let left = Form::union(base.clone(), a);
+        let right = Form::inter(base.clone(), b);
+        prop_assert_eq!(sub.get("asg$3"), Some(&base));
+        prop_assert_eq!(sub.get("asg$1"), Some(&left));
+        prop_assert_eq!(sub.get("asg$2"), Some(&right));
+        prop_assert_eq!(sub.get("asg$0"), Some(&Form::union(left, right)));
+    }
+
+    /// A two-binding cycle with a dependent, in any assumption order, terminates, and
+    /// no binding mentions its own variable, so inlining removes the dependent.
+    #[test]
+    fn cycles_terminate_without_self_reference(value in arb_term(), rotation in 0usize..3) {
+        let mut assumptions = vec![
+            Form::eq(Form::var("a_1"), Form::union(Form::var("b_1"), value.clone())),
+            Form::eq(Form::var("b_1"), Form::var("a_1")),
+            Form::eq(Form::var("c_1"), Form::union(Form::var("a_1"), value)),
+        ];
+        assumptions.rotate_left(rotation);
+        let sub = definition_substitution(&assumptions);
+        prop_assert_eq!(sub.len(), 3);
+        for (v, t) in &sub {
+            prop_assert!(!free_vars(t).contains(v), "{} is bound to {}, which mentions it", v, t);
+        }
+
+        let sequent = Sequent::new(assumptions, Form::elem(Form::var("v0"), Form::var("c_1")));
+        let inlined = inline_definitions(&sequent);
+        prop_assert!(!free_vars(&inlined.goal).contains("c_1"));
     }
 
     /// Inlining never invents new free variables: every variable of the result already

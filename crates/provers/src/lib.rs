@@ -63,7 +63,7 @@ pub use costmodel::{cost_model_path, CostModel, CostStat, COST_MODEL_VERSION};
 pub use faults::FaultSpec;
 pub use store::{store_path, STORE_VERSION};
 
-use cache::{CacheKey, CachedOutcome, FailureKey};
+use cache::{CacheKey, CachedOutcome, FailureKey, KeyMemo};
 use faults::FaultPlane;
 use inst::apply_inst_hints;
 use jahob_logic::norm::{canonicalize, inline_definitions};
@@ -1202,13 +1202,21 @@ impl Dispatcher {
     /// worker while the others drain the rest of the queue. Per-obligation results are
     /// written into per-index slots and emitted in batch order, so the folded reports —
     /// including every method's `unproved` list — are identical for every thread count.
+    ///
+    /// Each worker keeps one key memo for the batch, so a formula that recurs across
+    /// its obligations (an invariant, a background fact) is canonicalised for the cache
+    /// key once per worker rather than once per occurrence.
     pub fn prove_all(&self, batch: &ObligationBatch) -> BatchReport {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let entries = batch.entries();
         let threads = self.config.threads.max(1).min(entries.len().max(1));
         let reports: Vec<VerificationReport> = if threads <= 1 {
-            entries.iter().map(|e| self.prove_entry(e)).collect()
+            let mut key_memo = KeyMemo::default();
+            entries
+                .iter()
+                .map(|e| self.prove_entry(e, &mut key_memo))
+                .collect()
         } else {
             let granularity = self.config.granularity.max(1);
             let next = AtomicUsize::new(0);
@@ -1218,17 +1226,20 @@ impl Dispatcher {
                 for _ in 0..threads {
                     let next = &next;
                     let slots = &slots;
-                    scope.spawn(move || loop {
-                        let lo = next.fetch_add(granularity, Ordering::Relaxed);
-                        if lo >= entries.len() {
-                            break;
-                        }
-                        let hi = (lo + granularity).min(entries.len());
-                        for (i, entry) in entries[lo..hi].iter().enumerate() {
-                            let one = self.prove_entry(entry);
-                            slots[lo + i]
-                                .set(one)
-                                .expect("obligation indices are claimed exactly once");
+                    scope.spawn(move || {
+                        let mut key_memo = KeyMemo::default();
+                        loop {
+                            let lo = next.fetch_add(granularity, Ordering::Relaxed);
+                            if lo >= entries.len() {
+                                break;
+                            }
+                            let hi = (lo + granularity).min(entries.len());
+                            for (i, entry) in entries[lo..hi].iter().enumerate() {
+                                let one = self.prove_entry(entry, &mut key_memo);
+                                slots[lo + i]
+                                    .set(one)
+                                    .expect("obligation indices are claimed exactly once");
+                            }
                         }
                     });
                 }
@@ -1273,9 +1284,9 @@ impl Dispatcher {
     /// Proves one batch entry, stamping the report with the obligation's wall time (so
     /// per-method folds sum to a meaningful method time even inside a program-wide
     /// batch).
-    fn prove_entry(&self, entry: &BatchEntry) -> VerificationReport {
+    fn prove_entry(&self, entry: &BatchEntry, key_memo: &mut KeyMemo) -> VerificationReport {
         let start = Instant::now();
-        let mut report = self.prove_one_inner(&entry.obligation, &entry.context);
+        let mut report = self.prove_one_inner(&entry.obligation, &entry.context, key_memo);
         report.total_time = start.elapsed();
         report
     }
@@ -1288,7 +1299,7 @@ impl Dispatcher {
         obligation: &ProofObligation,
         context: &ProverContext,
     ) -> VerificationReport {
-        let report = self.prove_one_inner(obligation, context);
+        let report = self.prove_one_inner(obligation, context, &mut KeyMemo::default());
         self.model.commit();
         report
     }
@@ -1297,6 +1308,7 @@ impl Dispatcher {
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
+        key_memo: &mut KeyMemo,
     ) -> VerificationReport {
         // §5.3: before any prover runs, substitute the definitions of the intermediate
         // variables introduced by the VC generator (assignment temporaries, pre-state
@@ -1326,8 +1338,8 @@ impl Dispatcher {
         // The canonical sequent keys and variable classifications are computed once
         // and shared between the verdict cache key and the failure memo of the
         // cascade below.
-        let full_key = SequentKey::of_inlined(&full);
-        let hinted_key = hinted.as_ref().map(SequentKey::of_inlined);
+        let full_key = SequentKey::of_inlined(&full, key_memo);
+        let hinted_key = hinted.as_ref().map(|h| SequentKey::of_inlined(h, key_memo));
         let full_classes = var_classes(context, &full);
         let hinted_classes = hinted.as_ref().map(|h| var_classes(context, h));
         let key = CacheKey {
