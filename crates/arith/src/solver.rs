@@ -16,7 +16,7 @@
 //! This asymmetry keeps every prover built on top of the solver sound.
 
 use crate::linear::{gcd, Constraint, LinExpr, Rel, VarId};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Result of a satisfiability check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +121,12 @@ fn substitute_var(e: &mut LinExpr, var: VarId, value: &LinExpr) {
     e.add_constant(scaled.constant_term());
 }
 
-/// Tightens `expr <= 0` by dividing through by the gcd of the coefficients.
-fn tighten(e: &LinExpr) -> LinExpr {
+/// Tightens `expr <= 0` by dividing through by the gcd of the coefficients, or
+/// returns `None` when the gcd is at most 1 and the expression stays as it is.
+fn tighten(e: &LinExpr) -> Option<LinExpr> {
     let g = e.coeff_gcd();
     if g <= 1 {
-        return e.clone();
+        return None;
     }
     let mut out = LinExpr::zero();
     for (v, c) in e.iter() {
@@ -134,28 +135,52 @@ fn tighten(e: &LinExpr) -> LinExpr {
     // sum a_i x_i <= -c  =>  sum (a_i/g) x_i <= floor(-c / g)
     let bound = (-e.constant_term()).div_euclid(g);
     out.add_constant(-bound);
-    out
+    Some(out)
 }
 
-fn fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
+/// An inequality `expr <= 0` with its sort key, the expression's `Debug` text. The
+/// key is formatted once, when the inequality is made, and kept for every round the
+/// inequality survives unchanged.
+struct Inequality {
+    key: String,
+    expr: LinExpr,
+}
+
+impl Inequality {
+    fn new(expr: LinExpr) -> Inequality {
+        Inequality {
+            key: format!("{expr:?}"),
+            expr,
+        }
+    }
+}
+
+fn fourier_motzkin(inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
+    let mut inequalities: Vec<Inequality> = inequalities.into_iter().map(Inequality::new).collect();
     loop {
         // Normalise and check ground constraints.
         let mut next = Vec::with_capacity(inequalities.len());
-        for e in &inequalities {
-            let t = tighten(e);
-            if t.is_constant() {
-                if t.constant_term() > 0 {
+        for mut e in inequalities {
+            if let Some(t) = tighten(&e.expr) {
+                e = Inequality::new(t);
+            }
+            if e.expr.is_constant() {
+                if e.expr.constant_term() > 0 {
                     return Outcome::Unsat;
                 }
                 continue;
             }
-            if t.iter().any(|(_, c)| c.abs() > limits.max_coefficient) {
+            if e.expr.iter().any(|(_, c)| c.abs() > limits.max_coefficient) {
                 return Outcome::Unknown;
             }
-            next.push(t);
+            next.push(e);
         }
         inequalities = next;
-        dedup(&mut inequalities);
+        // Equal keys are equal expressions, so sorting by the key brings duplicates
+        // together. The order decides which of an `Unsat` and an `Unknown` the next
+        // round's checks above meet first.
+        inequalities.sort_by(|a, b| a.key.cmp(&b.key));
+        inequalities.dedup_by(|a, b| a.key == b.key);
         if inequalities.is_empty() {
             return Outcome::Sat;
         }
@@ -163,22 +188,20 @@ fn fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
             return Outcome::Unknown;
         }
 
-        // Choose the variable whose elimination creates the fewest new constraints.
-        let vars: BTreeSet<VarId> = inequalities.iter().flat_map(|e| e.vars()).collect();
-        let var = vars
+        let var = elimination_var(&inequalities);
+        let (with_var, without): (Vec<Inequality>, Vec<Inequality>) = inequalities
+            .into_iter()
+            .partition(|e| e.expr.coeff(var) != 0);
+        let upper: Vec<&LinExpr> = with_var
             .iter()
-            .copied()
-            .min_by_key(|v| {
-                let pos = inequalities.iter().filter(|e| e.coeff(*v) > 0).count();
-                let neg = inequalities.iter().filter(|e| e.coeff(*v) < 0).count();
-                pos * neg
-            })
-            .expect("non-empty constraint set has variables");
-
-        let (with_var, without): (Vec<LinExpr>, Vec<LinExpr>) =
-            inequalities.into_iter().partition(|e| e.coeff(var) != 0);
-        let upper: Vec<&LinExpr> = with_var.iter().filter(|e| e.coeff(var) > 0).collect();
-        let lower: Vec<&LinExpr> = with_var.iter().filter(|e| e.coeff(var) < 0).collect();
+            .map(|e| &e.expr)
+            .filter(|e| e.coeff(var) > 0)
+            .collect();
+        let lower: Vec<&LinExpr> = with_var
+            .iter()
+            .map(|e| &e.expr)
+            .filter(|e| e.coeff(var) < 0)
+            .collect();
 
         let mut combined = without;
         for u in &upper {
@@ -190,7 +213,7 @@ fn fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
                 let g = gcd(a, b);
                 let combined_expr = u.scale(b / g).add(&l.scale(a / g));
                 debug_assert_eq!(combined_expr.coeff(var), 0);
-                combined.push(combined_expr);
+                combined.push(Inequality::new(combined_expr));
                 if combined.len() > limits.max_constraints {
                     return Outcome::Unknown;
                 }
@@ -200,10 +223,26 @@ fn fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
     }
 }
 
-fn dedup(constraints: &mut Vec<LinExpr>) {
-    // Formats each constraint once, not once per comparison.
-    constraints.sort_by_cached_key(|e| format!("{e:?}"));
-    constraints.dedup();
+/// The variable whose elimination creates the fewest new constraints: the least
+/// product of its upper and lower bound counts, the smallest variable among equals.
+/// One pass over the coefficients counts both bounds of every variable.
+fn elimination_var(inequalities: &[Inequality]) -> VarId {
+    let mut bounds: BTreeMap<VarId, (usize, usize)> = BTreeMap::new();
+    for e in inequalities {
+        for (v, c) in e.expr.iter() {
+            let (upper, lower) = bounds.entry(v).or_default();
+            if c > 0 {
+                *upper += 1;
+            } else {
+                *lower += 1;
+            }
+        }
+    }
+    bounds
+        .into_iter()
+        .min_by_key(|(_, (upper, lower))| upper * lower)
+        .map(|(v, _)| v)
+        .expect("non-empty constraint set has variables")
 }
 
 #[cfg(test)]
@@ -336,5 +375,136 @@ mod tests {
             max_coefficient: 1 << 60,
         };
         assert_eq!(check_with_limits(&cs, limits), Outcome::Unknown);
+    }
+
+    /// The elimination as it was before keys were cached and bounds counted in one
+    /// pass: every round formats every inequality for the sort and counts each
+    /// variable's bounds with a scan of its own.
+    fn reference_fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
+        loop {
+            let mut next = Vec::with_capacity(inequalities.len());
+            for e in &inequalities {
+                let t = tighten(e).unwrap_or_else(|| e.clone());
+                if t.is_constant() {
+                    if t.constant_term() > 0 {
+                        return Outcome::Unsat;
+                    }
+                    continue;
+                }
+                if t.iter().any(|(_, c)| c.abs() > limits.max_coefficient) {
+                    return Outcome::Unknown;
+                }
+                next.push(t);
+            }
+            inequalities = next;
+            inequalities.sort_by_key(|e| format!("{e:?}"));
+            inequalities.dedup();
+            if inequalities.is_empty() {
+                return Outcome::Sat;
+            }
+            if inequalities.len() > limits.max_constraints {
+                return Outcome::Unknown;
+            }
+            let vars: std::collections::BTreeSet<VarId> =
+                inequalities.iter().flat_map(|e| e.vars()).collect();
+            let var = vars
+                .iter()
+                .copied()
+                .min_by_key(|v| {
+                    let pos = inequalities.iter().filter(|e| e.coeff(*v) > 0).count();
+                    let neg = inequalities.iter().filter(|e| e.coeff(*v) < 0).count();
+                    pos * neg
+                })
+                .expect("variables");
+            let (with_var, without): (Vec<LinExpr>, Vec<LinExpr>) =
+                inequalities.into_iter().partition(|e| e.coeff(var) != 0);
+            let mut combined = without;
+            for u in with_var.iter().filter(|e| e.coeff(var) > 0) {
+                for l in with_var.iter().filter(|e| e.coeff(var) < 0) {
+                    let (a, b) = (u.coeff(var), -l.coeff(var));
+                    let g = gcd(a, b);
+                    combined.push(u.scale(b / g).add(&l.scale(a / g)));
+                    if combined.len() > limits.max_constraints {
+                        return Outcome::Unknown;
+                    }
+                }
+            }
+            inequalities = combined;
+        }
+    }
+
+    #[test]
+    fn elimination_matches_the_reference_under_every_limit() {
+        // A fixed xorshift stream: the systems are the same on every run.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut outcomes = [0usize; 3];
+        for case in 0..3000 {
+            let vars = 1 + next(6) as VarId;
+            let inequalities: Vec<LinExpr> = (0..1 + next(10))
+                .map(|_| {
+                    let mut e = cst(next(21) as i128 - 10);
+                    for _ in 0..1 + next(3) {
+                        e.add_term(next(vars as u64) as VarId, next(13) as i128 - 6);
+                    }
+                    e
+                })
+                .collect();
+            // Small limits reach `Unknown` by either bound, and sometimes in the
+            // same round as an `Unsat`, where the order of the checks decides.
+            let limits = Limits {
+                max_constraints: [4, 12, 20_000][case % 3],
+                max_coefficient: [4, 40, 1 << 60][(case / 3) % 3],
+            };
+            let got = fourier_motzkin(inequalities.clone(), limits);
+            assert_eq!(
+                got,
+                reference_fourier_motzkin(inequalities.clone(), limits),
+                "case {case}: {inequalities:?} under {limits:?}"
+            );
+            outcomes[got as usize] += 1;
+        }
+        // Every outcome occurs, so the comparison covers each return.
+        assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    }
+
+    #[test]
+    fn debug_order_decides_between_unsat_and_unknown() {
+        // Eliminating x0 combines the upper bounds `x0 + 1 <= 0` and
+        // `x0 + 3*x2 <= 0` with the lower bounds `-x0 <= 0` and `-3*x0 + 4*x1 <= 0`.
+        // The first upper bound yields `1 <= 0`, an `Unsat`; the second yields
+        // `4*x1 + 9*x2 <= 0`, past the coefficient limit, an `Unknown`. By their
+        // `Debug` text (`{0: 1, 2: 3}` before `{0: 1}`) the second comes first. The
+        // bounds on x1 and x2 tie their elimination cost with x0's, so x0 goes first.
+        let mut inequalities = vec![
+            var(0).add(&cst(1)),
+            var(0).add(&var(2).scale(3)),
+            var(0).scale(-1),
+            var(0).scale(-3).add(&var(1).scale(4)),
+        ];
+        for v in [1, 2] {
+            inequalities.push(var(v).add(&cst(-10)));
+            inequalities.push(var(v).scale(-1).add(&cst(-10)));
+            inequalities.push(var(v).scale(-1).add(&cst(-11)));
+        }
+        let limits = Limits {
+            max_constraints: 20_000,
+            max_coefficient: 4,
+        };
+        assert_eq!(
+            reference_fourier_motzkin(inequalities.clone(), limits),
+            Outcome::Unknown
+        );
+        assert_eq!(
+            fourier_motzkin(inequalities.clone(), limits),
+            Outcome::Unknown
+        );
+        inequalities.reverse();
+        assert_eq!(fourier_motzkin(inequalities, limits), Outcome::Unknown);
     }
 }

@@ -1223,25 +1223,37 @@ impl Dispatcher {
             let slots: Vec<OnceLock<VerificationReport>> =
                 (0..entries.len()).map(|_| OnceLock::new()).collect();
             std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let next = &next;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        let mut key_memo = KeyMemo::default();
-                        loop {
-                            let lo = next.fetch_add(granularity, Ordering::Relaxed);
-                            if lo >= entries.len() {
-                                break;
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let next = &next;
+                        let slots = &slots;
+                        scope.spawn(move || {
+                            let mut key_memo = KeyMemo::default();
+                            loop {
+                                let lo = next.fetch_add(granularity, Ordering::Relaxed);
+                                if lo >= entries.len() {
+                                    break;
+                                }
+                                let hi = (lo + granularity).min(entries.len());
+                                for (i, entry) in entries[lo..hi].iter().enumerate() {
+                                    let one = self.prove_entry(entry, &mut key_memo);
+                                    slots[lo + i]
+                                        .set(one)
+                                        .expect("obligation indices are claimed exactly once");
+                                }
                             }
-                            let hi = (lo + granularity).min(entries.len());
-                            for (i, entry) in entries[lo..hi].iter().enumerate() {
-                                let one = self.prove_entry(entry, &mut key_memo);
-                                slots[lo + i]
-                                    .set(one)
-                                    .expect("obligation indices are claimed exactly once");
-                            }
-                        }
-                    });
+                        })
+                    })
+                    .collect();
+                // The scope's own join returns once the workers' closures have
+                // finished, while their threads may still be exiting. Joining each
+                // thread waits for its exit, which hands its allocator arena back, so
+                // the next batch's workers reuse it instead of creating new arenas
+                // whose freed memory stays resident.
+                for worker in workers {
+                    if let Err(panic) = worker.join() {
+                        std::panic::resume_unwind(panic);
+                    }
                 }
             });
             slots
