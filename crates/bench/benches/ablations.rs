@@ -76,7 +76,7 @@ fn ablations(c: &mut Criterion) {
         c.bench_function(name, |b| b.iter(|| run_suite(&opts)));
     }
     // The fuel-budget axis: the routed suite with budgets forced off measures what
-    // the measured cost model and the MONA/FOL fuel buy over plain static routing
+    // the MONA/SMT/FOL fuel and the rescue pass buy over unbudgeted attempts
     // (`suite_route_on` above runs with the budgets baseline, i.e. on).
     let mut unbudgeted = options(1, false);
     unbudgeted.dispatcher.route = true;

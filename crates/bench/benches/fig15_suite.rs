@@ -47,23 +47,21 @@ fn fig15(c: &mut Criterion) {
         c.bench_function(id, |b| b.iter(|| run_suite(&options(threads, cache))));
     }
     // Emit the full Figure 15-style table (with the cache summary footer) once, and
-    // record the suite-level counters in BENCH_results.json: proved/total sequents,
-    // result-cache hits/misses and failure-memo skips.
+    // record the suite-level counters in BENCH_results.json: proved/total sequents
+    // and result-cache hits/misses.
     let rows = run_suite(&options(1, true));
     println!("{}", render_figure15(&rows));
     let proved: usize = rows.iter().map(|r| r.proved_sequents).sum();
     let total: usize = rows.iter().map(|r| r.total_sequents).sum();
     let hits: usize = rows.iter().map(|r| r.cache_hits).sum();
     let misses: usize = rows.iter().map(|r| r.cache_misses).sum();
-    let skipped = jahob::suite_failure_skips(&rows);
     criterion::record_metric("suite_proved", proved as f64);
     criterion::record_metric("suite_total", total as f64);
     criterion::record_metric("suite_cache_hits", hits as f64);
     criterion::record_metric("suite_cache_misses", misses as f64);
-    criterion::record_metric("suite_failure_skips", skipped as f64);
     // The fuel-budget gauges: aborts prove the budgets engage, rescue retries bound
     // the completeness cost (each is one extra unbudgeted cascade), and the
-    // `routing-efficiency` CI job asserts both against this file.
+    // `fuel-budgets` CI job asserts both against this file.
     criterion::record_metric(
         "suite_budget_aborts",
         jahob::suite_budget_aborts(&rows) as f64,

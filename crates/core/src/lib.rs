@@ -179,7 +179,6 @@ impl SuiteRow {
                 e.proved += s.proved;
                 e.attempted += s.attempted;
                 e.cache_hits += s.cache_hits;
-                e.skipped += s.skipped;
                 e.budget_aborts += s.budget_aborts;
                 e.crashes += s.crashes;
                 e.deadline_aborts += s.deadline_aborts;
@@ -230,19 +229,9 @@ pub fn run_suite_with(dispatcher: &Dispatcher, lemmas: &LemmaLibrary) -> Vec<Sui
         .collect()
 }
 
-/// Total prover attempts the failure memo skipped across `rows`, all provers summed —
-/// the number behind the Figure 15 footer, the `suite_failure_skips` bench metric and
-/// the differential harness's memo assertions.
-pub fn suite_failure_skips(rows: &[SuiteRow]) -> usize {
-    rows.iter()
-        .flat_map(|r| r.per_prover.values())
-        .map(|s| s.skipped)
-        .sum()
-}
-
 /// Total prover attempts aborted on a fuel budget across `rows`, all provers summed —
 /// the number behind the Figure 15 footer, the `suite_budget_aborts` bench metric and
-/// the `routing-efficiency` CI gauge (a healthy budgeted suite run aborts *some*
+/// the `fuel-budgets` CI gauge (a healthy budgeted suite run aborts *some*
 /// hopeless attempts; zero means the budgets are not engaging).
 pub fn suite_budget_aborts(rows: &[SuiteRow]) -> usize {
     rows.iter()
@@ -281,8 +270,10 @@ pub fn suite_deadline_aborts(rows: &[SuiteRow]) -> usize {
 
 /// Renders suite rows as a Figure 15-style table. Each prover cell shows
 /// `proved/attempted` (with the prover's total time), so the cost of failed cascade
-/// attempts — what per-sequent routing and the failure memo exist to remove — is
-/// visible in the suite table, not just in benches.
+/// attempts — what per-sequent routing and the fuel budgets exist to cut — is
+/// visible in the suite table, not just in benches. Times are printed in
+/// milliseconds: a whole structure verifies in tens of them, so the paper's
+/// seconds would round every cell to `0.0s`.
 pub fn render_figure15(rows: &[SuiteRow]) -> String {
     let provers = [
         ProverId::Syntactic,
@@ -308,12 +299,7 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
         for p in provers {
             match row.per_prover.get(&p) {
                 Some(s) if s.proved > 0 || s.attempted > 0 => {
-                    let cell = format!(
-                        "{}/{} ({:.1}s)",
-                        s.proved,
-                        s.attempted,
-                        s.time.as_secs_f64()
-                    );
+                    let cell = format!("{}/{} ({:.1}ms)", s.proved, s.attempted, millis(s.time));
                     out.push_str(&format!("{cell:>16}"));
                 }
                 _ => out.push_str(&format!("{:>16}", "")),
@@ -326,10 +312,10 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
             String::new()
         };
         out.push_str(&format!(
-            "{:>10}{:>10}{:>11.1}s{:>10}\n",
+            "{:>10}{:>10}{:>10.1}ms{:>10}\n",
             row.proved_sequents,
             row.total_sequents,
-            row.total_time.as_secs_f64(),
+            millis(row.total_time),
             hit_rate
         ));
     }
@@ -350,12 +336,6 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
             100.0 * hits as f64 / (hits + misses) as f64
         ));
     }
-    let skipped = suite_failure_skips(rows);
-    if skipped > 0 {
-        out.push_str(&format!(
-            "Failure memo: {skipped} dead prover attempts skipped across the suite.\n"
-        ));
-    }
     let aborts = suite_budget_aborts(rows);
     let rescues = suite_rescue_retries(rows);
     if aborts > 0 || rescues > 0 {
@@ -372,6 +352,10 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
         ));
     }
     out
+}
+
+fn millis(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 #[cfg(test)]
@@ -454,6 +438,37 @@ mod tests {
         let table = render_figure15(&rows);
         assert!(table.contains("Hit rate"));
         assert!(table.contains('%'));
+    }
+
+    #[test]
+    fn figure15_prints_times_in_milliseconds() {
+        let smt = ProverStats {
+            proved: 3,
+            attempted: 4,
+            time: Duration::from_micros(12_500),
+            ..ProverStats::default()
+        };
+        let row = SuiteRow {
+            name: "Sized List".into(),
+            per_prover: BTreeMap::from([(ProverId::Smt, smt)]),
+            total_sequents: 5,
+            proved_sequents: 5,
+            cache_hits: 0,
+            cache_disk_hits: 0,
+            cache_misses: 0,
+            rescue_retries: 0,
+            total_time: Duration::from_micros(40_200),
+        };
+        let table = render_figure15(&[row]);
+        let line = table
+            .lines()
+            .find(|l| l.starts_with("Sized List"))
+            .expect("the row is rendered");
+        assert!(line.contains("3/4 (12.5ms)"), "{line:?}");
+        assert!(
+            line.trim_end().ends_with("5         5      40.2ms"),
+            "{line:?}"
+        );
     }
 
     #[test]

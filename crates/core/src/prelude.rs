@@ -11,8 +11,7 @@ pub use crate::suite;
 pub use crate::verifier::{ProgramReport, Verifier};
 pub use crate::{
     render_figure15, run_suite, suite_budget_aborts, suite_crashes, suite_deadline_aborts,
-    suite_failure_skips, suite_rescue_retries, verify_program, MethodResult, SuiteRow,
-    VerifyOptions,
+    suite_rescue_retries, verify_program, MethodResult, SuiteRow, VerifyOptions,
 };
 pub use jahob_provers::{
     CacheMode, CacheStats, DispatcherConfig, DispatcherConfigBuilder, FaultSpec, ProverId,

@@ -142,8 +142,8 @@ impl Verifier {
         run_suite_with(&self.dispatcher, &self.lemmas)
     }
 
-    /// Cumulative cache statistics (memory hits, disk hits, misses, failure-memo
-    /// hits) across everything this verifier has proved.
+    /// Cumulative cache statistics (memory hits, disk hits, misses) across
+    /// everything this verifier has proved.
     pub fn cache_stats(&self) -> CacheStats {
         self.dispatcher.cache().stats()
     }
@@ -155,15 +155,8 @@ impl Verifier {
         self.dispatcher.flush_store()
     }
 
-    /// Number of `(prover, feature-bucket)` cells the measured cost model currently
-    /// holds — 0 until a budgeted batch commits its observations or a persistent
-    /// `cost-model.jahob` profile warm-loads at construction.
-    pub fn cost_model_cells(&self) -> usize {
-        self.dispatcher.cost_model().len()
-    }
-
-    /// Store/cost-model flushes that failed transiently and were rescued by the
-    /// dispatcher's bounded retry (see `Dispatcher::store_retries`).
+    /// Store flushes that failed transiently and were rescued by the dispatcher's
+    /// bounded retry (see `Dispatcher::store_retries`).
     pub fn store_retries(&self) -> usize {
         self.dispatcher.store_retries()
     }

@@ -88,8 +88,7 @@ impl SequentFeatures {
         self.quantifiers == 0 && self.lambdas == 0
     }
 
-    /// The coarse discrete [`FeatureBucket`] this sequent's features fall into — the
-    /// key the measured cost model aggregates attempt outcomes under.
+    /// The coarse discrete [`FeatureBucket`] this sequent's features fall into.
     pub fn bucket(&self) -> FeatureBucket {
         let mut bits = 0u8;
         if self.card_atoms > 0 {
@@ -176,15 +175,13 @@ impl SequentFeatures {
     }
 }
 
-/// A coarse discretisation of [`SequentFeatures`] used as the aggregation key of the
-/// dispatcher's measured cost model: six presence bits (cardinality, set algebra,
-/// arithmetic, reachability, quantifiers, higher-order/relational structure) give 64
-/// buckets — fine enough to separate the fragments the routing decision actually
-/// hinges on, coarse enough that a few suite runs calibrate every bucket that occurs.
+/// A coarse discretisation of [`SequentFeatures`]: six presence bits (cardinality,
+/// set algebra, arithmetic, reachability, quantifiers, higher-order/relational
+/// structure) give 64 buckets — fine enough to separate the fragments the routing
+/// decision hinges on.
 ///
 /// Buckets have a stable, human-readable tag (`card+set+arith`, `plain` for the empty
-/// bucket) that round-trips through [`FeatureBucket::from_tag`] so the cost model can
-/// persist them.
+/// bucket) that round-trips through [`FeatureBucket::from_tag`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FeatureBucket(u8);
 
@@ -240,8 +237,8 @@ impl FeatureBucket {
     }
 
     /// Parses a tag produced by [`FeatureBucket::tag`]. Returns `None` for unknown
-    /// signal names, so persisted cost models from future bucket schemas are rejected
-    /// rather than silently misfiled.
+    /// signal names, so tags from future bucket schemas are rejected rather than
+    /// silently misfiled.
     pub fn from_tag(tag: &str) -> Option<FeatureBucket> {
         if tag == "plain" {
             return Some(FeatureBucket(0));

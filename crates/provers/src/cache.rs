@@ -15,16 +15,6 @@
 //! cache hit on a proved entry is sound: the hit sequent is equivalent to one a prover
 //! actually discharged. Within one `prove_all` batch each worker canonicalises a
 //! recurring formula once (`KeyMemo`).
-//!
-//! The cache also has a **negative side**: a set of memoized failed attempts keyed by
-//! `(prover, canonical sequent, variable classification)` (`FailureKey`). The
-//! dispatcher consults it inside the uncached prover cascade, so a prover is never
-//! re-run on a canonicalized sequent it already declined — neither on the full-sequent
-//! retry after a failed hinted attempt, nor across obligations and retried suite runs
-//! sharing the cache. The provers are deterministic functions of the canonicalized
-//! sequent (plus the classification the key carries), so a memoized failure skip never
-//! changes which sequents end up proved — the differential harness pins this across
-//! the whole configuration matrix.
 
 use jahob_logic::norm::{alpha_normalize, canonicalize, inline_definitions};
 use jahob_logic::{Form, Sequent};
@@ -190,13 +180,9 @@ pub(crate) struct CachedOutcome {
     /// on every hit so the Figure 15 "attempted" columns agree between cached and
     /// uncached runs (only the times differ — hits cost no prover time).
     pub attempted: Vec<(ProverId, usize)>,
-    /// The per-prover counts of attempts the original run *skipped* because the
-    /// failure memo already knew them dead. Replayed alongside `attempted` so cached
-    /// and uncached accounting stay field-for-field identical.
-    pub skipped: Vec<(ProverId, usize)>,
     /// The per-prover counts of attempts the original run aborted on fuel exhaustion
-    /// (budgeted cascade only). Replayed like `attempted`/`skipped` so cached and
-    /// uncached accounting agree.
+    /// (budgeted cascade only). Replayed like `attempted` so cached and uncached
+    /// accounting agree.
     pub budget_aborts: Vec<(ProverId, usize)>,
     /// Whether the original run needed the unbudgeted rescue pass for this
     /// obligation. Replayed into `VerificationReport::rescue_retries`.
@@ -206,50 +192,6 @@ pub(crate) struct CachedOutcome {
     /// hits on warm-started entries can be attributed separately
     /// ([`CacheStats::disk_hits`], `VerificationReport::cache_disk_hits`).
     pub from_disk: bool,
-}
-
-/// The key of one memoized **failed** attempt site: the canonical form of the exact
-/// sequent a prover ran on, and the set/function classification of that sequent's
-/// free variables (the classification steers the SMT/FOL translations, so a prover
-/// can fail a sequent under one classification and prove it under another). Which
-/// provers failed at the site is stored as a bitmask *value* in the failure map, so
-/// one cascade builds this key once per phase instead of once per prover.
-///
-/// A failure bit is only ever set after the prover actually ran and declined a
-/// sequent with this canonical key. Serving the bit to a *different* presentation of
-/// the same canonical sequent assumes provers behave identically on
-/// canonically-equal inputs — the same assumption the verdict cache has always made
-/// when replaying an `unproved` outcome (a cache hit on a failed verdict skips every
-/// prover, not just one). The assumption is not literally airtight for the
-/// resolution prover, whose fixed iteration budget makes it presentation-sensitive
-/// in principle; the differential harness pins, per configuration matrix, that
-/// verdicts are unaffected in practice. The interactive prover is never memoized
-/// here: its verdict depends on the lemma library and the obligation's label path,
-/// not on the sequent alone.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct FailureKey {
-    /// Canonical key of the sequent the provers were attempted on.
-    pub sequent: SequentKey,
-    /// Set/function classification of the sequent's free variables.
-    pub var_classes: String,
-}
-
-/// Tests `prover`'s bit within a failure mask fetched by
-/// [`SequentCache::failed_mask`].
-pub(crate) fn mask_contains(mask: u8, prover: ProverId) -> bool {
-    mask & prover_bit(prover) != 0
-}
-
-/// The bit of `prover` within a failure-map bitmask value.
-fn prover_bit(prover: ProverId) -> u8 {
-    1 << match prover {
-        ProverId::Syntactic => 0,
-        ProverId::Mona => 1,
-        ProverId::Smt => 2,
-        ProverId::Fol => 3,
-        ProverId::Bapa => 4,
-        ProverId::Interactive => 5,
-    }
 }
 
 /// Lifetime hit/miss counters of a cache (across every `prove_all` run that shared it).
@@ -265,9 +207,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the provers.
     pub misses: u64,
-    /// Individual prover attempts skipped because the negative side of the cache
-    /// already recorded the `(prover, sequent)` pair as a failure.
-    pub failure_hits: u64,
     /// Of `hits`, how many were answered by an entry loaded from the persistent
     /// on-disk store (a warm start) rather than computed earlier in this process.
     pub disk_hits: u64,
@@ -293,16 +232,8 @@ impl CacheStats {
 #[derive(Debug, Default)]
 pub struct SequentCache {
     shards: [Mutex<HashMap<CacheKey, CachedOutcome>>; SHARDS],
-    /// The negative side: memoized failed attempts as a per-prover bitmask keyed by
-    /// `(sequent, classes)`, sharded like the verdict map. Entries are only consulted
-    /// on the uncached prover cascade, so no prover is ever re-run on a canonicalized
-    /// sequent it already declined — within one cascade (the full-sequent retry after
-    /// a failed hinted attempt) and across obligations and retried runs that share
-    /// the cache.
-    failures: [Mutex<HashMap<FailureKey, u8>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-    failure_hits: AtomicU64,
     disk_hits: AtomicU64,
 }
 
@@ -316,59 +247,6 @@ impl SequentCache {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() % SHARDS as u64) as usize]
-    }
-
-    fn failure_shard(&self, key: &FailureKey) -> &Mutex<HashMap<FailureKey, u8>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.failures[(hasher.finish() % SHARDS as u64) as usize]
-    }
-
-    /// The bitmask of provers memoized as failing the attempt site `key` (0 when the
-    /// site is unknown). Fetched **once per cascade phase** — one lock, one hash —
-    /// and then tested per prover with [`mask_contains`]; each skip the caller takes
-    /// must be reported through [`SequentCache::note_failure_hit`].
-    pub(crate) fn failed_mask(&self, key: &FailureKey) -> u8 {
-        self.failure_shard(key)
-            .lock()
-            .expect("failure shard poisoned")
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Counts one prover attempt skipped thanks to the failure memo.
-    pub(crate) fn note_failure_hit(&self) {
-        self.failure_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one failed prover attempt. The key is cloned only when the attempt
-    /// site is new; further provers failing the same site just set their bit.
-    pub(crate) fn record_failure(&self, key: &FailureKey, prover: ProverId) {
-        let mut shard = self
-            .failure_shard(key)
-            .lock()
-            .expect("failure shard poisoned");
-        match shard.get_mut(key) {
-            Some(mask) => *mask |= prover_bit(prover),
-            None => {
-                shard.insert(key.clone(), prover_bit(prover));
-            }
-        }
-    }
-
-    /// Number of memoized failed `(prover, sequent)` attempts.
-    pub fn failure_len(&self) -> usize {
-        self.failures
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("failure shard poisoned")
-                    .values()
-                    .map(|mask| mask.count_ones() as usize)
-                    .collect::<Vec<_>>()
-            })
-            .sum()
     }
 
     /// Looks up a key, recording a hit or miss in the lifetime counters.
@@ -414,22 +292,20 @@ impl SequentCache {
         self.len() == 0
     }
 
-    /// Lifetime hit/miss counters (including negative-side failure hits).
+    /// Lifetime hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            failure_hits: self.failure_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Snapshots every verdict and memoized failure for the persistent store. The
-    /// snapshot includes entries that were themselves loaded from disk, so a
-    /// merge-write never drops what an earlier process contributed.
-    pub(crate) fn export(&self) -> crate::store::StoreData {
-        let verdicts = self
-            .shards
+    /// Snapshots every verdict for the persistent store. The snapshot includes
+    /// entries that were themselves loaded from disk, so a merge-write never drops
+    /// what an earlier process contributed.
+    pub(crate) fn export(&self) -> crate::store::Verdicts {
+        self.shards
             .iter()
             .flat_map(|s| {
                 s.lock()
@@ -438,45 +314,21 @@ impl SequentCache {
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect::<Vec<_>>()
             })
-            .collect();
-        let failures = self
-            .failures
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("failure shard poisoned")
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        crate::store::StoreData { verdicts, failures }
+            .collect()
     }
 
-    /// Loads a store snapshot into the cache, marking every verdict as disk-loaded
-    /// (so hits on it count as [`CacheStats::disk_hits`]) and OR-ing failure masks
-    /// into any already present. Entries this process already computed are never
-    /// overwritten — fresh results are at least as up to date as the store's.
-    pub(crate) fn absorb(&self, data: crate::store::StoreData) {
-        for (key, mut outcome) in data.verdicts {
+    /// Loads the verdicts of a store into the cache, marking each as disk-loaded (so
+    /// hits on it count as [`CacheStats::disk_hits`]). Entries this process already
+    /// computed are never overwritten — fresh results are at least as up to date as
+    /// the store's.
+    pub(crate) fn absorb(&self, verdicts: crate::store::Verdicts) {
+        for (key, mut outcome) in verdicts {
             outcome.from_disk = true;
             self.shard(&key)
                 .lock()
                 .expect("cache shard poisoned")
                 .entry(key)
                 .or_insert(outcome);
-        }
-        for (key, mask) in data.failures {
-            let mut shard = self
-                .failure_shard(&key)
-                .lock()
-                .expect("failure shard poisoned");
-            match shard.get_mut(&key) {
-                Some(existing) => *existing |= mask,
-                None => {
-                    shard.insert(key, mask);
-                }
-            }
         }
     }
 }
@@ -590,7 +442,6 @@ mod tests {
             proved: true,
             prover: Some(ProverId::Syntactic),
             attempted: vec![(ProverId::Syntactic, 1)],
-            skipped: Vec::new(),
             budget_aborts: Vec::new(),
             rescued: false,
             from_disk: false,
@@ -600,36 +451,5 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn failure_memo_round_trips_and_counts() {
-        let cache = SequentCache::new();
-        let key = FailureKey {
-            sequent: SequentKey::of(&seq(&["size = card content"], "size = card content")),
-            var_classes: "S:content;".into(),
-        };
-        assert!(!mask_contains(cache.failed_mask(&key), ProverId::Mona));
-        cache.record_failure(&key, ProverId::Mona);
-        assert!(mask_contains(cache.failed_mask(&key), ProverId::Mona));
-        assert_eq!(cache.failure_len(), 1);
-        // A different prover on the same attempt site is a distinct failure bit.
-        assert!(!mask_contains(cache.failed_mask(&key), ProverId::Smt));
-        cache.record_failure(&key, ProverId::Smt);
-        let mask = cache.failed_mask(&key);
-        assert!(mask_contains(mask, ProverId::Smt) && mask_contains(mask, ProverId::Mona));
-        assert_eq!(cache.failure_len(), 2);
-        // A different classification is a distinct attempt site.
-        let other = FailureKey {
-            var_classes: String::new(),
-            ..key.clone()
-        };
-        assert_eq!(cache.failed_mask(&other), 0);
-        // Failure hits are counted separately from verdict hits/misses, and only when
-        // the dispatcher reports an actually skipped attempt.
-        cache.note_failure_hit();
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert_eq!(stats.failure_hits, 1);
     }
 }

@@ -3,7 +3,7 @@
 //! The fault plane lets tests (and the CI `fault-torture` job) inject failures into
 //! well-defined points of the proving and persistence paths without touching any
 //! production logic: prover attempts can be made to panic or stall, and the proof
-//! store / cost model I/O can be made to fail or to "crash" between writing its
+//! store I/O can be made to fail or to "crash" between writing its
 //! private tmp file and the atomic rename. The dispatcher's containment layer
 //! (`catch_unwind`, deadlines, bounded store retries) is then exercised against
 //! every one of those failures while the differential harness pins that a run with
@@ -20,11 +20,11 @@
 //!
 //! * **Sites** are the six provers (`syntactic`, `smt`, `mona`, `fol`, `bapa`,
 //!   `interactive` — the tags of the on-disk store format) plus `store` (the proof
-//!   store) and `costmodel` (the cost-model profile).
+//!   store).
 //! * **Prover actions**: `panic@N` panics on every Nth attempt of that prover;
 //!   `delay=Xms` sleeps X milliseconds before every attempt (`delay=Xms@N` before
 //!   every Nth).
-//! * **I/O actions** (`store`/`costmodel` only): `io@N` fails every Nth read/write
+//! * **I/O actions** (`store` only): `io@N` fails every Nth read/write
 //!   operation with an injected I/O error; `torn@N` kills every Nth merge-write at
 //!   the point *between* the tmp-file write and the atomic rename — the tmp file is
 //!   left behind and the store is never renamed over, exactly as if the process had
@@ -53,8 +53,6 @@ enum FaultSite {
     Prover(ProverId),
     /// Proof-store I/O (`store.rs` load/flush).
     Store,
-    /// Cost-model I/O (`costmodel.rs` load/flush).
-    CostModel,
 }
 
 impl FaultSite {
@@ -67,7 +65,6 @@ impl FaultSite {
             "bapa" => FaultSite::Prover(ProverId::Bapa),
             "interactive" => FaultSite::Prover(ProverId::Interactive),
             "store" => FaultSite::Store,
-            "costmodel" => FaultSite::CostModel,
             _ => return None,
         })
     }
@@ -81,7 +78,6 @@ impl FaultSite {
             FaultSite::Prover(ProverId::Bapa) => "bapa",
             FaultSite::Prover(ProverId::Interactive) => "interactive",
             FaultSite::Store => "store",
-            FaultSite::CostModel => "costmodel",
         }
     }
 }
@@ -188,7 +184,7 @@ fn parse_entry(part: &str) -> Result<FaultEntry, String> {
         .ok_or_else(|| format!("fault entry {part:?} is missing the `site:action` colon"))?;
     let site = FaultSite::parse(site_tag.trim()).ok_or_else(|| {
         format!(
-            "unknown fault site {:?} (expected a prover tag, `store` or `costmodel`)",
+            "unknown fault site {:?} (expected a prover tag or `store`)",
             site_tag.trim()
         )
     })?;
@@ -219,10 +215,9 @@ fn parse_entry(part: &str) -> Result<FaultEntry, String> {
         ));
     };
     let io_action = matches!(action, FaultAction::Io | FaultAction::Torn);
-    let io_site = matches!(site, FaultSite::Store | FaultSite::CostModel);
-    if io_action != io_site {
+    if io_action != (site == FaultSite::Store) {
         return Err(format!(
-            "fault entry {part:?}: io/torn apply to store/costmodel sites and \
+            "fault entry {part:?}: io/torn apply to the store site and \
              panic/delay to prover sites"
         ));
     }
@@ -238,16 +233,7 @@ fn parse_nth(part: &str, text: &str) -> Result<u64, String> {
     }
 }
 
-/// Which persistence file an I/O operation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IoTarget {
-    /// The proof store (`proof-store.jahob`).
-    Store,
-    /// The cost-model profile (`cost-model.jahob`).
-    CostModel,
-}
-
-/// The class of I/O operation reaching a kill point.
+/// The class of proof-store I/O operation reaching a kill point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum IoOp {
     /// Reading the file (load, or the re-read inside a merge-write).
@@ -299,7 +285,7 @@ impl FaultPlane {
         }
     }
 
-    /// The shared no-fault plane (test convenience for store/cost-model tests that
+    /// The shared no-fault plane (test convenience for store tests that
     /// exercise the fault-free paths through the plain `merge_write`/`load_or_warn`
     /// wrappers).
     #[cfg(test)]
@@ -331,16 +317,12 @@ impl FaultPlane {
         }
     }
 
-    /// Store/cost-model I/O hook. Returns the injected error when an armed `io`
-    /// fault fires on a read/write, or an armed `torn` fault fires on the
-    /// pre-rename kill point; `Ok(())` lets the real operation proceed.
-    pub(crate) fn io_op(&self, target: IoTarget, op: IoOp) -> std::io::Result<()> {
+    /// Proof-store I/O hook. Returns the injected error when an armed `io` fault
+    /// fires on a read/write, or an armed `torn` fault fires on the pre-rename kill
+    /// point; `Ok(())` lets the real operation proceed.
+    pub(crate) fn io_op(&self, op: IoOp) -> std::io::Result<()> {
         for arm in &self.arms {
-            let site_matches = match target {
-                IoTarget::Store => arm.entry.site == FaultSite::Store,
-                IoTarget::CostModel => arm.entry.site == FaultSite::CostModel,
-            };
-            if !site_matches {
+            if arm.entry.site != FaultSite::Store {
                 continue;
             }
             let applicable = match arm.entry.action {
@@ -419,8 +401,8 @@ mod tests {
 
     #[test]
     fn delay_with_explicit_nth_round_trips() {
-        let s = spec("fol:delay=7ms@4;store:torn@2;costmodel:io@3");
-        assert_eq!(s.to_string(), "fol:delay=7ms@4;store:torn@2;costmodel:io@3");
+        let s = spec("fol:delay=7ms@4;store:torn@2;store:io@3");
+        assert_eq!(s.to_string(), "fol:delay=7ms@4;store:torn@2;store:io@3");
     }
 
     #[test]
@@ -428,13 +410,14 @@ mod tests {
         for (text, needle) in [
             ("smt", "missing the `site:action` colon"),
             ("z3:panic@1", "unknown fault site"),
+            ("costmodel:io@1", "unknown fault site"),
             ("smt:explode@1", "unknown action"),
             ("smt:panic@0", "positive operation count"),
             ("smt:panic@x", "positive operation count"),
             ("mona:delay=5s", "delay=<N>ms"),
             ("mona:delay=xms", "bad delay"),
-            ("smt:io@2", "io/torn apply to store/costmodel"),
-            ("store:panic@2", "io/torn apply to store/costmodel"),
+            ("smt:io@2", "io/torn apply to the store site"),
+            ("store:panic@2", "io/torn apply to the store site"),
         ] {
             let err = FaultSpec::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?}: {err}");
@@ -444,28 +427,23 @@ mod tests {
     #[test]
     fn nth_counters_fire_on_exact_multiples() {
         let plane = FaultPlane::new(&spec("store:io@3"));
-        let fired: Vec<bool> = (0..9)
-            .map(|_| plane.io_op(IoTarget::Store, IoOp::Write).is_err())
-            .collect();
+        let fired: Vec<bool> = (0..9).map(|_| plane.io_op(IoOp::Write).is_err()).collect();
         assert_eq!(
             fired,
             vec![false, false, true, false, false, true, false, false, true]
         );
         // Reads share the io counter; renames (the torn kill point) do not trip io.
-        assert!(plane.io_op(IoTarget::Store, IoOp::Rename).is_ok());
-        assert!(plane.io_op(IoTarget::CostModel, IoOp::Write).is_ok());
+        assert!(plane.io_op(IoOp::Rename).is_ok());
     }
 
     #[test]
     fn torn_faults_only_hit_the_rename_kill_point() {
-        let plane = FaultPlane::new(&spec("costmodel:torn@2"));
-        assert!(plane.io_op(IoTarget::CostModel, IoOp::Write).is_ok());
-        assert!(plane.io_op(IoTarget::CostModel, IoOp::Read).is_ok());
-        assert!(plane.io_op(IoTarget::CostModel, IoOp::Rename).is_ok());
-        let err = plane
-            .io_op(IoTarget::CostModel, IoOp::Rename)
-            .expect_err("second rename fires");
-        assert!(err.to_string().contains("costmodel:torn@2"));
+        let plane = FaultPlane::new(&spec("store:torn@2"));
+        assert!(plane.io_op(IoOp::Write).is_ok());
+        assert!(plane.io_op(IoOp::Read).is_ok());
+        assert!(plane.io_op(IoOp::Rename).is_ok());
+        let err = plane.io_op(IoOp::Rename).expect_err("second rename fires");
+        assert!(err.to_string().contains("store:torn@2"));
     }
 
     #[test]
@@ -495,8 +473,8 @@ mod tests {
     fn the_disabled_plane_is_a_no_op() {
         let plane = FaultPlane::disabled();
         for _ in 0..4 {
-            assert!(plane.io_op(IoTarget::Store, IoOp::Write).is_ok());
-            assert!(plane.io_op(IoTarget::Store, IoOp::Rename).is_ok());
+            assert!(plane.io_op(IoOp::Write).is_ok());
+            assert!(plane.io_op(IoOp::Rename).is_ok());
             plane.prover_attempt(ProverId::Mona);
         }
     }

@@ -17,7 +17,7 @@
 //! Because the dispatcher applies this pass **before** feature extraction, routing,
 //! and cache keying, the instantiated sequent is what
 //! [`SequentFeatures`](jahob_logic::SequentFeatures), the router,
-//! [`SequentKey`](crate::SequentKey) and the failure memo all see:
+//! and [`SequentKey`](crate::SequentKey) all see:
 //! two obligations differing only in their witness can never alias to one cache
 //! entry, and a hint that turns a quantified sequent into a ground BAPA one also
 //! re-routes it accordingly.

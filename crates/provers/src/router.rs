@@ -16,7 +16,6 @@
 //! change which prover is credited and how many attempts are spent, but never which
 //! sequents end up proved — the routing differential test pins this.
 
-use crate::costmodel::CostModel;
 use crate::ProverId;
 use jahob_logic::SequentFeatures;
 
@@ -117,64 +116,9 @@ pub fn route(features: &SequentFeatures, global: &[ProverId]) -> Vec<ProverId> {
     order
 }
 
-/// The seed pseudo-cost (in nanoseconds) of a promoted prover with hand-tuned score
-/// `s`. The map is strictly monotone decreasing in `s`, so an entirely uncalibrated
-/// model routes **exactly** like [`route`]: scores descending is seed costs
-/// ascending, and equal scores map to equal costs, which the position tie-break then
-/// resolves identically. The absolute scale (~1 µs per score point) is in the same
-/// ballpark as real attempt costs, so the first calibrated cells compete on fair
-/// terms with the remaining seeds instead of jumping the queue.
-fn seed_cost_ns(score: u32) -> f64 {
-    (1000 - score.min(1000)) as f64 * 1000.0
-}
-
-/// Routes one sequent by **expected cost to discharge**, mixing the measured cost
-/// model with the hand-tuned score seeds. Still a permutation of `global`:
-///
-/// * a prover whose `(prover, bucket)` cell is calibrated is ranked by its measured
-///   expected cost — unless it is scored hopeless *and* has never won in the bucket,
-///   in which case the measurements only confirm the static verdict and it stays in
-///   the fallback tail;
-/// * an uncalibrated prover keeps its seeded rank: score-derived pseudo-cost if
-///   promoted (`seed_cost_ns`), fallback tail if hopeless.
-///
-/// On a cold model this reproduces [`route`] exactly (the seed map is monotone), so
-/// first-batch behaviour is unchanged; calibrated cells then reorder the promoted
-/// cascade — and can promote a statically-hopeless prover that demonstrably wins —
-/// as evidence accumulates.
-pub fn route_with_model(
-    features: &SequentFeatures,
-    global: &[ProverId],
-    model: &CostModel,
-) -> Vec<ProverId> {
-    let bucket = features.bucket();
-    let mut promoted: Vec<(f64, usize, ProverId)> = Vec::with_capacity(global.len());
-    let mut fallback: Vec<ProverId> = Vec::new();
-    for (position, prover) in global.iter().enumerate() {
-        let static_score = score(*prover, features);
-        match model.calibrated(*prover, bucket) {
-            Some(stat) if static_score.is_some() || stat.wins > 0 => {
-                promoted.push((stat.expected_cost_ns(), position, *prover));
-            }
-            _ => match static_score {
-                Some(s) => promoted.push((seed_cost_ns(s), position, *prover)),
-                None => fallback.push(*prover),
-            },
-        }
-    }
-    // Sort by expected cost ascending; cost ties keep their global relative order.
-    // (`total_cmp`: costs are finite by construction, but NaN must not poison the
-    // sort even if a degenerate cell slips in.)
-    promoted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut order: Vec<ProverId> = promoted.into_iter().map(|(_, _, p)| p).collect();
-    order.extend(fallback);
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::CostStat;
     use jahob_logic::{parse_form, Sequent};
 
     fn features(assumptions: &[&str], goal: &str) -> SequentFeatures {
@@ -277,110 +221,6 @@ mod tests {
         assert!(
             position(&order, ProverId::Mona) > position(&order, ProverId::Interactive),
             "tuple state is not monadic: {order:?}"
-        );
-    }
-
-    #[test]
-    fn cold_model_routing_equals_static_routing() {
-        let model = CostModel::new();
-        let global = ProverId::default_order();
-        for f in [
-            features(&[], "p"),
-            features(&["size = card content"], "size + 1 = card (content Un {x})"),
-            features(
-                &["ALL x. x : nodes --> x : alloc", "n : nodes"],
-                "n : alloc",
-            ),
-            features(&["x = y + 1"], "1 <= x"),
-            features(&["(k, v) : content"], "EX w. (k, w) : content"),
-            features(
-                &["rtrancl_pt (% x y. x..next = y) root n"],
-                "n : {z. z : nodes}",
-            ),
-        ] {
-            assert_eq!(
-                route_with_model(&f, &global, &model),
-                route(&f, &global),
-                "a cold model must reproduce the hand-tuned order exactly"
-            );
-        }
-    }
-
-    #[test]
-    fn calibrated_costs_reorder_the_promoted_cascade() {
-        let f = features(&["x = y + 1", "0 <= y"], "1 <= x");
-        let global = ProverId::default_order();
-        let model = CostModel::new();
-        // Statically SMT outranks FOL on ground arithmetic; teach the model that SMT
-        // keeps losing expensively here while FOL wins cheaply.
-        model.absorb(vec![
-            (
-                ProverId::Smt,
-                f.bucket(),
-                CostStat {
-                    attempts: 10,
-                    wins: 0,
-                    ema_cost_ns: 20_000_000.0,
-                },
-            ),
-            (
-                ProverId::Fol,
-                f.bucket(),
-                CostStat {
-                    attempts: 10,
-                    wins: 10,
-                    ema_cost_ns: 300_000.0,
-                },
-            ),
-        ]);
-        let order = route_with_model(&f, &global, &model);
-        assert!(
-            position(&order, ProverId::Fol) < position(&order, ProverId::Smt),
-            "measured evidence must override the seeds: {order:?}"
-        );
-        // Still a permutation.
-        let mut sorted = order.clone();
-        sorted.sort();
-        let mut global_sorted = global.clone();
-        global_sorted.sort();
-        assert_eq!(sorted, global_sorted);
-    }
-
-    #[test]
-    fn winless_calibration_keeps_hopeless_provers_in_the_tail() {
-        // MONA is statically hopeless on cardinality sequents; measurements that only
-        // confirm the losses (wins = 0) must not promote it out of the tail.
-        let f = features(&["size = card content"], "size + 1 = card (content Un {x})");
-        let model = CostModel::new();
-        model.absorb(vec![(
-            ProverId::Mona,
-            f.bucket(),
-            CostStat {
-                attempts: 50,
-                wins: 0,
-                ema_cost_ns: 100.0,
-            },
-        )]);
-        let order = route_with_model(&f, &ProverId::default_order(), &model);
-        assert!(
-            position(&order, ProverId::Mona) > position(&order, ProverId::Interactive),
-            "{order:?}"
-        );
-        // But demonstrated wins do earn promotion out of the static tail.
-        let winning = CostModel::new();
-        winning.absorb(vec![(
-            ProverId::Mona,
-            f.bucket(),
-            CostStat {
-                attempts: 50,
-                wins: 45,
-                ema_cost_ns: 100.0,
-            },
-        )]);
-        let order = route_with_model(&f, &ProverId::default_order(), &winning);
-        assert!(
-            position(&order, ProverId::Mona) < position(&order, ProverId::Interactive),
-            "{order:?}"
         );
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The in-memory [`SequentCache`](crate::SequentCache) dies with the process, so a
 //! suite re-run re-proves every sequent from a cold start. This module serializes the
-//! cache — the `SequentKey → CachedOutcome` verdict map *and* the negative
-//! failure-memo masks — to one versioned file inside a user-chosen directory
+//! cache — the `SequentKey → CachedOutcome` verdict map — to one versioned file
+//! inside a user-chosen directory
 //! ([`store_path`]), loaded at [`Dispatcher`](crate::Dispatcher) construction and
 //! merge-written on flush (or drop, per
 //! [`CacheMode::Persistent`](crate::CacheMode::Persistent)).
@@ -21,23 +21,23 @@
 //!
 //! **Versioning and robustness.** The file starts with a
 //! `jahob-proof-store v<N>` header ([`STORE_VERSION`]) and ends with an `## end`
-//! trailer carrying the record counts, so truncation is detected even at a line
+//! trailer carrying the record count, so truncation is detected even at a line
 //! boundary. A missing file is a silent cold start; a corrupt, truncated or
 //! future-versioned file is a **warned** cold start (one stderr line naming the path
 //! and the reason) — never a crash, and never a partial load: a store either parses
 //! completely or contributes nothing.
 //!
 //! **Merge semantics.** A flush re-reads the file, overlays the live snapshot on top
-//! (live verdicts win on key collision — they are at least as fresh; failure masks are
-//! OR-ed), and writes the union to a temporary file in the same directory, atomically
+//! (live verdicts win on key collision — they are at least as fresh), and writes the
+//! union to a temporary file in the same directory, atomically
 //! renamed over the store. Concurrent writers can therefore never produce a torn
 //! file: readers see either the old store or the new one, whole. Two processes
 //! flushing simultaneously may each miss the other's *newest* entries (last rename
 //! wins), but since each merge starts from the current file, nothing already on disk
 //! is ever lost, and a later flush from either process re-contributes the remainder.
 
-use crate::cache::{CacheKey, CachedOutcome, FailureKey, SequentKey};
-use crate::faults::{FaultPlane, IoOp, IoTarget};
+use crate::cache::{CacheKey, CachedOutcome, SequentKey};
+use crate::faults::{FaultPlane, IoOp};
 use crate::ProverId;
 use std::collections::HashMap;
 use std::fmt;
@@ -49,8 +49,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// layout, the canonical-form definition, or the fingerprint contents change
 /// incompatibly; files with any other version load as empty (with a warning).
 /// v2 added the per-prover budget-abort counts and the rescued bit to verdict
-/// records (the fuel-budget PR).
-pub const STORE_VERSION: u32 = 2;
+/// records; v3 dropped the failure-memo records and the skipped counts.
+pub const STORE_VERSION: u32 = 3;
 
 /// Magic prefix of the header line, shared by every format version.
 const MAGIC: &str = "jahob-proof-store";
@@ -62,13 +62,9 @@ pub fn store_path(dir: &Path) -> PathBuf {
     dir.join("proof-store.jahob")
 }
 
-/// An in-flight snapshot of the cache's persistent contents: the verdict map entries
-/// and the failure-memo masks, as flat lists.
-#[derive(Debug, Default)]
-pub(crate) struct StoreData {
-    pub(crate) verdicts: Vec<(CacheKey, CachedOutcome)>,
-    pub(crate) failures: Vec<(FailureKey, u8)>,
-}
+/// An in-flight snapshot of the cache's persistent contents: its verdict map entries,
+/// as a flat list.
+pub(crate) type Verdicts = Vec<(CacheKey, CachedOutcome)>;
 
 /// Why a store file could not be loaded. Rendered into the one-line cold-start
 /// warning; never propagated as a failure.
@@ -100,7 +96,7 @@ impl fmt::Display for StoreError {
 
 /// [`load_or_warn_with`] on the disabled fault plane (test convenience).
 #[cfg(test)]
-pub(crate) fn load_or_warn(path: &Path) -> StoreData {
+pub(crate) fn load_or_warn(path: &Path) -> Verdicts {
     load_or_warn_with(path, FaultPlane::disabled())
 }
 
@@ -110,38 +106,36 @@ pub(crate) fn load_or_warn(path: &Path) -> StoreData {
 /// construction-time load. The torture harness injects read errors through the
 /// fault plane here; they surface exactly like any other unreadable store — a
 /// warned cold start, never a crash.
-pub(crate) fn load_or_warn_with(path: &Path, faults: &FaultPlane) -> StoreData {
+pub(crate) fn load_or_warn_with(path: &Path, faults: &FaultPlane) -> Verdicts {
     match load_with(path, faults) {
         Ok(data) => data,
-        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => StoreData::default(),
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Verdicts::new(),
         Err(e) => {
             eprintln!(
                 "warning: ignoring proof store {} ({e}); starting cold",
                 path.display()
             );
-            StoreData::default()
+            Verdicts::new()
         }
     }
 }
 
 /// [`load_with`] on the disabled fault plane (test convenience).
 #[cfg(test)]
-pub(crate) fn load(path: &Path) -> Result<StoreData, StoreError> {
+pub(crate) fn load(path: &Path) -> Result<Verdicts, StoreError> {
     load_with(path, FaultPlane::disabled())
 }
 
 /// Strictly parses the store at `path`. All-or-nothing: any malformed record makes
 /// the whole file unusable (partial loads could replay a half-written verdict set as
 /// if it were complete).
-fn load_with(path: &Path, faults: &FaultPlane) -> Result<StoreData, StoreError> {
-    faults
-        .io_op(IoTarget::Store, IoOp::Read)
-        .map_err(StoreError::Io)?;
+fn load_with(path: &Path, faults: &FaultPlane) -> Result<Verdicts, StoreError> {
+    faults.io_op(IoOp::Read).map_err(StoreError::Io)?;
     let text = std::fs::read_to_string(path).map_err(StoreError::Io)?;
     parse(&text)
 }
 
-fn parse(text: &str) -> Result<StoreData, StoreError> {
+fn parse(text: &str) -> Result<Verdicts, StoreError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or(StoreError::Format {
         line: 1,
@@ -157,7 +151,7 @@ fn parse(text: &str) -> Result<StoreData, StoreError> {
             })
         }
     }
-    let mut data = StoreData::default();
+    let mut verdicts = Verdicts::new();
     let mut trailer = None;
     for (index, line) in lines {
         let lineno = index + 1;
@@ -174,8 +168,8 @@ fn parse(text: &str) -> Result<StoreData, StoreError> {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields[0] {
             "V" => {
-                if fields.len() != 12 {
-                    return Err(err("verdict record needs 12 fields"));
+                if fields.len() != 11 {
+                    return Err(err("verdict record needs 11 fields"));
                 }
                 let key = CacheKey {
                     config_fingerprint: unescape(fields[1]).ok_or_else(|| err("fingerprint"))?,
@@ -201,35 +195,20 @@ fn parse(text: &str) -> Result<StoreData, StoreError> {
                         tag => Some(parse_prover(tag).ok_or_else(|| err("prover tag"))?),
                     },
                     attempted: parse_counts(fields[8]).ok_or_else(|| err("attempted counts"))?,
-                    skipped: parse_counts(fields[9]).ok_or_else(|| err("skipped counts"))?,
-                    budget_aborts: parse_counts(fields[10])
+                    budget_aborts: parse_counts(fields[9])
                         .ok_or_else(|| err("budget-abort counts"))?,
-                    rescued: parse_bool(fields[11]).ok_or_else(|| err("rescued bit"))?,
+                    rescued: parse_bool(fields[10]).ok_or_else(|| err("rescued bit"))?,
                     from_disk: false, // stamped by `SequentCache::absorb`
                 };
-                data.verdicts.push((key, outcome));
-            }
-            "F" => {
-                if fields.len() != 4 {
-                    return Err(err("failure record needs 4 fields"));
-                }
-                let key = FailureKey {
-                    sequent: SequentKey::from_repr(
-                        unescape(fields[1]).ok_or_else(|| err("sequent"))?,
-                    ),
-                    var_classes: unescape(fields[2]).ok_or_else(|| err("var classes"))?,
-                };
-                let mask = fields[3].parse::<u8>().map_err(|_| err("failure mask"))?;
-                data.failures.push((key, mask));
+                verdicts.push((key, outcome));
             }
             "## end" => {
-                if fields.len() != 3 {
-                    return Err(err("end trailer needs 2 counts"));
+                if fields.len() != 2 {
+                    return Err(err("end trailer needs 1 count"));
                 }
-                let verdicts = fields[1].parse::<usize>().map_err(|_| err("count"))?;
-                let failures = fields[2].parse::<usize>().map_err(|_| err("count"))?;
-                if verdicts != data.verdicts.len() || failures != data.failures.len() {
-                    return Err(err("record counts disagree with the trailer (truncated?)"));
+                let count = fields[1].parse::<usize>().map_err(|_| err("count"))?;
+                if count != verdicts.len() {
+                    return Err(err("record count disagrees with the trailer (truncated?)"));
                 }
                 trailer = Some(());
             }
@@ -242,19 +221,19 @@ fn parse(text: &str) -> Result<StoreData, StoreError> {
             reason: "missing end trailer (truncated?)".into(),
         });
     }
-    Ok(data)
+    Ok(verdicts)
 }
 
 /// [`merge_write_with`] on the disabled fault plane (test convenience).
 #[cfg(test)]
-pub(crate) fn merge_write(path: &Path, live: StoreData) -> std::io::Result<usize> {
+pub(crate) fn merge_write(path: &Path, live: Verdicts) -> std::io::Result<usize> {
     merge_write_with(path, live, FaultPlane::disabled())
 }
 
 /// Merge-writes `live` into the store at `path`: existing parseable contents are
-/// read back and the live snapshot overlaid (live verdicts win, failure masks OR),
-/// then the union is written to a temp file in the same directory and atomically
-/// renamed over the store. Returns the number of verdict records written.
+/// read back and the live snapshot overlaid (live verdicts win), then the union is
+/// written to a temp file in the same directory and atomically renamed over the
+/// store. Returns the number of verdict records written.
 ///
 /// The fault plane's injection points, in write order: the
 /// re-read of the existing store, the tmp-file creation (`io` faults), and the
@@ -270,29 +249,22 @@ pub(crate) fn merge_write(path: &Path, live: StoreData) -> std::io::Result<usize
 /// transients.
 pub(crate) fn merge_write_with(
     path: &Path,
-    live: StoreData,
+    live: Verdicts,
     faults: &FaultPlane,
 ) -> std::io::Result<usize> {
-    let mut verdicts: HashMap<CacheKey, CachedOutcome> = HashMap::new();
-    let mut failures: HashMap<FailureKey, u8> = HashMap::new();
     let existing = match load_with(path, faults) {
         Ok(data) => data,
-        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => StoreData::default(),
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Verdicts::new(),
         Err(StoreError::Io(e)) => return Err(e),
         Err(e) => {
             eprintln!(
                 "warning: ignoring proof store {} ({e}); starting cold",
                 path.display()
             );
-            StoreData::default()
+            Verdicts::new()
         }
     };
-    for (key, outcome) in existing.verdicts.into_iter().chain(live.verdicts) {
-        verdicts.insert(key, outcome);
-    }
-    for (key, mask) in existing.failures.into_iter().chain(live.failures) {
-        *failures.entry(key).or_insert(0) |= mask;
-    }
+    let verdicts: HashMap<CacheKey, CachedOutcome> = existing.into_iter().chain(live).collect();
 
     let mut out = String::new();
     out.push_str(&format!("{MAGIC} v{STORE_VERSION}\n"));
@@ -306,14 +278,10 @@ pub(crate) fn merge_write_with(
             &b.var_classes,
         ))
     });
-    let mut failures: Vec<_> = failures.into_iter().collect();
-    failures.sort_by(|(a, _), (b, _)| {
-        (a.sequent.repr(), &a.var_classes).cmp(&(b.sequent.repr(), &b.var_classes))
-    });
     let written = verdicts.len();
     for (key, outcome) in &verdicts {
         out.push_str(&format!(
-            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
             escape(&key.config_fingerprint),
             escape(key.sequent.repr()),
             match &key.hinted {
@@ -325,19 +293,11 @@ pub(crate) fn merge_write_with(
             outcome.proved as u8,
             outcome.prover.map_or("-", prover_tag),
             render_counts(&outcome.attempted),
-            render_counts(&outcome.skipped),
             render_counts(&outcome.budget_aborts),
             outcome.rescued as u8,
         ));
     }
-    for (key, mask) in &failures {
-        out.push_str(&format!(
-            "F\t{}\t{}\t{mask}\n",
-            escape(key.sequent.repr()),
-            escape(&key.var_classes),
-        ));
-    }
-    out.push_str(&format!("## end\t{}\t{}\n", written, failures.len()));
+    out.push_str(&format!("## end\t{written}\n"));
 
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
@@ -350,7 +310,7 @@ pub(crate) fn merge_write_with(
         std::process::id(),
         WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    faults.io_op(IoTarget::Store, IoOp::Write)?;
+    faults.io_op(IoOp::Write)?;
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(out.as_bytes())?;
     file.sync_all()?;
@@ -359,7 +319,7 @@ pub(crate) fn merge_write_with(
     // made it visible. The injected form returns the error *without* cleaning up,
     // so the torture harness observes exactly that state (tmp debris, old store
     // intact and still parseable).
-    faults.io_op(IoTarget::Store, IoOp::Rename)?;
+    faults.io_op(IoOp::Rename)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(written),
         Err(e) => {
@@ -370,8 +330,8 @@ pub(crate) fn merge_write_with(
 }
 
 /// The stable serialization tag of a prover (display names are presentation, not
-/// format). Shared with the cost-model file format (`costmodel`).
-pub(crate) fn prover_tag(prover: ProverId) -> &'static str {
+/// format).
+fn prover_tag(prover: ProverId) -> &'static str {
     match prover {
         ProverId::Syntactic => "syntactic",
         ProverId::Mona => "mona",
@@ -382,7 +342,7 @@ pub(crate) fn prover_tag(prover: ProverId) -> &'static str {
     }
 }
 
-pub(crate) fn parse_prover(tag: &str) -> Option<ProverId> {
+fn parse_prover(tag: &str) -> Option<ProverId> {
     Some(match tag {
         "syntactic" => ProverId::Syntactic,
         "mona" => ProverId::Mona,
@@ -468,7 +428,7 @@ fn truncate(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn sample() -> StoreData {
+    fn sample() -> Verdicts {
         let key = |fp: &str, sequent: &str| CacheKey {
             sequent: SequentKey::from_repr(sequent.to_string()),
             hinted: Some(SequentKey::from_repr("p |- q".to_string())),
@@ -476,41 +436,30 @@ mod tests {
             lemma_registered: false,
             config_fingerprint: fp.to_string(),
         };
-        StoreData {
-            verdicts: vec![
-                (
-                    key("order=A|hints=true|route=true", "a |- b"),
-                    CachedOutcome {
-                        proved: true,
-                        prover: Some(ProverId::Bapa),
-                        attempted: vec![(ProverId::Syntactic, 1), (ProverId::Bapa, 1)],
-                        skipped: vec![(ProverId::Mona, 1)],
-                        budget_aborts: vec![(ProverId::Fol, 1)],
-                        rescued: false,
-                        from_disk: false,
-                    },
-                ),
-                (
-                    key("order=A|hints=true|route=false", "odd\\chars\there |- g"),
-                    CachedOutcome {
-                        proved: false,
-                        prover: None,
-                        attempted: Vec::new(),
-                        skipped: Vec::new(),
-                        budget_aborts: Vec::new(),
-                        rescued: true,
-                        from_disk: false,
-                    },
-                ),
-            ],
-            failures: vec![(
-                FailureKey {
-                    sequent: SequentKey::from_repr("a |- b".to_string()),
-                    var_classes: String::new(),
+        vec![
+            (
+                key("order=A|hints=true|route=true", "a |- b"),
+                CachedOutcome {
+                    proved: true,
+                    prover: Some(ProverId::Bapa),
+                    attempted: vec![(ProverId::Syntactic, 1), (ProverId::Bapa, 1)],
+                    budget_aborts: vec![(ProverId::Fol, 1)],
+                    rescued: false,
+                    from_disk: false,
                 },
-                0b101,
-            )],
-        }
+            ),
+            (
+                key("order=A|hints=true|route=false", "odd\\chars\there |- g"),
+                CachedOutcome {
+                    proved: false,
+                    prover: None,
+                    attempted: Vec::new(),
+                    budget_aborts: Vec::new(),
+                    rescued: true,
+                    from_disk: false,
+                },
+            ),
+        ]
     }
 
     fn temp_store(name: &str) -> PathBuf {
@@ -526,54 +475,37 @@ mod tests {
         merge_write(&path, sample()).expect("write");
         let loaded = load(&path).expect("load");
         let original = sample();
-        assert_eq!(loaded.verdicts.len(), original.verdicts.len());
-        assert_eq!(loaded.failures.len(), original.failures.len());
-        for (key, outcome) in &original.verdicts {
+        assert_eq!(loaded.len(), original.len());
+        for (key, outcome) in &original {
             let (_, reloaded) = loaded
-                .verdicts
                 .iter()
                 .find(|(k, _)| k == key)
                 .expect("key survives byte-exactly, escapes included");
             assert_eq!(reloaded, outcome);
         }
-        assert_eq!(loaded.failures[0].1, 0b101);
     }
 
     #[test]
     fn merge_write_unions_and_live_entries_win() {
         let path = temp_store("merge");
         merge_write(&path, sample()).expect("first write");
-        // A second snapshot: one colliding verdict flipped, one new failure bit.
-        let mut second = StoreData::default();
-        let collide = sample().verdicts.remove(0);
-        second.verdicts.push((
+        // A second snapshot: one colliding verdict flipped.
+        let collide = sample().remove(0);
+        let second = vec![(
             collide.0.clone(),
             CachedOutcome {
                 prover: Some(ProverId::Smt),
                 ..collide.1
             },
-        ));
-        second.failures.push((
-            FailureKey {
-                sequent: SequentKey::from_repr("a |- b".to_string()),
-                var_classes: String::new(),
-            },
-            0b010,
-        ));
+        )];
         merge_write(&path, second).expect("merge write");
         let merged = load(&path).expect("load");
-        assert_eq!(
-            merged.verdicts.len(),
-            2,
-            "union keeps the other fingerprint"
-        );
+        assert_eq!(merged.len(), 2, "union keeps the other fingerprint");
         let (_, winner) = merged
-            .verdicts
             .iter()
             .find(|(k, _)| k == &collide.0)
             .expect("collided key present");
         assert_eq!(winner.prover, Some(ProverId::Smt), "live entry wins");
-        assert_eq!(merged.failures[0].1, 0b111, "failure masks OR together");
     }
 
     #[test]
@@ -592,8 +524,7 @@ mod tests {
     #[test]
     fn missing_file_loads_empty_and_silent() {
         let path = temp_store("missing");
-        let data = load_or_warn(&path);
-        assert!(data.verdicts.is_empty() && data.failures.is_empty());
+        assert!(load_or_warn(&path).is_empty());
     }
 
     #[test]
@@ -610,10 +541,7 @@ mod tests {
             text.contains("truncated") || text.contains("corrupt"),
             "{text}"
         );
-        assert!(
-            load_or_warn(&path).verdicts.is_empty(),
-            "lenient load is empty"
-        );
+        assert!(load_or_warn(&path).is_empty(), "lenient load is empty");
     }
 
     #[test]
@@ -640,7 +568,7 @@ mod tests {
         assert!(text.contains(&format!("v{STORE_VERSION}")), "{text}");
         // And a corrupt-on-write store is overwritten, not merged with.
         merge_write(&path, sample()).expect("flush over a future-version file");
-        assert_eq!(load(&path).expect("recovered").verdicts.len(), 2);
+        assert_eq!(load(&path).expect("recovered").len(), 2);
     }
 
     #[test]
@@ -651,7 +579,7 @@ mod tests {
         // Drop one record line but keep the trailer: counts now disagree.
         let victim = text
             .lines()
-            .find(|l| l.starts_with('F'))
+            .find(|l| l.starts_with('V'))
             .unwrap()
             .to_string();
         text = text.replace(&format!("{victim}\n"), "");

@@ -1,22 +1,24 @@
 //! Differential test for the dispatcher's scaling mechanisms.
 //!
-//! The work-stealing parallel dispatch, the canonical-form result cache (with its
-//! negative failure-memo side), per-sequent prover routing, fuel-budgeted attempts
-//! (with the unbudgeted rescue pass) and the program-wide obligation batching are
-//! pure optimisations: they must not change *what* gets proved, only how fast. This
-//! harness runs the full §7 example suite under every combination of
+//! The work-stealing parallel dispatch, the canonical-form result cache, per-sequent
+//! prover routing, fuel-budgeted attempts (with the unbudgeted rescue pass) and the
+//! program-wide obligation batching are pure optimisations: they must not change
+//! *what* gets proved, only how fast. This harness runs the full §7 example suite
+//! under every combination of
 //! `{threads = 1, 2, 4, 8} x {cache on, off} x {route on, off} x {budgets on, off}`
 //! (plus a coarser work-queue granularity) and asserts that every configuration
 //! proves the identical set of sequents per method, and reports the `unproved`
 //! descriptions in the identical, deterministic order — and that the batched
 //! whole-program dispatch (`verify_program`: one tagged `prove_all` per program) is
 //! indistinguishable from the per-method seed path (one `prove_all` per method)
-//! across the whole matrix. Any future scaling PR that breaks either property fails
-//! here.
+//! across the whole matrix — and that repeated passes on one dispatcher attempt
+//! every obligation identically. Any future scaling change that breaks one of these
+//! properties fails here.
 
 use jahob_repro::frontend::program_tasks;
 use jahob_repro::jahob::{self, suite, VerifyOptions};
-use jahob_repro::provers::Dispatcher;
+use jahob_repro::provers::{Dispatcher, LemmaLibrary, VerificationReport};
+use std::collections::BTreeMap;
 
 /// The observable verdict of one method: counts plus the unproved descriptions in
 /// report order (NOT sorted — the dispatcher merges per-obligation results by
@@ -140,19 +142,16 @@ fn batched_program_dispatch_matches_the_per_method_path_across_the_matrix() {
 #[test]
 fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
     // Single-threaded, the batched path processes obligations in the same order as the
-    // per-method path, so the full report — per-prover proved/attempted counts, cache
-    // attribution, hit/miss counters, unproved ordering — must agree field for field
-    // (everything except measured times, which is why renders are byte-identical up to
-    // timings). Under parallelism the hit/miss split can wobble (two workers racing a
-    // cold key), so this strict form is pinned for threads=1 only. Budgets are pinned
-    // off: the cost model commits at batch boundaries, and the two paths draw those
-    // boundaries differently (one per program vs one per method), so with budgets on
-    // the per-method path routes later methods against a better-calibrated model and
-    // its *attempt counts* may legitimately differ. The verdict-level agreement with
-    // budgets on is covered by `fuel_budgets_change_nothing_but_time` below.
+    // per-method path, so the full report — per-prover proved/attempted/aborted counts,
+    // cache attribution, hit/miss counters, rescue retries, unproved ordering — must
+    // agree field for field (everything except measured times, which is why renders
+    // are byte-identical up to timings). Under parallelism the hit/miss split can
+    // wobble (two workers racing a cold key), so this strict form is pinned for
+    // threads=1 only.
     type Strict = Vec<(
         String,
-        Vec<(String, usize, usize, usize)>,
+        Vec<(String, usize, usize, usize, usize)>,
+        usize,
         usize,
         usize,
         Vec<String>,
@@ -166,17 +165,26 @@ fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
                     r.report
                         .per_prover
                         .iter()
-                        .map(|(id, s)| (id.to_string(), s.proved, s.attempted, s.cache_hits))
+                        .map(|(id, s)| {
+                            (
+                                id.to_string(),
+                                s.proved,
+                                s.attempted,
+                                s.cache_hits,
+                                s.budget_aborts,
+                            )
+                        })
                         .collect(),
                     r.report.cache_hits,
                     r.report.cache_misses,
+                    r.report.rescue_retries,
                     r.report.unproved.clone(),
                 )
             })
             .collect()
     };
-    for cache in [false, true] {
-        let opts = options_budgeted(1, cache, true, false);
+    for (budgets, cache) in [(true, false), (true, true), (false, false), (false, true)] {
+        let opts = options_budgeted(1, cache, true, budgets);
         let mut batched: Strict = Vec::new();
         let mut per_method: Strict = Vec::new();
         for entry in suite::full_suite() {
@@ -193,7 +201,8 @@ fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
         }
         assert_eq!(
             batched, per_method,
-            "cache={cache}: single-threaded batched reports diverged from per-method reports"
+            "budgets={budgets} cache={cache}: single-threaded batched reports diverged from \
+             per-method reports"
         );
     }
 }
@@ -220,14 +229,14 @@ fn routing_on_and_off_prove_the_same_sequents_across_the_matrix() {
 
 #[test]
 fn fuel_budgets_change_nothing_but_time() {
-    // The measured cost model + fuel budgets + rescue pass are a pure optimisation:
-    // permutation and early-abort, never pruning. Whatever the thread count, cache
-    // setting or routing mode, budgets on and off must prove the identical sequent
-    // set (same `unproved` lists in the same order) AND credit the identical prover
-    // for every proof — the cascade order is frozen per batch, aborted attempts are
-    // retried unbudgeted by the rescue pass, and completed budgeted attempts reach
-    // the same verdicts as unbudgeted ones. Attempt counts and times are deliberately
-    // not compared (aborting early and rescuing is the whole point).
+    // Fuel budgets + rescue pass are a pure optimisation: early abort, never
+    // pruning. Whatever the thread count, cache setting or routing mode, budgets on
+    // and off must prove the identical sequent set (same `unproved` lists in the
+    // same order) AND credit the identical prover for every proof — the cascade
+    // order does not depend on the budgets, aborted attempts are retried unbudgeted
+    // by the rescue pass, and completed budgeted attempts reach the same verdicts as
+    // unbudgeted ones. Attempt counts and times are deliberately not compared
+    // (aborting early and rescuing is the whole point).
     let attribution = |options: &VerifyOptions| -> Vec<(String, Vec<(String, usize)>)> {
         let mut per_method = Vec::new();
         for entry in suite::full_suite() {
@@ -266,47 +275,89 @@ fn fuel_budgets_change_nothing_but_time() {
     }
 }
 
+/// One pass's attempt accounting per structure: per-prover `(attempted, proved,
+/// budget_aborts)` and the rescue retries, summed over the structure's methods.
+type PassAccounting = Vec<(String, BTreeMap<String, (usize, usize, usize)>, usize)>;
+
+fn structure_accounting<'r>(
+    name: &str,
+    reports: impl Iterator<Item = &'r VerificationReport>,
+) -> (String, BTreeMap<String, (usize, usize, usize)>, usize) {
+    let mut per_prover: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
+    let mut rescue_retries = 0;
+    for report in reports {
+        for (id, s) in &report.per_prover {
+            let cell = per_prover.entry(id.to_string()).or_default();
+            cell.0 += s.attempted;
+            cell.1 += s.proved;
+            cell.2 += s.budget_aborts;
+        }
+        rescue_retries += report.rescue_retries;
+    }
+    (name.to_string(), per_prover, rescue_retries)
+}
+
 #[test]
-fn failure_memo_skips_dead_attempts_on_retried_suites() {
-    // Within one suite pass the positive (verdict) cache answers recurring
-    // obligations outright, so the negative side earns its keep on *retried* runs
-    // whose verdict keys differ — here, a routed pass followed by an unrouted pass
-    // sharing one cache (the config fingerprint keys them apart). The second pass
-    // misses the verdict cache but skips every prover attempt the first pass already
-    // saw fail on the same canonical sequent; verdicts must stay identical.
-    let lemmas = jahob_repro::provers::LemmaLibrary::new();
-    let routed = Dispatcher::with_config(options_routed(1, true, true).dispatcher);
-    let first = jahob::run_suite_with(&routed, &lemmas);
-    let mut unrouted = routed.clone();
-    unrouted.config.route = false;
-    let second = jahob::run_suite_with(&unrouted, &lemmas);
-    let stats = unrouted.cache().stats();
-    // Printed so EXPERIMENTS.md refreshes can quote the memo numbers:
-    // `cargo test --release --test dispatcher_differential failure_memo -- --nocapture`.
-    println!(
-        "retried suite: {} failure-memo hits, {} memoized failures, {} verdict hits / {} misses",
-        stats.failure_hits,
-        unrouted.cache().failure_len(),
-        stats.hits,
-        stats.misses
+fn repeated_passes_on_one_dispatcher_are_identical() {
+    // Nothing one batch does may change how a later batch is attempted: the routed
+    // order is a function of the sequent alone and the fuel is counted in work
+    // units, not time. Routing and budgets stay at their defaults (both on); the
+    // cache is off, so every pass really runs every attempt. Three whole-suite
+    // batches, then the 11 programs one batch each, twice, must all account for
+    // every structure identically, attempt for attempt and abort for abort.
+    let lemmas = LemmaLibrary::new();
+    let dispatcher = Dispatcher::with_config(
+        jahob::DispatcherConfig::builder()
+            .cache(jahob::CacheMode::Off)
+            .build(),
     );
-    assert!(
-        stats.failure_hits > 0,
-        "the unrouted retry must skip attempts the routed pass saw fail: {stats:?}"
-    );
-    assert!(unrouted.cache().failure_len() > 0);
-    let proved = |rows: &[jahob::SuiteRow]| -> Vec<(String, usize, usize)> {
-        rows.iter()
-            .map(|r| (r.name.clone(), r.proved_sequents, r.total_sequents))
+    let suite_pass = || -> PassAccounting {
+        jahob::run_suite_with(&dispatcher, &lemmas)
+            .iter()
+            .map(|row| {
+                let per_prover = row
+                    .per_prover
+                    .iter()
+                    .map(|(id, s)| (id.to_string(), (s.attempted, s.proved, s.budget_aborts)))
+                    .collect();
+                (row.name.clone(), per_prover, row.rescue_retries)
+            })
             .collect()
     };
-    assert_eq!(proved(&first), proved(&second));
-    // The skips surface in the retried pass's per-prover accounting (and hence in the
-    // Figure 15 attempts column).
-    let skipped = jahob::suite_failure_skips(&second);
+    let program_pass = || -> PassAccounting {
+        suite::full_suite()
+            .iter()
+            .map(|entry| {
+                let results = jahob::verify_program_with(&dispatcher, &entry.program, &lemmas);
+                structure_accounting(entry.name, results.iter().map(|r| &r.report))
+            })
+            .collect()
+    };
+    let first = suite_pass();
     assert!(
-        skipped > 0,
-        "skipped attempts must be attributed per prover"
+        first
+            .iter()
+            .flat_map(|(_, per_prover, _)| per_prover.values())
+            .any(|(_, _, aborts)| *aborts > 0),
+        "the fuel budgets must engage on the suite: {first:?}"
+    );
+    for pass in 2..=3 {
+        assert_eq!(
+            suite_pass(),
+            first,
+            "suite pass {pass} diverged from pass 1"
+        );
+    }
+    for pass in 1..=2 {
+        assert_eq!(
+            program_pass(),
+            first,
+            "per-program pass {pass} diverged from the suite passes"
+        );
+    }
+    assert_eq!(
+        dispatcher.batches_dispatched(),
+        3 + 2 * suite::full_suite().len()
     );
 }
 

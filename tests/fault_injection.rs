@@ -25,9 +25,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The verdict view of one suite row: what was proved, out of how many, and which
-/// prover each proof is attributed to. Deliberately excludes attempt/skip/cache
-/// counts — crashing a losing prover legitimately perturbs those (a crashed attempt
-/// is never failure-memoized), but must never perturb anything in this view.
+/// prover each proof is attributed to. Deliberately excludes attempt/cache counts —
+/// crashing a losing prover legitimately perturbs those (a cascade containing a
+/// crash is never cached), but must never perturb anything in this view.
 fn verdicts(rows: &[SuiteRow]) -> Vec<(String, usize, usize, BTreeMap<String, usize>)> {
     rows.iter()
         .map(|r| {
@@ -55,12 +55,11 @@ fn full_snapshot(rows: &[SuiteRow]) -> Vec<String> {
                 .iter()
                 .map(|(id, s)| {
                     format!(
-                        "{}:{}/{} hits={} skip={} abort={} crash={} deadline={}",
+                        "{}:{}/{} hits={} abort={} crash={} deadline={}",
                         id.display_name(),
                         s.proved,
                         s.attempted,
                         s.cache_hits,
-                        s.skipped,
                         s.budget_aborts,
                         s.crashes,
                         s.deadline_aborts

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The observable verdict of one method: counts, the unproved descriptions in
-/// report order, and per-prover (proved, attempted, skipped) attribution.
+/// report order, and per-prover (proved, attempted, budget_aborts) attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct MethodVerdict {
     method: String,
@@ -41,7 +41,7 @@ fn verdict_of(structure: &str, result: &MethodResult) -> MethodVerdict {
             .map(|(id, s)| {
                 (
                     id.display_name().to_string(),
-                    (s.proved, s.attempted, s.skipped),
+                    (s.proved, s.attempted, s.budget_aborts),
                 )
             })
             .collect(),
@@ -146,20 +146,17 @@ fn route_worlds_never_answer_each_others_lookups() {
 
 #[test]
 fn committed_seed_fixtures_warm_start_the_suite() {
-    // The seed store and cost-model profile committed under tests/fixtures/ are the
-    // CI warm-start seeds: a fresh checkout must be able to answer (nearly) the
-    // whole suite from them without proving anything first. This pins both the
-    // fixture files' parseability under the current STORE_VERSION and their
-    // fingerprint compatibility with the default (builder, env-free) configuration
-    // they were generated under. Regenerate them with
+    // The seed store committed under tests/fixtures/ is the CI warm-start seed: a
+    // fresh checkout must be able to answer (nearly) the whole suite from it without
+    // proving anything first. This pins both the fixture's parseability under the
+    // current STORE_VERSION and its fingerprint compatibility with the default
+    // (builder, env-free) configuration it was generated under. Regenerate it with
     // `JAHOB_CACHE_DIR=tests/fixtures cargo run --release --example verify_suite`
     // whenever the fingerprint or store format legitimately changes.
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let dir = temp_dir("seed-fixtures");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    for file in ["proof-store.jahob", "cost-model.jahob"] {
-        std::fs::copy(fixtures.join(file), dir.join(file)).expect("copy fixture");
-    }
+    std::fs::copy(fixtures.join("proof-store.jahob"), store_path(&dir)).expect("copy fixture");
     let (verdicts, verifier) = run_full_suite(persistent_config(&dir, 1, true));
     let total: usize = verdicts.iter().map(|v| v.total).sum();
     let proved: usize = verdicts.iter().map(|v| v.proved).sum();
@@ -172,15 +169,43 @@ fn committed_seed_fixtures_warm_start_the_suite() {
         disk * 10 >= total * 9,
         "the committed seed must answer >=90% of {total} obligations, got {disk}"
     );
-    assert!(
-        verifier.cost_model_cells() > 0,
-        "the committed cost-model profile must warm-load too"
-    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sized list's verdicts written in the v2 layout, the format before the
+/// failure-memo `F` records and the per-prover skipped counts were dropped: a
+/// current store rewritten with the old header, an empty skipped field in every
+/// verdict record and the two-count trailer. Its keys are real, so a reader that
+/// accepted the old version would answer the sized list from it.
+fn sized_list_store_as_v2() -> String {
+    let dir = temp_dir("v2-source");
+    let verifier = Verifier::with_config(persistent_config(&dir, 1, true));
+    assert!(verifier.verify(&suite::sized_list()).verified());
+    verifier.flush().expect("flush");
+    let current = std::fs::read_to_string(store_path(&dir)).expect("read store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut old = String::new();
+    for line in current.lines() {
+        let line = if line.starts_with("jahob-proof-store ") {
+            "jahob-proof-store v2".to_string()
+        } else if let Some(count) = line.strip_prefix("## end\t") {
+            format!("## end\t{count}\t0")
+        } else {
+            let mut fields: Vec<&str> = line.split('\t').collect();
+            assert_eq!(fields[0], "V", "{line}");
+            fields.insert(9, "");
+            fields.join("\t")
+        };
+        old.push_str(&line);
+        old.push('\n');
+    }
+    old
 }
 
 #[test]
 fn corrupt_truncated_and_future_version_stores_cold_start() {
+    // An old-version store is rejected whole, exactly like a corrupt one: a warned
+    // cold start, never a partial load of its verdicts.
     for (name, contents) in [
         ("garbage", "not a proof store\nat all\n".to_string()),
         ("truncated", "jahob-proof-store v1\nV\ttrail".to_string()),
@@ -188,6 +213,7 @@ fn corrupt_truncated_and_future_version_stores_cold_start() {
             "future",
             "jahob-proof-store v999\nV\twhatever\n".to_string(),
         ),
+        ("old-v2", sized_list_store_as_v2()),
     ] {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -13,8 +13,9 @@ RUN_LOG is the stdout of `cargo run --example verify_suite` executed with a
   * If STORE_DIR is given, `STORE_DIR/proof-store.jahob` (when it exists — a
     flush storm may legitimately have failed every write) is structurally
     intact: correct magic header, exactly one `## end` trailer whose record
-    counts match the `V`/`F` records actually present, no content after the
-    trailer, and no partially written (non-tab-separated) record lines. Torn
+    count matches the `V` records actually present, no content after the
+    trailer, and no other record lines (a partial write, or a record type this
+    store version does not have). Torn
     `.tmp.*` debris next to the store is reported but allowed — an injected
     kill between tmp-write and rename leaves it there by design.
 
@@ -58,7 +59,7 @@ def check_store(store_dir: str) -> None:
         lines = f.read().split("\n")
     if not lines or not lines[0].startswith(MAGIC + " v"):
         sys.exit(f"{store}: bad magic header {lines[0][:40]!r}")
-    verdicts = failures = 0
+    verdicts = 0
     trailer = None
     for lineno, line in enumerate(lines[1:], start=2):
         if trailer is not None:
@@ -67,23 +68,18 @@ def check_store(store_dir: str) -> None:
             continue
         if line.startswith("## end\t"):
             fields = line.split("\t")
-            if len(fields) != 3:
+            if len(fields) != 2 or not fields[1].isdigit():
                 sys.exit(f"{store}:{lineno}: malformed trailer {line!r}")
-            trailer = (int(fields[1]), int(fields[2]))
+            trailer = int(fields[1])
         elif line.startswith("V\t"):
             verdicts += 1
-        elif line.startswith("F\t"):
-            failures += 1
         elif line:
             sys.exit(f"{store}:{lineno}: unrecognised record {line[:40]!r} (torn write?)")
     if trailer is None:
         sys.exit(f"{store}: missing end trailer (truncated write)")
-    if trailer != (verdicts, failures):
-        sys.exit(
-            f"{store}: trailer claims {trailer[0]} verdicts / {trailer[1]} failures, "
-            f"file holds {verdicts} / {failures}"
-        )
-    print(f"store OK: {verdicts} verdict and {failures} failure records, trailer consistent")
+    if trailer != verdicts:
+        sys.exit(f"{store}: trailer claims {trailer} verdicts, file holds {verdicts}")
+    print(f"store OK: {verdicts} verdict records, trailer consistent")
 
 
 def main() -> None:
