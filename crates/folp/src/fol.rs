@@ -183,14 +183,6 @@ impl Literal {
         }
     }
 
-    /// The complementary literal.
-    pub fn negate(&self) -> Literal {
-        Literal {
-            positive: !self.positive,
-            atom: self.atom.clone(),
-        }
-    }
-
     /// Applies a substitution.
     pub fn apply(&self, subst: &Subst) -> Literal {
         Literal {

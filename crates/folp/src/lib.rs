@@ -52,22 +52,6 @@ pub struct FolOptions {
     pub limits: ResolutionLimits,
 }
 
-impl FolOptions {
-    /// Options with the given known set-valued and function-valued variable names.
-    pub fn with_environment(
-        set_vars: impl IntoIterator<Item = String>,
-        fun_vars: impl IntoIterator<Item = String>,
-    ) -> Self {
-        let mut t = TranslateOptions::new();
-        t.set_vars.extend(set_vars);
-        t.fun_vars.extend(fun_vars);
-        FolOptions {
-            translate: t,
-            limits: ResolutionLimits::default(),
-        }
-    }
-}
-
 /// Result of an end-to-end proof attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FolResult {

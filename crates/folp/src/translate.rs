@@ -18,14 +18,9 @@
 //! sequent.
 
 use crate::fol::{Atom, Clause, Literal, Term};
-use jahob_logic::approx::{approximate_implication, Polarity};
+use jahob_logic::approx::first_order_implication;
 use jahob_logic::form::{Binder, Const, Form};
-use jahob_logic::rewrite::{
-    expand_complex_equalities, expand_field_write_applications, expand_set_membership, lift_ite,
-    looks_like_set, rewrite_fixpoint,
-};
-use jahob_logic::simplify::{nnf, simplify};
-use jahob_logic::subst::{free_vars, substitute_one};
+use jahob_logic::simplify::nnf;
 use jahob_logic::types::Type;
 use jahob_logic::Sequent;
 use std::collections::{BTreeMap, BTreeSet};
@@ -78,33 +73,9 @@ pub fn sequent_to_clauses(
     sequent: &Sequent,
     options: &TranslateOptions,
 ) -> Result<Vec<Clause>, TranslationOverflow> {
-    let sequent = sequent.without_comments();
-    let set_typed = |f: &Form| -> bool {
-        looks_like_set(f)
-            || match f {
-                Form::Var(v) => options.set_vars.contains(v),
-                Form::App(head, _) => match head.as_ref() {
-                    Form::Var(v) => options.set_vars.contains(v),
-                    _ => false,
-                },
-                _ => false,
-            }
-    };
-
-    let prep = |f: &Form| -> Form {
-        let f = expand_function_equalities(f, &options.fun_vars);
-        let f = expand_field_write_applications(&f);
-        let f = expand_complex_equalities(&f, &set_typed);
-        let f = expand_set_membership(&f);
-        let f = lift_ite(&f);
-        simplify(&f)
-    };
-
-    let assumptions: Vec<Form> = sequent.assumptions.iter().map(prep).collect();
-    let goal = prep(&sequent.goal);
-
-    // Polarity approximation into the first-order fragment.
-    let (assumptions, goal) = approximate_implication(&assumptions, &goal, &fol_atom_filter);
+    // Rewriting and polarity approximation into the first-order fragment.
+    let (assumptions, goal) =
+        first_order_implication(sequent, &options.set_vars, &options.fun_vars);
 
     // Refutation set: assumptions plus negated goal.
     let mut cx = ClausifyCx {
@@ -150,60 +121,6 @@ pub fn sequent_to_clauses(
         }
     }
     Ok(clauses)
-}
-
-/// Atoms representable in the first-order fragment. Cardinality, `tree`, subset atoms
-/// that survived rewriting, and stray higher-order terms are rejected (and then
-/// approximated away by polarity).
-fn fol_atom_filter(atom: &Form, _polarity: Polarity) -> Option<Form> {
-    if atom.contains_const(&Const::Card)
-        || atom.contains_const(&Const::Tree)
-        || atom.contains_const(&Const::Old)
-        || atom.contains_binder(Binder::Comprehension)
-        || atom.contains_binder(Binder::Lambda) && !is_rtrancl_atom(atom)
-    {
-        return None;
-    }
-    Some(atom.clone())
-}
-
-fn is_rtrancl_atom(atom: &Form) -> bool {
-    atom.as_app_of(&Const::Rtrancl).is_some()
-}
-
-/// Expands equalities between function-typed expressions pointwise:
-/// `f = g` becomes `ALL z. f z = g z` when either side is a `fieldWrite` expression or a
-/// declared field variable.
-fn expand_function_equalities(form: &Form, fun_vars: &BTreeSet<String>) -> Form {
-    let is_fun = |f: &Form| -> bool {
-        match f {
-            Form::Var(v) => fun_vars.contains(v),
-            // A partial `fieldWrite f x v` (exactly three arguments) denotes a function;
-            // with a fourth argument it is already applied to a point and is a value.
-            Form::App(head, args) => {
-                matches!(head.as_ref(), Form::Const(Const::FieldWrite)) && args.len() == 3
-            }
-            _ => false,
-        }
-    };
-    rewrite_fixpoint(form, &|f| {
-        let [l, r] = f.as_app_of(&Const::Eq)? else {
-            return None;
-        };
-        if is_fun(l) || is_fun(r) {
-            let avoid = free_vars(f);
-            let z = jahob_logic::subst::fresh_name("ptr", &avoid);
-            return Some(Form::forall(
-                z.clone(),
-                Type::Obj,
-                Form::eq(
-                    Form::app(l.clone(), vec![Form::var(z.clone())]),
-                    Form::app(r.clone(), vec![Form::var(z)]),
-                ),
-            ));
-        }
-        None
-    })
 }
 
 /// Sound axioms for the reachability predicate `reach$idx` generated from a transitive
@@ -684,19 +601,6 @@ fn equality_axioms(
         out.push(Clause::new(lits));
     }
     out
-}
-
-/// Instantiates the body of a transitive-closure lambda on two terms (used by the axiom
-/// generator via `Form::app`, which the clausifier beta-reduces on conversion).
-#[allow(dead_code)]
-fn apply_body(body: &Form, a: &Form, b: &Form) -> Form {
-    match body {
-        Form::Binder(Binder::Lambda, vars, inner) if vars.len() == 2 => {
-            let s1 = substitute_one(inner, &vars[0].0, a);
-            substitute_one(&s1, &vars[1].0, b)
-        }
-        other => Form::app(other.clone(), vec![a.clone(), b.clone()]),
-    }
 }
 
 #[cfg(test)]

@@ -30,16 +30,6 @@ pub enum Token {
     Sym(&'static str),
 }
 
-impl Token {
-    /// Returns the identifier text if the token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            Token::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -4,8 +4,18 @@
 //! prover soundly, Jahob replaces subformulas outside the fragment with *stronger*
 //! formulas: an unsupported atom in a positive position becomes `False`, and in a negative
 //! position becomes `True`. Proving the approximation then implies the original formula.
+//!
+//! The SMT and first-order prover interfaces share one such front end,
+//! [`first_order_implication`].
 
 use crate::form::{Binder, Const, Form};
+use crate::rewrite::{
+    expand_complex_equalities, expand_field_write_applications, expand_function_equalities,
+    expand_set_membership, lift_ite, looks_like_set,
+};
+use crate::sequent::Sequent;
+use crate::simplify::simplify;
+use std::collections::BTreeSet;
 
 /// The polarity of a subformula occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +134,53 @@ pub fn approximate_implication(
         .collect();
     let approx_goal = approximate(goal, Polarity::Positive, translate_atom);
     (approx_assumptions, approx_goal)
+}
+
+/// The first-order front end of the SMT and first-order provers (§6.2, §6.3). It strips
+/// comments and rewrites every formula of `sequent` into first-order shape: function
+/// equalities pointwise, field-write applications into `ite`, set and tuple equalities
+/// by extensionality, set operations into memberships, and `ite` lifted out of atoms.
+/// Then it approximates the implication, dropping the atoms neither prover represents:
+/// `card`, `tree`, `old`, comprehensions, and lambdas outside an `rtrancl_pt` atom.
+/// `set_vars` and `fun_vars` name the variables known to denote sets and functions.
+pub fn first_order_implication(
+    sequent: &Sequent,
+    set_vars: &BTreeSet<String>,
+    fun_vars: &BTreeSet<String>,
+) -> (Vec<Form>, Form) {
+    let sequent = sequent.without_comments();
+    let set_typed = |f: &Form| -> bool {
+        looks_like_set(f)
+            || match f {
+                Form::Var(v) => set_vars.contains(v),
+                Form::App(head, _) => matches!(head.as_ref(), Form::Var(v) if set_vars.contains(v)),
+                _ => false,
+            }
+    };
+    let prep = |f: &Form| -> Form {
+        let f = expand_function_equalities(f, fun_vars);
+        let f = expand_field_write_applications(&f);
+        let f = expand_complex_equalities(&f, &set_typed);
+        let f = expand_set_membership(&f);
+        let f = lift_ite(&f);
+        simplify(&f)
+    };
+    let assumptions: Vec<Form> = sequent.assumptions.iter().map(prep).collect();
+    let goal = prep(&sequent.goal);
+    approximate_implication(&assumptions, &goal, &first_order_atom)
+}
+
+/// Atoms representable in the first-order fragment of [`first_order_implication`].
+fn first_order_atom(atom: &Form, _polarity: Polarity) -> Option<Form> {
+    if atom.contains_const(&Const::Card)
+        || atom.contains_const(&Const::Tree)
+        || atom.contains_const(&Const::Old)
+        || atom.contains_binder(Binder::Comprehension)
+        || (atom.contains_binder(Binder::Lambda) && atom.as_app_of(&Const::Rtrancl).is_none())
+    {
+        return None;
+    }
+    Some(atom.clone())
 }
 
 #[cfg(test)]

@@ -136,14 +136,6 @@ impl Const {
             _ => return None,
         })
     }
-
-    /// True for constants that denote propositional connectives.
-    pub fn is_connective(&self) -> bool {
-        matches!(
-            self,
-            Const::Not | Const::And | Const::Or | Const::Impl | Const::Iff
-        )
-    }
 }
 
 /// Binders of the logic.
@@ -564,17 +556,6 @@ impl Form {
             }
         }
         (labels, cur)
-    }
-
-    /// Peels universal quantifiers at the head, returning the bound variables and body.
-    pub fn strip_forall(&self) -> (Vec<&(Ident, Type)>, &Form) {
-        let mut vars = Vec::new();
-        let mut cur = self;
-        while let Form::Binder(Binder::Forall, vs, body) = cur {
-            vars.extend(vs.iter());
-            cur = body;
-        }
-        (vars, cur)
     }
 
     /// Counts the nodes of the formula (a rough size measure used for statistics and

@@ -49,7 +49,7 @@ pub mod subst;
 pub mod typecheck;
 pub mod types;
 
-pub use features::{FeatureBucket, SequentFeatures};
+pub use features::SequentFeatures;
 pub use form::{Binder, Const, Form, Ident};
 pub use parser::{parse_form, parse_type, ParseError};
 pub use sequent::Sequent;

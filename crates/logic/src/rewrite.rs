@@ -10,7 +10,7 @@
 use crate::form::{Binder, Const, Form, Ident};
 use crate::subst::{beta_reduce, free_vars, fresh_name, substitute, Subst};
 use crate::types::Type;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Applies a bottom-up rewriting function until the formula no longer changes (with an
 /// iteration bound to guarantee termination on non-confluent rewrite functions).
@@ -164,6 +164,41 @@ pub fn expand_complex_equalities(form: &Form, set_typed: &dyn Fn(&Form) -> bool)
                 Form::implies(
                     Form::elem(Form::var(v.clone()), l.clone()),
                     Form::elem(Form::var(v), r.clone()),
+                ),
+            ));
+        }
+        None
+    })
+}
+
+/// Expands equalities between function-typed expressions pointwise: `f = g` becomes
+/// `ALL z. f z = g z` when either side is a partial `fieldWrite` expression or a
+/// variable in `fun_vars` (the declared fields).
+pub fn expand_function_equalities(form: &Form, fun_vars: &BTreeSet<String>) -> Form {
+    let is_fun = |f: &Form| -> bool {
+        match f {
+            Form::Var(v) => fun_vars.contains(v),
+            // A partial `fieldWrite f x v` (exactly three arguments) denotes a function;
+            // with a fourth argument it is already applied to a point and is a value.
+            Form::App(head, args) => {
+                matches!(head.as_ref(), Form::Const(Const::FieldWrite)) && args.len() == 3
+            }
+            _ => false,
+        }
+    };
+    rewrite_fixpoint(form, &|f| {
+        let [l, r] = f.as_app_of(&Const::Eq)? else {
+            return None;
+        };
+        if is_fun(l) || is_fun(r) {
+            let avoid = free_vars(f);
+            let z = fresh_name("ptr", &avoid);
+            return Some(Form::forall(
+                z.clone(),
+                Type::Obj,
+                Form::eq(
+                    Form::app(l.clone(), vec![Form::var(z.clone())]),
+                    Form::app(r.clone(), vec![Form::var(z)]),
                 ),
             ));
         }

@@ -51,11 +51,6 @@ fn collect_free(form: &Form, bound: &mut Vec<Ident>, acc: &mut BTreeSet<Ident>) 
     }
 }
 
-/// Returns `true` if `name` occurs free in `form`.
-pub fn occurs_free(name: &str, form: &Form) -> bool {
-    free_vars(form).contains(name)
-}
-
 /// Generates a variant of `base` that does not occur in `avoid`.
 pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
     if !avoid.contains(base) {

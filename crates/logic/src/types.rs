@@ -107,14 +107,6 @@ impl Type {
         matches!(self, Type::Set(_))
     }
 
-    /// The element type if this is a set type.
-    pub fn set_elem(&self) -> Option<&Type> {
-        match self {
-            Type::Set(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Decomposes a curried function type into argument types and the final result.
     pub fn uncurry(&self) -> (Vec<&Type>, &Type) {
         let mut args = Vec::new();

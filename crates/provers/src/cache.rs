@@ -3,8 +3,8 @@
 //! Identical sequents recur across the methods of one data structure: every path
 //! re-establishes the class invariants, and the splitter re-emits the same background
 //! assumptions per goal. The dispatcher therefore keys each obligation by a canonical
-//! form of its (definition-inlined) sequent and consults a sharded in-memory cache
-//! before any prover runs.
+//! form of its (definition-inlined) sequent and consults an in-memory cache before
+//! any prover runs.
 //!
 //! The canonical form is computed with the same machinery the syntactic prover (§6.1)
 //! trusts: [`inline_definitions`] collapses generated-variable equations,
@@ -22,22 +22,17 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::ProverId;
-
-/// Number of independently locked shards. Sixteen keeps lock contention negligible for
-/// the thread counts the dispatcher runs (the work queue hands out one obligation at a
-/// time, so at most `threads` lookups are in flight).
-const SHARDS: usize = 16;
 
 /// The canonical key of a sequent: a printed form that is invariant under
 /// definition inlining, comment stripping, AC permutation of commutative operators,
 /// alpha-renaming of bound variables, and duplication or permutation of assumptions.
 ///
 /// Key equality is exact string equality of the canonical form, so structurally
-/// distinct sequents can never collide (a 64-bit hash is precomputed only to pick a
-/// shard and speed up `HashMap` probing).
+/// distinct sequents can never collide (a 64-bit hash is precomputed only to speed up
+/// `HashMap` probing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequentKey {
     repr: String,
@@ -121,13 +116,11 @@ impl SequentKey {
             .collect();
         assumptions.sort();
         assumptions.dedup();
-        let repr = format!("{} |- {}", assumptions.join(" ;; "), memo.keys[goal].0);
-        let mut hasher = DefaultHasher::new();
-        repr.hash(&mut hasher);
-        SequentKey {
-            hash: hasher.finish(),
-            repr,
-        }
+        SequentKey::from_repr(format!(
+            "{} |- {}",
+            assumptions.join(" ;; "),
+            memo.keys[goal].0
+        ))
     }
 
     /// The canonical printed form backing the key (stable within a process run; useful
@@ -136,9 +129,10 @@ impl SequentKey {
         &self.repr
     }
 
-    /// Rebuilds a key from a canonical printed form read back from the on-disk store.
+    /// The key of a canonical printed form, computed fresh or read back from the
+    /// on-disk store.
     ///
-    /// `DefaultHasher::new()` is keyed deterministically, so the shard/probe hash of a
+    /// `DefaultHasher::new()` is keyed deterministically, so the probe hash of a
     /// reloaded key is identical to the one computed when the entry was first written —
     /// which is what makes the printed form alone a complete content address.
     pub(crate) fn from_repr(repr: String) -> SequentKey {
@@ -224,14 +218,16 @@ impl CacheStats {
     }
 }
 
-/// A sharded, mutex-protected map from canonical obligation keys to prover verdicts.
+/// A mutex-protected map from canonical obligation keys to prover verdicts.
 ///
 /// The cache is shared by cloning the owning [`crate::Dispatcher`] (the dispatcher
 /// holds it behind an `Arc`), so one cache can serve every method of a program — or a
-/// whole suite run — across worker threads.
+/// whole suite run — across worker threads. One lock suffices: a lookup or insert
+/// holds it for one map probe, while each worker spends far longer keying and proving
+/// between two probes.
 #[derive(Debug, Default)]
 pub struct SequentCache {
-    shards: [Mutex<HashMap<CacheKey, CachedOutcome>>; SHARDS],
+    verdicts: Mutex<HashMap<CacheKey, CachedOutcome>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -243,20 +239,13 @@ impl SequentCache {
         SequentCache::default()
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, CachedOutcome>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() % SHARDS as u64) as usize]
+    fn map(&self) -> MutexGuard<'_, HashMap<CacheKey, CachedOutcome>> {
+        self.verdicts.lock().expect("cache lock poisoned")
     }
 
     /// Looks up a key, recording a hit or miss in the lifetime counters.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedOutcome> {
-        let found = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key)
-            .cloned();
+        let found = self.map().get(key).cloned();
         match &found {
             Some(outcome) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -273,18 +262,12 @@ impl SequentCache {
 
     /// Stores the verdict for a key.
     pub(crate) fn insert(&self, key: CacheKey, outcome: CachedOutcome) {
-        self.shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, outcome);
+        self.map().insert(key, outcome);
     }
 
     /// Number of cached verdicts.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.map().len()
     }
 
     /// Returns `true` if no verdict has been cached.
@@ -305,16 +288,7 @@ impl SequentCache {
     /// entries that were themselves loaded from disk, so a merge-write never drops
     /// what an earlier process contributed.
     pub(crate) fn export(&self) -> crate::store::Verdicts {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        self.map().clone().into_iter().collect()
     }
 
     /// Loads the verdicts of a store into the cache, marking each as disk-loaded (so
@@ -322,13 +296,10 @@ impl SequentCache {
     /// computed are never overwritten — fresh results are at least as up to date as
     /// the store's.
     pub(crate) fn absorb(&self, verdicts: crate::store::Verdicts) {
+        let mut cached = self.map();
         for (key, mut outcome) in verdicts {
             outcome.from_disk = true;
-            self.shard(&key)
-                .lock()
-                .expect("cache shard poisoned")
-                .entry(key)
-                .or_insert(outcome);
+            cached.entry(key).or_insert(outcome);
         }
     }
 }

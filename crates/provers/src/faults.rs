@@ -56,27 +56,17 @@ enum FaultSite {
 }
 
 impl FaultSite {
+    /// Parses a site tag: a prover's [`ProverId::tag`] or `store`.
     fn parse(tag: &str) -> Option<FaultSite> {
-        Some(match tag {
-            "syntactic" => FaultSite::Prover(ProverId::Syntactic),
-            "mona" => FaultSite::Prover(ProverId::Mona),
-            "smt" => FaultSite::Prover(ProverId::Smt),
-            "fol" => FaultSite::Prover(ProverId::Fol),
-            "bapa" => FaultSite::Prover(ProverId::Bapa),
-            "interactive" => FaultSite::Prover(ProverId::Interactive),
-            "store" => FaultSite::Store,
-            _ => return None,
-        })
+        match tag {
+            "store" => Some(FaultSite::Store),
+            _ => ProverId::from_tag(tag).map(FaultSite::Prover),
+        }
     }
 
     fn tag(&self) -> &'static str {
         match self {
-            FaultSite::Prover(ProverId::Syntactic) => "syntactic",
-            FaultSite::Prover(ProverId::Mona) => "mona",
-            FaultSite::Prover(ProverId::Smt) => "smt",
-            FaultSite::Prover(ProverId::Fol) => "fol",
-            FaultSite::Prover(ProverId::Bapa) => "bapa",
-            FaultSite::Prover(ProverId::Interactive) => "interactive",
+            FaultSite::Prover(prover) => prover.tag(),
             FaultSite::Store => "store",
         }
     }

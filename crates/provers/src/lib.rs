@@ -24,13 +24,12 @@
 //!
 //! Three scaling mechanisms sit in front of the provers:
 //!
-//! * **work-stealing dispatch** — with [`DispatcherConfig::threads`] > 1, workers pull
-//!   individual obligations (in batches of [`DispatcherConfig::granularity`]) from one
-//!   shared atomic queue, so skewed obligation costs no longer leave threads idle the
-//!   way a contiguous-chunk split does;
+//! * **shared-queue dispatch** — [`DispatcherConfig::threads`] workers claim one
+//!   obligation at a time from one shared atomic index, so skewed obligation costs no
+//!   longer leave threads idle the way a contiguous-chunk split does;
 //! * **result caching** — with [`DispatcherConfig::cache`] enabled, every obligation is
 //!   keyed by the canonical form of its definition-inlined sequent ([`SequentKey`]) and
-//!   looked up in a sharded in-memory cache before any prover runs ([`cache`]);
+//!   looked up in an in-memory cache before any prover runs ([`cache`]);
 //! * **per-sequent routing** — with [`DispatcherConfig::route`] enabled, each
 //!   obligation's cascade order is chosen from the sequent's syntactic features
 //!   ([`jahob_logic::SequentFeatures`] → [`router`]): provers whose fragment the
@@ -121,6 +120,26 @@ impl ProverId {
             ProverId::Bapa => "BAPA",
             ProverId::Interactive => "Interactive",
         }
+    }
+
+    /// The stable lower-case tag that names the prover in the on-disk store format
+    /// and in fault specs (display names are presentation, not format).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ProverId::Syntactic => "syntactic",
+            ProverId::Mona => "mona",
+            ProverId::Smt => "smt",
+            ProverId::Fol => "fol",
+            ProverId::Bapa => "bapa",
+            ProverId::Interactive => "interactive",
+        }
+    }
+
+    /// The prover named by a [`ProverId::tag`], or `None` for an unknown tag.
+    pub fn from_tag(tag: &str) -> Option<ProverId> {
+        ProverId::default_order()
+            .into_iter()
+            .find(|prover| prover.tag() == tag)
     }
 }
 
@@ -311,7 +330,7 @@ impl ObligationBatch {
 pub enum CacheMode {
     /// No caching: every obligation runs the full prover cascade.
     Off,
-    /// The in-memory sharded cache (the former `cache: true`), dying with the process.
+    /// The in-memory cache (the former `cache: true`), dying with the process.
     Memory,
     /// The in-memory cache, warm-started from — and merge-written back to — the
     /// versioned proof store in `dir` ([`store_path`]). A missing store is a silent
@@ -365,8 +384,8 @@ pub struct DispatcherConfig {
     /// ones that are most likely to succeed or fail quickly").
     pub order: Vec<ProverId>,
     /// Spread independent obligations over this many worker threads (1 = sequential).
-    /// Workers pull obligations from one shared queue, so an expensive obligation never
-    /// strands the rest of a pre-assigned chunk behind it.
+    /// Workers claim one obligation at a time from one shared queue, so an expensive
+    /// obligation never strands the rest of a pre-assigned chunk behind it.
     pub threads: usize,
     /// Apply `by` hints (assumption selection) when present.
     pub use_hints: bool,
@@ -374,10 +393,6 @@ pub struct DispatcherConfig {
     /// result cache before running provers, optionally backed by the persistent
     /// on-disk proof store ([`CacheMode::Persistent`]).
     pub cache: CacheMode,
-    /// How many obligations a worker claims from the shared queue per grab. `1` gives
-    /// the best load balance; larger batches amortise queue traffic when obligations
-    /// are uniformly tiny. Values are clamped to at least 1.
-    pub granularity: usize,
     /// Choose each obligation's prover order from its sequent's syntactic features
     /// ([`router::route`]) instead of always using the global `order`. Routing is a
     /// permutation of `order` — demoted provers still run as a fallback — so it changes
@@ -411,8 +426,8 @@ pub struct DispatcherConfig {
 }
 
 impl Default for DispatcherConfig {
-    /// The baseline configuration (sequential, hints on, in-memory cache, routing on,
-    /// granularity 1), with [`DispatcherConfig::with_env_overrides`] applied on top so
+    /// The baseline configuration (sequential, hints on, in-memory cache, routing on),
+    /// with [`DispatcherConfig::with_env_overrides`] applied on top so
     /// a whole test or bench run can be switched to the parallel, uncached, unrouted
     /// or persistent-store path from the environment.
     fn default() -> Self {
@@ -422,7 +437,7 @@ impl Default for DispatcherConfig {
 
 /// Builder for [`DispatcherConfig`]: typed, named knobs instead of the old
 /// bool-and-positional surface. Starts from the pinned baseline (sequential, hints
-/// on, [`CacheMode::Memory`], granularity 1, routing on) and applies **no**
+/// on, [`CacheMode::Memory`], routing on) and applies **no**
 /// environment overrides, so configurations built here mean exactly what the call
 /// site says — benches and differential tests depend on that. Call
 /// [`DispatcherConfigBuilder::env_overrides`] last to opt back into `JAHOB_*`.
@@ -464,12 +479,6 @@ impl DispatcherConfigBuilder {
     /// [`CacheMode::Persistent`]).
     pub fn cache(mut self, mode: CacheMode) -> Self {
         self.config.cache = mode;
-        self
-    }
-
-    /// Sets the work-queue claim granularity (clamped to at least 1).
-    pub fn granularity(mut self, granularity: usize) -> Self {
-        self.config.granularity = granularity.max(1);
         self
     }
 
@@ -516,8 +525,7 @@ impl DispatcherConfigBuilder {
 
 impl DispatcherConfig {
     /// Starts a [`DispatcherConfigBuilder`] at the pinned baseline (sequential,
-    /// hints on, in-memory cache, granularity 1, routing on; no environment
-    /// overrides).
+    /// hints on, in-memory cache, routing on; no environment overrides).
     pub fn builder() -> DispatcherConfigBuilder {
         DispatcherConfigBuilder {
             config: DispatcherConfig {
@@ -525,7 +533,6 @@ impl DispatcherConfig {
                 threads: 1,
                 use_hints: true,
                 cache: CacheMode::Memory,
-                granularity: 1,
                 route: true,
                 budgets: true,
                 deadline_ms: None,
@@ -534,8 +541,8 @@ impl DispatcherConfig {
         }
     }
 
-    /// Applies the `JAHOB_THREADS`, `JAHOB_CACHE`, `JAHOB_CACHE_DIR`,
-    /// `JAHOB_GRANULARITY`, `JAHOB_ROUTE` and `JAHOB_BUDGETS` environment variables
+    /// Applies the `JAHOB_THREADS`, `JAHOB_CACHE`, `JAHOB_CACHE_DIR`, `JAHOB_ROUTE`,
+    /// `JAHOB_BUDGETS`, `JAHOB_DEADLINE_MS` and `JAHOB_FAULTS` environment variables
     /// on top of `self` and returns the result. Unset variables leave the
     /// corresponding field untouched; a set-but-invalid value also leaves the field
     /// untouched but prints a one-line warning to stderr naming the variable and the
@@ -550,7 +557,7 @@ impl DispatcherConfig {
     /// `JAHOB_CACHE=off` still wins (it is the established ablation switch), while
     /// `JAHOB_CACHE=on` keeps a configured persistent mode persistent.
     ///
-    /// This is what lets CI exercise the work-stealing, cached, unrouted and
+    /// This is what lets CI exercise the parallel, cached, unrouted and
     /// warm-start paths on every push: the test job re-runs the whole suite under
     /// `JAHOB_THREADS=4 JAHOB_CACHE=on`, once under `JAHOB_ROUTE=off` (guarding the
     /// global fallback cascade), and the warm-start job twice against one
@@ -568,9 +575,6 @@ impl DispatcherConfig {
                 (true, CacheMode::Off) => CacheMode::Memory,
                 (true, mode) => mode,
             };
-        }
-        if let Some(n) = env_knob("JAHOB_GRANULARITY", parse_count_knob) {
-            self.granularity = n;
         }
         if let Some(route) = env_knob("JAHOB_ROUTE", parse_switch_knob) {
             self.route = route;
@@ -628,9 +632,8 @@ fn env_knob<T>(name: &str, parse: fn(&str, &str) -> Result<T, String>) -> Option
     }
 }
 
-/// Parses a positive-count knob (`JAHOB_THREADS`, `JAHOB_GRANULARITY`). Counts are
-/// clamped to at least 1; a non-numeric value is rejected with a warning naming the
-/// variable and the value.
+/// Parses a positive-count knob (`JAHOB_THREADS`). Counts are clamped to at least 1;
+/// a non-numeric value is rejected with a warning naming the variable and the value.
 fn parse_count_knob(name: &str, value: &str) -> Result<usize, String> {
     value
         .trim()
@@ -901,13 +904,82 @@ impl BatchReport {
     }
 }
 
+/// Checks that `dir` exists (creating it if needed) and is writable, by creating and
+/// removing a uniquely named probe file. Called once per dispatcher construction so
+/// an unusable [`CacheMode::Persistent`] directory degrades up front instead of
+/// failing at the final flush.
+fn probe_store_dir(dir: &std::path::Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let probe = dir.join(format!(".jahob-probe.{}", std::process::id()));
+    std::fs::write(&probe, b"probe")?;
+    std::fs::remove_file(&probe)
+}
+
 /// The persistent-store attachment shared by a dispatcher and its clones: where to
-/// merge-write the proof store, and whether dropping the last sharer should do it
-/// implicitly.
+/// merge-write the proof store, the cache and fault plane a flush reads, and the count
+/// of retried writes. Clones share one handle behind an `Arc`, so its `Drop` (the
+/// implicit flush) runs exactly once, when the last clone lets go.
 #[derive(Debug)]
 struct StoreHandle {
     path: PathBuf,
     flush_on_drop: bool,
+    cache: Arc<SequentCache>,
+    faults: Arc<FaultPlane>,
+    /// Store write attempts that had to be retried after a transient I/O failure.
+    retries: AtomicUsize,
+}
+
+impl StoreHandle {
+    /// Merge-writes the cache into the store, up to three times with a short backoff
+    /// between attempts. Merge-writes are idempotent (each re-reads the file and
+    /// overlays the same snapshot), so retrying a failed attempt is always safe.
+    fn flush(&self) -> std::io::Result<usize> {
+        const BACKOFF_MS: [u64; 2] = [1, 5];
+        let mut attempt = 0;
+        loop {
+            match store::merge_write_with(&self.path, self.cache.export(), &self.faults) {
+                Err(_) if attempt < BACKOFF_MS.len() => {
+                    std::thread::sleep(Duration::from_millis(BACKOFF_MS[attempt]));
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    attempt += 1;
+                }
+                result => return result,
+            }
+        }
+    }
+
+    /// The implicit flush, factored out of `Drop` so tests can exercise it without
+    /// capturing stderr: performs the retried merge-write and returns the warning line
+    /// when the store still could not be written.
+    fn drop_flush_warning(&self) -> Option<String> {
+        self.flush().err().map(|e| {
+            format!(
+                "warning: failed to flush proof store {}: {e}",
+                self.path.display()
+            )
+        })
+    }
+}
+
+impl Drop for StoreHandle {
+    /// Flushes the store when the mode asked for it (`flush: true`). A failed implicit
+    /// flush only warns — dropping must not panic, even if the flush path itself
+    /// panics; call [`Dispatcher::flush_store`] explicitly to observe the error.
+    fn drop(&mut self) {
+        if !self.flush_on_drop {
+            return;
+        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.drop_flush_warning()));
+        match outcome {
+            Ok(Some(warning)) => eprintln!("{warning}"),
+            Ok(None) => {}
+            Err(_) => eprintln!(
+                "warning: implicit flush of proof store {} panicked; store left as-is",
+                self.path.display()
+            ),
+        }
+    }
 }
 
 /// The integrated-reasoning dispatcher.
@@ -927,9 +999,6 @@ pub struct Dispatcher {
     /// The armed fault plane (shared by clones so operation counting stays one
     /// deterministic sequence per dispatcher tree). Empty config → no-op plane.
     faults: Arc<FaultPlane>,
-    /// Store write attempts that had to be retried after a transient I/O failure
-    /// (shared by clones; see [`Dispatcher::store_retries`]).
-    store_retries: Arc<AtomicUsize>,
 }
 
 impl Default for Dispatcher {
@@ -969,6 +1038,9 @@ impl Dispatcher {
             Some(Arc::new(StoreHandle {
                 path,
                 flush_on_drop: *flush,
+                cache: Arc::clone(&cache),
+                faults: Arc::clone(&faults),
+                retries: AtomicUsize::new(0),
             }))
         } else {
             None
@@ -979,7 +1051,6 @@ impl Dispatcher {
             batches: Arc::new(AtomicUsize::new(0)),
             store,
             faults,
-            store_retries: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -994,102 +1065,16 @@ impl Dispatcher {
     /// backoff before the error is surfaced; [`Dispatcher::store_retries`] counts
     /// the retries.
     pub fn flush_store(&self) -> std::io::Result<usize> {
-        match &self.store {
-            Some(handle) => self.with_retry(|| {
-                store::merge_write_with(&handle.path, self.cache.export(), &self.faults)
-            }),
-            None => Ok(0),
-        }
+        self.store.as_ref().map_or(Ok(0), |handle| handle.flush())
     }
 
     /// Number of store write attempts that failed transiently and were retried
     /// (shared across clones). Zero unless the filesystem — or an injected `store:`
     /// fault — made a flush fail and a retry rescued it.
     pub fn store_retries(&self) -> usize {
-        self.store_retries.load(Ordering::Relaxed)
-    }
-
-    /// Runs a store write up to three times, sleeping briefly between attempts.
-    /// Merge-writes are idempotent (each re-reads the file and overlays the same
-    /// snapshot), so retrying a failed attempt is always safe.
-    fn with_retry<T>(&self, mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-        const BACKOFF_MS: [u64; 2] = [1, 5];
-        let mut attempt = 0;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if attempt < BACKOFF_MS.len() => {
-                    std::thread::sleep(Duration::from_millis(BACKOFF_MS[attempt]));
-                    self.store_retries.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    let _ = e;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The implicit last-drop flush, factored out of `Drop` so tests can exercise it
-    /// without capturing stderr: performs the retried merge-write and returns the
-    /// warning line when the store still could not be written.
-    fn drop_flush_warning(&self) -> Option<String> {
-        let handle = self.store.as_ref()?;
-        self.flush_store().err().map(|e| {
-            format!(
-                "warning: failed to flush proof store {}: {e}",
-                handle.path.display()
-            )
-        })
-    }
-}
-
-/// Checks that `dir` exists (creating it if needed) and is writable, by creating and
-/// removing a uniquely named probe file. Called once per dispatcher construction so
-/// an unusable [`CacheMode::Persistent`] directory degrades up front instead of
-/// failing at the final flush.
-fn probe_store_dir(dir: &std::path::Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let probe = dir.join(format!(".jahob-probe.{}", std::process::id()));
-    std::fs::write(&probe, b"probe")?;
-    std::fs::remove_file(&probe)
-}
-
-impl Drop for Dispatcher {
-    /// Flushes the persistent store when this is the last dispatcher sharing the
-    /// cache and the mode asked for it (`flush: true`). A failed implicit flush only
-    /// warns — dropping must not panic, even if the flush path itself panics; call
-    /// [`Dispatcher::flush_store`] explicitly to observe the error. (Two clones
-    /// dropped concurrently can in principle both see a sharer and skip; the
-    /// explicit call is the reliable path.)
-    fn drop(&mut self) {
-        if let Some(handle) = &self.store {
-            if handle.flush_on_drop && Arc::strong_count(&self.cache) == 1 {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.drop_flush_warning()
-                }));
-                match outcome {
-                    Ok(warning) => {
-                        if let Some(w) = warning {
-                            eprintln!("{w}");
-                        }
-                    }
-                    Err(_) => eprintln!(
-                        "warning: implicit flush of proof store {} panicked; store left as-is",
-                        handle.path.display()
-                    ),
-                }
-            }
-        }
-    }
-}
-
-impl Dispatcher {
-    /// Creates a dispatcher with an explicit prover order.
-    pub fn with_order(order: Vec<ProverId>) -> Self {
-        Dispatcher::with_config(DispatcherConfig {
-            order,
-            ..DispatcherConfig::default()
-        })
+        self.store
+            .as_ref()
+            .map_or(0, |handle| handle.retries.load(Ordering::Relaxed))
     }
 
     /// The result cache shared by this dispatcher and all its clones.
@@ -1110,11 +1095,12 @@ impl Dispatcher {
     /// — the main reason the previous fixed-context signature could not batch across
     /// methods.
     ///
-    /// With `threads > 1`, workers claim entries from one shared atomic queue
-    /// ([`DispatcherConfig::granularity`] entries per claim) instead of being
-    /// pre-assigned contiguous chunks: a single expensive obligation then occupies one
-    /// worker while the others drain the rest of the queue. Per-obligation results are
-    /// written into per-index slots and emitted in batch order, so the folded reports —
+    /// [`DispatcherConfig::threads`] workers claim entries one at a time from one shared
+    /// atomic index instead of being pre-assigned contiguous chunks: a single expensive
+    /// obligation then occupies one worker while the others drain the rest of the
+    /// queue. The calling thread is the last worker, beside `threads - 1` scoped
+    /// helpers, so a single-threaded dispatcher spawns nothing. Each result is written
+    /// into its entry's slot and emitted in batch order, so the folded reports —
     /// including every method's `unproved` list — are identical for every thread count.
     ///
     /// Each worker keeps one key memo for the batch, so a formula that recurs across
@@ -1124,67 +1110,46 @@ impl Dispatcher {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let entries = batch.entries();
-        let threads = self.config.threads.max(1).min(entries.len().max(1));
-        let reports: Vec<VerificationReport> = if threads <= 1 {
+        let threads = self.config.threads.clamp(1, entries.len().max(1));
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<VerificationReport>> =
+            entries.iter().map(|_| OnceLock::new()).collect();
+        let worker = || {
             let mut key_memo = KeyMemo::default();
-            entries
-                .iter()
-                .map(|e| self.prove_entry(e, &mut key_memo))
-                .collect()
-        } else {
-            let granularity = self.config.granularity.max(1);
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<VerificationReport>> =
-                (0..entries.len()).map(|_| OnceLock::new()).collect();
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let next = &next;
-                        let slots = &slots;
-                        scope.spawn(move || {
-                            let mut key_memo = KeyMemo::default();
-                            loop {
-                                let lo = next.fetch_add(granularity, Ordering::Relaxed);
-                                if lo >= entries.len() {
-                                    break;
-                                }
-                                let hi = (lo + granularity).min(entries.len());
-                                for (i, entry) in entries[lo..hi].iter().enumerate() {
-                                    let one = self.prove_entry(entry, &mut key_memo);
-                                    slots[lo + i]
-                                        .set(one)
-                                        .expect("obligation indices are claimed exactly once");
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                // The scope's own join returns once the workers' closures have
-                // finished, while their threads may still be exiting. Joining each
-                // thread waits for its exit, which hands its allocator arena back, so
-                // the next batch's workers reuse it instead of creating new arenas
-                // whose freed memory stays resident.
-                for worker in workers {
-                    if let Err(panic) = worker.join() {
-                        std::panic::resume_unwind(panic);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("every claimed obligation stores a result")
-                })
-                .collect()
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(entry) = entries.get(i) else {
+                    break;
+                };
+                let report = self.prove_entry(entry, &mut key_memo);
+                slots[i]
+                    .set(report)
+                    .expect("obligation indices are claimed exactly once");
+            }
         };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            worker();
+            // The scope's own join returns once the helpers' closures have finished,
+            // while their threads may still be exiting. Joining each thread waits for
+            // its exit, which hands its allocator arena back, so the next batch's
+            // helpers reuse it instead of creating new arenas whose freed memory stays
+            // resident.
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
         BatchReport {
             per_obligation: entries
                 .iter()
-                .zip(reports)
-                .map(|(entry, report)| TaggedReport {
+                .zip(slots)
+                .map(|(entry, slot)| TaggedReport {
                     tag: entry.tag.clone(),
-                    report,
+                    report: slot
+                        .into_inner()
+                        .expect("every claimed obligation stores a result"),
                 })
                 .collect(),
             total_time: start.elapsed(),
@@ -1770,6 +1735,25 @@ mod tests {
     }
 
     #[test]
+    fn prover_tags_round_trip_and_unknown_tags_are_rejected() {
+        // The tags are the store format's and the fault-spec grammar's prover names.
+        let tags: Vec<&str> = ProverId::default_order()
+            .iter()
+            .map(ProverId::tag)
+            .collect();
+        assert_eq!(
+            tags,
+            ["syntactic", "smt", "mona", "bapa", "fol", "interactive"]
+        );
+        for prover in ProverId::default_order() {
+            assert_eq!(ProverId::from_tag(prover.tag()), Some(prover));
+        }
+        for unknown in ["", "store", "SMT", "z3", "smt "] {
+            assert_eq!(ProverId::from_tag(unknown), None, "{unknown:?}");
+        }
+    }
+
+    #[test]
     fn dispatcher_routes_to_the_right_prover() {
         let dispatcher = Dispatcher::new();
         let context = ProverContext::default();
@@ -2007,18 +1991,14 @@ mod tests {
     #[test]
     fn jahob_threads_invalid_value_warns_and_keeps_the_default() {
         assert_eq!(parse_count_knob("JAHOB_THREADS", "4"), Ok(4));
+        assert_eq!(parse_count_knob("JAHOB_THREADS", " 3 "), Ok(3));
         assert_eq!(parse_count_knob("JAHOB_THREADS", "0"), Ok(1), "clamped");
         let warning = parse_count_knob("JAHOB_THREADS", "many").unwrap_err();
         assert!(warning.contains("JAHOB_THREADS"), "{warning}");
         assert!(warning.contains("\"many\""), "{warning}");
         assert!(warning.starts_with("warning:"), "{warning}");
-    }
-
-    #[test]
-    fn jahob_granularity_invalid_value_warns_and_keeps_the_default() {
-        assert_eq!(parse_count_knob("JAHOB_GRANULARITY", " 3 "), Ok(3));
-        let warning = parse_count_knob("JAHOB_GRANULARITY", "-2").unwrap_err();
-        assert!(warning.contains("JAHOB_GRANULARITY"), "{warning}");
+        let warning = parse_count_knob("JAHOB_THREADS", "-2").unwrap_err();
+        assert!(warning.contains("JAHOB_THREADS"), "{warning}");
         assert!(warning.contains("\"-2\""), "{warning}");
     }
 
@@ -2349,13 +2329,11 @@ mod tests {
     fn builder_clamps_counts_and_keeps_explicit_knobs() {
         let config = DispatcherConfig::builder()
             .threads(0)
-            .granularity(0)
             .hints(false)
             .route(false)
             .order(vec![ProverId::Smt])
             .build();
         assert_eq!(config.threads, 1, "clamped");
-        assert_eq!(config.granularity, 1, "clamped");
         assert!(!config.use_hints);
         assert!(!config.route);
         assert_eq!(config.order, vec![ProverId::Smt]);
@@ -2478,6 +2456,53 @@ mod tests {
             "the drop-flushed verdict replays"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clones_dropped_together_still_flush_the_store() {
+        // Eight clones of one flushing persistent dispatcher are released by a barrier
+        // and dropped on eight threads at once: whichever drop is last must write the
+        // store, in every round.
+        let o = ob(&["x = y"], "y = x");
+        let persistent = |dir: &std::path::Path, flush: bool| {
+            DispatcherConfig::builder()
+                .cache(CacheMode::Persistent {
+                    dir: dir.to_path_buf(),
+                    flush,
+                })
+                .build()
+        };
+        for round in 0..50 {
+            let dir = std::env::temp_dir().join(format!(
+                "jahob-provers-persist-{}-clone-drops-{round}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let dispatcher = Dispatcher::with_config(persistent(&dir, true));
+            assert!(dispatcher
+                .prove_one(&o, &ProverContext::default())
+                .succeeded());
+            let clones: Vec<Dispatcher> = (0..8).map(|_| dispatcher.clone()).collect();
+            drop(dispatcher);
+            let barrier = std::sync::Barrier::new(clones.len());
+            std::thread::scope(|scope| {
+                for clone in clones {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        drop(clone);
+                    });
+                }
+            });
+            assert!(
+                store_path(&dir).exists(),
+                "round {round}: the last drop must write the store"
+            );
+            let warm = Dispatcher::with_config(persistent(&dir, false));
+            let replay = warm.prove_one(&o, &ProverContext::default());
+            assert_eq!(replay.cache_disk_hits, 1, "round {round}: {replay:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -2694,7 +2719,8 @@ mod tests {
         assert!(dispatcher
             .prove_one(&ob(&["x = y"], "y = x"), &ProverContext::default())
             .succeeded());
-        let warning = dispatcher.drop_flush_warning().expect("one warning");
+        let store = dispatcher.store.as_ref().expect("a persistent store");
+        let warning = store.drop_flush_warning().expect("one warning");
         assert!(
             warning.starts_with("warning: failed to flush proof store"),
             "{warning}"

@@ -192,7 +192,7 @@ fn parse(text: &str) -> Result<Verdicts, StoreError> {
                     proved: parse_bool(fields[6]).ok_or_else(|| err("proved bit"))?,
                     prover: match fields[7] {
                         "-" => None,
-                        tag => Some(parse_prover(tag).ok_or_else(|| err("prover tag"))?),
+                        tag => Some(ProverId::from_tag(tag).ok_or_else(|| err("prover tag"))?),
                     },
                     attempted: parse_counts(fields[8]).ok_or_else(|| err("attempted counts"))?,
                     budget_aborts: parse_counts(fields[9])
@@ -291,7 +291,7 @@ pub(crate) fn merge_write_with(
             escape(&key.var_classes),
             key.lemma_registered as u8,
             outcome.proved as u8,
-            outcome.prover.map_or("-", prover_tag),
+            outcome.prover.map_or("-", |prover| prover.tag()),
             render_counts(&outcome.attempted),
             render_counts(&outcome.budget_aborts),
             outcome.rescued as u8,
@@ -329,35 +329,10 @@ pub(crate) fn merge_write_with(
     }
 }
 
-/// The stable serialization tag of a prover (display names are presentation, not
-/// format).
-fn prover_tag(prover: ProverId) -> &'static str {
-    match prover {
-        ProverId::Syntactic => "syntactic",
-        ProverId::Mona => "mona",
-        ProverId::Smt => "smt",
-        ProverId::Fol => "fol",
-        ProverId::Bapa => "bapa",
-        ProverId::Interactive => "interactive",
-    }
-}
-
-fn parse_prover(tag: &str) -> Option<ProverId> {
-    Some(match tag {
-        "syntactic" => ProverId::Syntactic,
-        "mona" => ProverId::Mona,
-        "smt" => ProverId::Smt,
-        "fol" => ProverId::Fol,
-        "bapa" => ProverId::Bapa,
-        "interactive" => ProverId::Interactive,
-        _ => return None,
-    })
-}
-
 fn render_counts(counts: &[(ProverId, usize)]) -> String {
     counts
         .iter()
-        .map(|(prover, n)| format!("{}:{n}", prover_tag(*prover)))
+        .map(|(prover, n)| format!("{}:{n}", prover.tag()))
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -370,7 +345,7 @@ fn parse_counts(field: &str) -> Option<Vec<(ProverId, usize)>> {
         .split(',')
         .map(|part| {
             let (tag, n) = part.split_once(':')?;
-            Some((parse_prover(tag)?, n.parse().ok()?))
+            Some((ProverId::from_tag(tag)?, n.parse().ok()?))
         })
         .collect()
 }

@@ -1,22 +1,18 @@
 //! Translation of higher-order sequents into ground SMT problems.
 //!
 //! This is the Jahob SMT-LIB interface of §6.3, rebuilt on top of the ground solver in
-//! [`crate::ground`]. The pipeline mirrors the first-order interface (rewriting, polarity
-//! approximation) but instead of clausal resolution it *instantiates* universally
-//! quantified assumptions with the ground terms occurring in the sequent — a simple,
-//! trigger-free variant of E-matching — and then decides the resulting ground formula
-//! with DPLL + congruence closure + linear integer arithmetic.
+//! [`crate::ground`]. It shares the first-order interface's rewriting and polarity
+//! approximation ([`first_order_implication`]), but instead of clausal resolution it
+//! *instantiates* universally quantified assumptions with the ground terms occurring in
+//! the sequent — a simple, trigger-free variant of E-matching — and then decides the
+//! resulting ground formula with DPLL + congruence closure + linear integer arithmetic.
 
 use crate::ground::{check_clauses, GAtom, GClause, GLiteral, GTerm, GroundLimits, GroundOutcome};
-use jahob_logic::approx::{approximate_implication, Polarity};
+use jahob_logic::approx::first_order_implication;
 use jahob_logic::form::{Binder, Const, Form, Ident};
-use jahob_logic::rewrite::{
-    expand_complex_equalities, expand_field_write_applications, expand_set_membership, lift_ite,
-    looks_like_set, rewrite_fixpoint,
-};
+use jahob_logic::rewrite::rewrite_fixpoint;
 use jahob_logic::simplify::{nnf, simplify};
-use jahob_logic::subst::{free_vars, fresh_name, substitute, Subst};
-use jahob_logic::types::Type;
+use jahob_logic::subst::{free_vars, substitute, Subst};
 use jahob_logic::Sequent;
 use std::collections::BTreeSet;
 
@@ -64,28 +60,8 @@ pub struct SmtResult {
 
 /// Attempts to prove the sequent by refuting its negation modulo EUF + LIA.
 pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
-    let sequent = sequent.without_comments();
-    let set_typed = |f: &Form| -> bool {
-        looks_like_set(f)
-            || match f {
-                Form::Var(v) => options.set_vars.contains(v),
-                Form::App(head, _) => {
-                    matches!(head.as_ref(), Form::Var(v) if options.set_vars.contains(v))
-                }
-                _ => false,
-            }
-    };
-    let prep = |f: &Form| -> Form {
-        let f = expand_function_equalities(f, &options.fun_vars);
-        let f = expand_field_write_applications(&f);
-        let f = expand_complex_equalities(&f, &set_typed);
-        let f = expand_set_membership(&f);
-        let f = lift_ite(&f);
-        simplify(&f)
-    };
-    let assumptions: Vec<Form> = sequent.assumptions.iter().map(prep).collect();
-    let goal = prep(&sequent.goal);
-    let (assumptions, goal) = approximate_implication(&assumptions, &goal, &smt_atom_filter);
+    let (assumptions, goal) =
+        first_order_implication(sequent, &options.set_vars, &options.fun_vars);
 
     // The refutation target: assumptions and the negated goal.
     let mut formulas: Vec<Form> = assumptions;
@@ -150,53 +126,6 @@ pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
         outcome,
         clauses: n,
     }
-}
-
-/// Atoms representable in the ground SMT fragment.
-fn smt_atom_filter(atom: &Form, _polarity: Polarity) -> Option<Form> {
-    if atom.contains_const(&Const::Card)
-        || atom.contains_const(&Const::Tree)
-        || atom.contains_const(&Const::Old)
-        || atom.contains_binder(Binder::Comprehension)
-        || (atom.contains_binder(Binder::Lambda) && atom.as_app_of(&Const::Rtrancl).is_none())
-    {
-        return None;
-    }
-    Some(atom.clone())
-}
-
-/// Expands equalities between function-typed expressions pointwise (same rewrite as the
-/// first-order interface).
-fn expand_function_equalities(form: &Form, fun_vars: &BTreeSet<String>) -> Form {
-    let is_fun = |f: &Form| -> bool {
-        match f {
-            Form::Var(v) => fun_vars.contains(v),
-            // A partial `fieldWrite f x v` (exactly three arguments) denotes a function;
-            // with a fourth argument it is already applied to a point and is a value.
-            Form::App(head, args) => {
-                matches!(head.as_ref(), Form::Const(Const::FieldWrite)) && args.len() == 3
-            }
-            _ => false,
-        }
-    };
-    rewrite_fixpoint(form, &|f| {
-        let [l, r] = f.as_app_of(&Const::Eq)? else {
-            return None;
-        };
-        if is_fun(l) || is_fun(r) {
-            let avoid = free_vars(f);
-            let z = fresh_name("ptr", &avoid);
-            return Some(Form::forall(
-                z.clone(),
-                Type::Obj,
-                Form::eq(
-                    Form::app(l.clone(), vec![Form::var(z.clone())]),
-                    Form::app(r.clone(), vec![Form::var(z)]),
-                ),
-            ));
-        }
-        None
-    })
 }
 
 /// Replaces ground occurrences of `a div k` and `a mod k` (for positive integer literals

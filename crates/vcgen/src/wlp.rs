@@ -201,8 +201,7 @@ fn wlp_one(command: &Simple, post: Form, env: &DesugarEnv) -> Form {
         Simple::Assert { label, form, hints } => {
             let mut f = form.clone();
             // Each hint rides in its own comment layer (innermost = last hint), so the
-            // splitter recovers them one per comment: a witness containing commas can
-            // never be confused with a comma-joined label list.
+            // splitter recovers them one per comment, whatever text a witness holds.
             for hint in hints.iter().rev() {
                 f = Form::comment(format!("{HINT_LABEL_PREFIX}{}", hint.encode()), f);
             }
@@ -265,18 +264,10 @@ fn split_rec(
                 match c {
                     Const::Comment(l) if args.len() == 1 => {
                         if let Some(h) = l.strip_prefix(HINT_LABEL_PREFIX) {
-                            // An `inst` payload is one hint (its witness may contain
-                            // commas); anything else may be a comma-joined label list
-                            // (the pre-structured-hint encoding, still accepted).
-                            let added: Vec<Hint> = if h.starts_with(INST_HINT_PREFIX) {
-                                vec![Hint::decode(h)]
-                            } else {
-                                h.split(',').map(|s| Hint::decode(s.trim())).collect()
-                            };
-                            let n = added.len();
-                            hints.extend(added);
+                            // One hint per comment layer (see `wlp_one`).
+                            hints.push(Hint::decode(h));
                             split_rec(assumptions, labels, hints, &args[0], out, used_names);
-                            hints.truncate(hints.len() - n);
+                            hints.pop();
                         } else {
                             labels.push(l.clone());
                             split_rec(assumptions, labels, hints, &args[0], out, used_names);
@@ -411,7 +402,7 @@ mod tests {
     fn splitting_collects_labels_and_hints() {
         let vc = Form::and(vec![Form::comment(
             "postcondition",
-            Form::comment("hint:sizeInv,xFresh", p("g")),
+            Form::comment("hint:sizeInv", Form::comment("hint:xFresh", p("g"))),
         )]);
         let obligations = split(&vc);
         assert_eq!(obligations.len(), 1);
@@ -476,7 +467,7 @@ mod tests {
     fn inst_hints_survive_the_wlp_round_trip() {
         // An instantiation hint rides through the weakest-precondition formula as a
         // comment payload and is decoded back structurally — including a witness with
-        // commas, which must not be comma-split like a label list.
+        // commas, which must stay one hint.
         let env = DesugarEnv::default();
         let witness = p("content Int {(k0, v0)}");
         let cmds = vec![Command::Assert {

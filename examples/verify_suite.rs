@@ -6,21 +6,19 @@
 //!
 //! The dispatcher knobs are read from the environment (see
 //! `DispatcherConfig::with_env_overrides`): `JAHOB_THREADS=4 JAHOB_CACHE=on` runs the
-//! work-stealing parallel path with the canonical-form result cache, `JAHOB_CACHE=off`
-//! measures the uncached baseline, `JAHOB_GRANULARITY=n` batches queue claims, and
-//! `JAHOB_CACHE_DIR=dir` warm-starts from (and flushes back to) the persistent proof
-//! store — run the example twice with the same directory to see the second run answer
-//! the suite from disk.
+//! parallel shared-queue path with the canonical-form result cache, `JAHOB_CACHE=off`
+//! measures the uncached baseline, and `JAHOB_CACHE_DIR=dir` warm-starts from (and
+//! flushes back to) the persistent proof store — run the example twice with the same
+//! directory to see the second run answer the suite from disk.
 
 use jahob_repro::prelude::*;
 
 fn main() {
     let verifier = Verifier::new();
     println!(
-        "dispatcher: threads={} cache={} granularity={}",
+        "dispatcher: threads={} cache={}",
         verifier.config().threads,
-        verifier.config().cache,
-        verifier.config().granularity
+        verifier.config().cache
     );
     let rows = verifier.verify_suite();
     println!("{}", render_figure15(&rows));

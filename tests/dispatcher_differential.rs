@@ -1,19 +1,18 @@
 //! Differential test for the dispatcher's scaling mechanisms.
 //!
-//! The work-stealing parallel dispatch, the canonical-form result cache, per-sequent
+//! The shared-queue parallel dispatch, the canonical-form result cache, per-sequent
 //! prover routing, fuel-budgeted attempts (with the unbudgeted rescue pass) and the
 //! program-wide obligation batching are pure optimisations: they must not change
 //! *what* gets proved, only how fast. This harness runs the full §7 example suite
 //! under every combination of
 //! `{threads = 1, 2, 4, 8} x {cache on, off} x {route on, off} x {budgets on, off}`
-//! (plus a coarser work-queue granularity) and asserts that every configuration
-//! proves the identical set of sequents per method, and reports the `unproved`
-//! descriptions in the identical, deterministic order — and that the batched
-//! whole-program dispatch (`verify_program`: one tagged `prove_all` per program) is
-//! indistinguishable from the per-method seed path (one `prove_all` per method)
-//! across the whole matrix — and that repeated passes on one dispatcher attempt
-//! every obligation identically. Any future scaling change that breaks one of these
-//! properties fails here.
+//! and asserts that every configuration proves the identical set of sequents per
+//! method, and reports the `unproved` descriptions in the identical, deterministic
+//! order — and that the batched whole-program dispatch (`verify_program`: one tagged
+//! `prove_all` per program) is indistinguishable from the per-method seed path (one
+//! `prove_all` per method) across the whole matrix — and that repeated passes on one
+//! dispatcher attempt every obligation identically. Any future scaling change that
+//! breaks one of these properties fails here.
 
 use jahob_repro::frontend::program_tasks;
 use jahob_repro::jahob::{self, suite, VerifyOptions};
@@ -31,7 +30,7 @@ struct MethodVerdict {
     unproved: Vec<String>,
 }
 
-fn options(threads: usize, cache: bool, granularity: usize) -> VerifyOptions {
+fn options(threads: usize, cache: bool) -> VerifyOptions {
     VerifyOptions {
         dispatcher: jahob::DispatcherConfig::builder()
             .threads(threads)
@@ -40,14 +39,13 @@ fn options(threads: usize, cache: bool, granularity: usize) -> VerifyOptions {
             } else {
                 jahob::CacheMode::Off
             })
-            .granularity(granularity)
             .build(),
         ..VerifyOptions::default()
     }
 }
 
 fn options_routed(threads: usize, cache: bool, route: bool) -> VerifyOptions {
-    let mut opts = options(threads, cache, 1);
+    let mut opts = options(threads, cache);
     opts.dispatcher.route = route;
     opts
 }
@@ -97,7 +95,7 @@ fn run_full_suite_per_method(options: &VerifyOptions) -> Vec<MethodVerdict> {
 
 #[test]
 fn all_thread_and_cache_configurations_prove_the_same_sequents() {
-    let baseline = run_full_suite(&options(1, false, 1));
+    let baseline = run_full_suite(&options(1, false));
     assert!(
         baseline.iter().map(|v| v.total).sum::<usize>() > 0,
         "suite produced no obligations"
@@ -107,17 +105,13 @@ fn all_thread_and_cache_configurations_prove_the_same_sequents() {
             if threads == 1 && !cache {
                 continue;
             }
-            let run = run_full_suite(&options(threads, cache, 1));
+            let run = run_full_suite(&options(threads, cache));
             assert_eq!(
                 baseline, run,
                 "threads={threads} cache={cache} diverged from the sequential uncached baseline"
             );
         }
     }
-    // A coarser work-queue granularity only changes how obligations are batched onto
-    // workers, never the verdicts or their order.
-    let coarse = run_full_suite(&options(4, true, 3));
-    assert_eq!(baseline, coarse, "granularity=3 diverged from the baseline");
 }
 
 #[test]
@@ -128,7 +122,7 @@ fn batched_program_dispatch_matches_the_per_method_path_across_the_matrix() {
     // `unproved` ordering — as one `prove_all` call per method.
     for threads in [1usize, 2, 4, 8] {
         for cache in [false, true] {
-            let opts = options(threads, cache, 1);
+            let opts = options(threads, cache);
             let batched = run_full_suite(&opts);
             let per_method = run_full_suite_per_method(&opts);
             assert_eq!(
@@ -364,9 +358,9 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
 #[test]
 fn parallel_unproved_ordering_is_deterministic_across_repeated_runs() {
     // Thread interleavings differ between runs; the index-ordered merge must hide that.
-    let first = run_full_suite(&options(8, false, 1));
+    let first = run_full_suite(&options(8, false));
     for _ in 0..2 {
-        assert_eq!(first, run_full_suite(&options(8, false, 1)));
+        assert_eq!(first, run_full_suite(&options(8, false)));
     }
 }
 
@@ -374,7 +368,7 @@ fn parallel_unproved_ordering_is_deterministic_across_repeated_runs() {
 fn suite_cache_hit_rate_is_positive() {
     // Class invariants are re-proved per path, so running the Figure 15 suite with a
     // shared cache must answer a measurable share of obligations from the cache.
-    let rows = jahob::run_suite(&options(1, true, 1));
+    let rows = jahob::run_suite(&options(1, true));
     let hits: usize = rows.iter().map(|r| r.cache_hits).sum();
     let misses: usize = rows.iter().map(|r| r.cache_misses).sum();
     assert!(hits > 0, "expected cache hits on the Figure 15 suite");
@@ -384,7 +378,7 @@ fn suite_cache_hit_rate_is_positive() {
         "every obligation is either a hit or a miss when caching is on"
     );
     // Cached and uncached suite runs prove the same number of sequents per structure.
-    let uncached = jahob::run_suite(&options(1, false, 1));
+    let uncached = jahob::run_suite(&options(1, false));
     let proved: Vec<(String, usize, usize)> = rows
         .iter()
         .map(|r| (r.name.clone(), r.proved_sequents, r.total_sequents))
