@@ -152,9 +152,6 @@ pub struct SuiteRow {
     pub cache_disk_hits: usize,
     /// Sequents that fell through the cache to the provers (0 when caching is off).
     pub cache_misses: usize,
-    /// Sequents retried in the dispatcher's unbudgeted rescue pass after a budgeted
-    /// cascade failed with fuel aborts (0 with budgets off).
-    pub rescue_retries: usize,
     /// Total verification time.
     pub total_time: Duration,
 }
@@ -170,7 +167,6 @@ impl SuiteRow {
             cache_hits: 0,
             cache_disk_hits: 0,
             cache_misses: 0,
-            rescue_retries: 0,
             total_time: Duration::ZERO,
         };
         for r in results {
@@ -189,7 +185,6 @@ impl SuiteRow {
             row.cache_hits += r.report.cache_hits;
             row.cache_disk_hits += r.report.cache_disk_hits;
             row.cache_misses += r.report.cache_misses;
-            row.rescue_retries += r.report.rescue_retries;
             row.total_time += r.report.total_time;
         }
         row
@@ -238,13 +233,6 @@ pub fn suite_budget_aborts(rows: &[SuiteRow]) -> usize {
         .flat_map(|r| r.per_prover.values())
         .map(|s| s.budget_aborts)
         .sum()
-}
-
-/// Total sequents retried in the unbudgeted rescue pass across `rows` — the
-/// completeness side of the fuel budgets: every sequent whose budgeted cascades
-/// aborted an attempt and still failed gets exactly one unbudgeted retry.
-pub fn suite_rescue_retries(rows: &[SuiteRow]) -> usize {
-    rows.iter().map(|r| r.rescue_retries).sum()
 }
 
 /// Total prover panics contained at the attempt boundary across `rows`, all provers
@@ -337,10 +325,9 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
         ));
     }
     let aborts = suite_budget_aborts(rows);
-    let rescues = suite_rescue_retries(rows);
-    if aborts > 0 || rescues > 0 {
+    if aborts > 0 {
         out.push_str(&format!(
-            "Fuel budgets: {aborts} attempts aborted, {rescues} sequents rescued unbudgeted across the suite.\n"
+            "Fuel budgets: {aborts} attempts aborted across the suite.\n"
         ));
     }
     let crashes = suite_crashes(rows);
@@ -456,7 +443,6 @@ mod tests {
             cache_hits: 0,
             cache_disk_hits: 0,
             cache_misses: 0,
-            rescue_retries: 0,
             total_time: Duration::from_micros(40_200),
         };
         let table = render_figure15(&[row]);

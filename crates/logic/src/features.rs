@@ -2,7 +2,7 @@
 //!
 //! The premise of the integrated reasoning system is that each specialized logic has a
 //! *syntactically recognizable* fragment: cardinality and set-algebra atoms belong to
-//! BAPA, monadic membership/reachability shape to MONA/WS1S, ground equality and
+//! BAPA, monadic membership shape and set quantifiers to MONA/WS1S, ground equality and
 //! arithmetic to the SMT prover, general quantifier structure to first-order
 //! resolution. This module collects those syntactic signals in **one traversal** of a
 //! sequent, so a dispatcher can order (and prune) its prover cascade per obligation
@@ -16,6 +16,7 @@
 
 use crate::form::{Binder, Const, Form};
 use crate::sequent::Sequent;
+use crate::types::Type;
 
 /// Syntactic features of one sequent, collected in a single traversal of its
 /// assumptions and goal by [`SequentFeatures::of`].
@@ -35,7 +36,8 @@ pub struct SequentFeatures {
     pub arith_atoms: usize,
     /// Equality applications (`=` over any type).
     pub equalities: usize,
-    /// Reachability and shape atoms: `rtrancl_pt` and `tree [...]` — MONA's specialty.
+    /// Reachability and shape atoms: `rtrancl_pt` and `tree [...]`. MONA's translator
+    /// approximates them away, so no routing or fuel rule promotes MONA on them.
     pub reachability_atoms: usize,
     /// `ALL`/`EX` binders.
     pub quantifiers: usize,
@@ -47,44 +49,27 @@ pub struct SequentFeatures {
     pub tuples: usize,
     /// Field/array state operators: `fieldRead`/`fieldWrite`/`arrayRead`/`arrayWrite`.
     pub field_ops: usize,
+    /// `ALL`/`EX` binders that bind a set: a variable typed `set`, or one used as the
+    /// right operand of a membership in the binder's body. These are the monadic
+    /// second-order quantifiers of MONA's own fragment.
+    pub set_binders: usize,
 }
 
 impl SequentFeatures {
     /// Collects the features of `sequent` in one pass over its assumptions and goal.
     pub fn of(sequent: &Sequent) -> SequentFeatures {
-        let mut features = SequentFeatures::default();
+        let mut visitor = Visitor::default();
         for assumption in &sequent.assumptions {
-            features.visit(assumption);
+            visitor.visit(assumption);
         }
-        features.visit(&sequent.goal);
-        features
+        visitor.visit(&sequent.goal);
+        visitor.features
     }
 
     /// `true` when the sequent has no quantifiers or higher-order binders — the ground
     /// fragment the SMT prover decides without instantiation heuristics.
     pub fn is_ground(&self) -> bool {
         self.quantifiers == 0 && self.lambdas == 0
-    }
-
-    fn visit(&mut self, form: &Form) {
-        match form {
-            Form::Var(_) => {}
-            Form::Const(c) => self.visit_const(c),
-            Form::App(fun, args) => {
-                self.visit(fun);
-                for a in args {
-                    self.visit(a);
-                }
-            }
-            Form::Binder(binder, _, body) => {
-                match binder {
-                    Binder::Forall | Binder::Exists => self.quantifiers += 1,
-                    Binder::Lambda | Binder::Comprehension => self.lambdas += 1,
-                }
-                self.visit(body);
-            }
-            Form::Typed(inner, _) => self.visit(inner),
-        }
     }
 
     fn visit_const(&mut self, c: &Const) {
@@ -120,6 +105,68 @@ impl SequentFeatures {
                 self.field_ops += 1
             }
             _ => {}
+        }
+    }
+}
+
+/// The state of the one traversal behind [`SequentFeatures::of`]: the counts so far,
+/// and the names bound by the enclosing binders, so a membership can mark the
+/// quantifier that binds its set without re-walking any binder's body.
+#[derive(Default)]
+struct Visitor<'f> {
+    features: SequentFeatures,
+    /// Each name bound by an enclosing binder, innermost last, with the index of its
+    /// binder in `binds_set` (`None` for lambdas and comprehensions, which shadow
+    /// names but are not quantifiers).
+    scope: Vec<(&'f str, Option<usize>)>,
+    /// Whether each enclosing `ALL`/`EX` binder binds a set, outermost first.
+    binds_set: Vec<bool>,
+}
+
+impl<'f> Visitor<'f> {
+    fn visit(&mut self, form: &'f Form) {
+        match form {
+            Form::Var(_) => {}
+            Form::Const(c) => self.features.visit_const(c),
+            Form::App(fun, args) => {
+                if let (Form::Const(Const::Elem), [_, Form::Var(set)]) = (&**fun, &args[..]) {
+                    self.mark_set(set);
+                }
+                self.visit(fun);
+                for a in args {
+                    self.visit(a);
+                }
+            }
+            Form::Binder(binder, vars, body) => {
+                let quantifier = matches!(binder, Binder::Forall | Binder::Exists);
+                let slot = if quantifier {
+                    self.features.quantifiers += 1;
+                    self.binds_set
+                        .push(vars.iter().any(|(_, ty)| matches!(ty, Type::Set(_))));
+                    Some(self.binds_set.len() - 1)
+                } else {
+                    self.features.lambdas += 1;
+                    None
+                };
+                let depth = self.scope.len();
+                self.scope
+                    .extend(vars.iter().map(|(name, _)| (name.as_str(), slot)));
+                self.visit(body);
+                self.scope.truncate(depth);
+                if quantifier && self.binds_set.pop() == Some(true) {
+                    self.features.set_binders += 1;
+                }
+            }
+            Form::Typed(inner, _) => self.visit(inner),
+        }
+    }
+
+    /// Marks the quantifier binding `name`, if the innermost binder of that name is
+    /// one, as binding a set.
+    fn mark_set(&mut self, name: &str) {
+        let binder = self.scope.iter().rev().find(|(bound, _)| *bound == name);
+        if let Some(&(_, Some(slot))) = binder {
+            self.binds_set[slot] = true;
         }
     }
 }
@@ -184,6 +231,23 @@ mod tests {
     fn propositional_sequent_is_propositional() {
         let f = SequentFeatures::of(&seq(&["p & q"], "q"));
         assert!(f.is_ground());
+    }
+
+    #[test]
+    fn set_binders_are_counted_by_type_and_by_membership_use() {
+        // Typed as a set, and inferred from `x : s`: both count.
+        let f = SequentFeatures::of(&seq(
+            &["ALL (t::obj set). t = t"],
+            "EX s. ALL x. (x : a --> x : s) & (x : s --> x : f)",
+        ));
+        assert_eq!(f.set_binders, 2, "{f:?}");
+        assert_eq!(f.quantifiers, 3);
+        // A binder over objects only, and a free set variable, count nothing.
+        let f = SequentFeatures::of(&seq(&["ALL x. x : nodes --> x : alloc"], "n : nodes"));
+        assert_eq!(f.set_binders, 0, "{f:?}");
+        // An inner lambda shadows the quantified name, so its membership marks nothing.
+        let f = SequentFeatures::of(&seq(&[], "ALL s. (% s. x : s) = g"));
+        assert_eq!(f.set_binders, 0, "{f:?}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! monadic second-order logic of one successor (WS1S), built on the explicit-state
 //! automata of `jahob-automata`, together with an interface that translates Jahob
 //! sequents in the monadic fragment into WS1S. Where this prover sits in the cascade
-//! (and why the router only promotes it on reachability-shaped sequents) is described
-//! in `docs/ARCHITECTURE.md`.
+//! (behind FOL on monadic membership sequents, and demoted on reachability, which
+//! [`translate`] approximates away) is described in `docs/ARCHITECTURE.md`.
 //!
 //! The original MONA decides WS1S/WS2S and is used by Jahob, via field constraint
 //! analysis, for complete reasoning about reachability over list and tree backbones.

@@ -178,9 +178,6 @@ pub(crate) struct CachedOutcome {
     /// (budgeted cascade only). Replayed like `attempted` so cached and uncached
     /// accounting agree.
     pub budget_aborts: Vec<(ProverId, usize)>,
-    /// Whether the original run needed the unbudgeted rescue pass for this
-    /// obligation. Replayed into `VerificationReport::rescue_retries`.
-    pub rescued: bool,
     /// Whether the entry was loaded from the persistent on-disk store rather than
     /// computed by this process. Not serialized — set by [`SequentCache::absorb`] so
     /// hits on warm-started entries can be attributed separately
@@ -414,7 +411,6 @@ mod tests {
             prover: Some(ProverId::Syntactic),
             attempted: vec![(ProverId::Syntactic, 1)],
             budget_aborts: Vec::new(),
-            rescued: false,
             from_disk: false,
         };
         cache.insert(key.clone(), outcome.clone());

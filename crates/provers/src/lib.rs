@@ -37,13 +37,14 @@
 //!   dropped), so e.g. MONA stops burning ~100 ms failing on cardinality sequents
 //!   BAPA discharges in microseconds.
 //!
-//! Each obligation that reaches the provers runs one attempt plan: a queue of
+//! Each obligation that reaches the provers runs one attempt plan: a list of
 //! `(sequent, provers, fuel)` phases — the hinted sequent, then the full one — whose
 //! searching provers run under deterministic fuel ([`DispatcherConfig::budgets`]).
-//! A phase whose attempts ran out of fuel appends one unbudgeted rescue phase of
-//! exactly those provers, so budgets cut time, never proofs. The routed order and
-//! the fuel depend on the sequent alone, so an obligation is attempted identically
-//! in every batch and every run.
+//! A fuel cap is part of what an attempt means, as the paper's per-prover time limits
+//! are: an obligation that no prover proves within its fuel is unproved, and its
+//! unproved line names the provers that ran out. The routed order and the fuel
+//! depend on the sequent alone, so an obligation is attempted identically in every
+//! batch and every run.
 //!
 //! In front of all three, the structured `by` hints of an obligation
 //! ([`jahob_vcgen::Hint`]) are resolved per sequent: label hints select assumptions,
@@ -399,11 +400,12 @@ pub struct DispatcherConfig {
     /// attempt counts and attribution, never which sequents are proved.
     pub route: bool,
     /// Fuel-budgeted attempts. With `true` (the baseline), the searching provers
-    /// (MONA, SMT, FOL) run under feature-dependent fuel so hopeless attempts abort
-    /// early, and any obligation left unproved after a cascade with aborts is retried
-    /// in an **unbudgeted rescue pass** of exactly the aborted provers. Budgets can
-    /// therefore change attempt counts and times, never verdicts — the budgets
-    /// differential test pins this. `false` runs every attempt without fuel.
+    /// (MONA, SMT, FOL) run under feature-dependent fuel, the
+    /// deterministic form of the paper's per-prover time limits: an attempt that runs
+    /// out of fuel has failed, and an obligation no prover proves within its fuel is
+    /// unproved. The caps are sized to fit every proof of the §7 suite, and the
+    /// budgets differential test pins that budgets on and off prove the same suite
+    /// sequents. `false` runs every attempt without fuel.
     pub budgets: bool,
     /// Wall-clock deadline per prover attempt, in milliseconds (`JAHOB_DEADLINE_MS`).
     /// Checked cooperatively at the provers' existing fuel hooks (MONA's work
@@ -412,9 +414,8 @@ pub struct DispatcherConfig {
     /// [`ProverStats::deadline_aborts`] — an *unknown* verdict that is never
     /// cached. The syntactic, BAPA and interactive
     /// provers have no long-running loops and are exempt. `None` (the default)
-    /// disables the check; unlike fuel budgets, a deadline deliberately trades
-    /// completeness for a predictable time bound (deadline-stopped attempts are
-    /// *not* rescued).
+    /// disables the check. Unlike fuel, a deadline depends on the machine's speed,
+    /// so it trades reproducible verdicts for a predictable time bound.
     pub deadline_ms: Option<u64>,
     /// Deterministic fault injection ([`FaultSpec`], `JAHOB_FAULTS`) for the
     /// torture harness: panics/delays into prover attempts, I/O errors and torn
@@ -488,8 +489,7 @@ impl DispatcherConfigBuilder {
         self
     }
 
-    /// Enables or disables fuel-budgeted attempts (with the completeness-preserving
-    /// rescue pass). See [`DispatcherConfig::budgets`].
+    /// Enables or disables fuel-budgeted attempts. See [`DispatcherConfig::budgets`].
     pub fn budgets(mut self, budgets: bool) -> Self {
         self.config.budgets = budgets;
         self
@@ -707,16 +707,15 @@ pub struct ProverStats {
     /// actually re-running this prover.
     pub cache_hits: usize,
     /// Of `attempted`, how many ran out of fuel ([`DispatcherConfig::budgets`]) and
-    /// were aborted rather than allowed to fail — the verdict is unknown, so the
-    /// rescue pass reruns them without fuel.
+    /// were aborted before the search finished. Such an attempt counts as failed,
+    /// and an unproved obligation's line names the provers it happened to.
     pub budget_aborts: usize,
     /// Of `attempted`, how many panicked and were contained by the cascade's
     /// `catch_unwind` — the prover misbehaved, the dispatch survived. A cascade
     /// containing one is never cached.
     pub crashes: usize,
     /// Of `attempted`, how many were stopped at the wall-clock deadline
-    /// ([`DispatcherConfig::deadline_ms`]) — also unknown verdicts, never cached,
-    /// and (unlike fuel aborts) deliberately not rescued.
+    /// ([`DispatcherConfig::deadline_ms`]) — unknown verdicts that are never cached.
     pub deadline_aborts: usize,
     /// Total time spent in this prover.
     pub time: Duration,
@@ -744,9 +743,8 @@ pub struct VerificationReport {
     /// Obligations that fell through the cache to the provers during this run. Both
     /// counters stay 0 when caching is disabled.
     pub cache_misses: usize,
-    /// Sequents whose budgeted cascades all failed with at least one fuel abort and
-    /// that were therefore retried in the unbudgeted rescue pass (one per sequent,
-    /// whatever the rescue verdict). Always 0 with budgets off.
+    /// Always 0: the dispatcher no longer retries fuel-aborted attempts without fuel.
+    /// The field stays only for the benchmark harness that still reports it.
     pub rescue_retries: usize,
     /// Total wall-clock time of the run.
     pub total_time: Duration,
@@ -818,11 +816,10 @@ impl VerificationReport {
                 100.0 * self.cache_hits as f64 / (self.cache_hits + self.cache_misses) as f64
             ));
         }
-        if self.budget_aborts() > 0 || self.rescue_retries > 0 {
+        if self.budget_aborts() > 0 {
             out.push_str(&format!(
-                "Fuel budgets: {} attempts aborted, {} sequents rescued unbudgeted.\n",
-                self.budget_aborts(),
-                self.rescue_retries
+                "Fuel budgets: {} attempts aborted.\n",
+                self.budget_aborts()
             ));
         }
         if self.crashes() > 0 || self.deadline_aborts() > 0 {
@@ -864,7 +861,6 @@ impl VerificationReport {
         self.cache_hits += other.cache_hits;
         self.cache_disk_hits += other.cache_disk_hits;
         self.cache_misses += other.cache_misses;
-        self.rescue_retries += other.rescue_retries;
         self.total_time += other.total_time;
     }
 }
@@ -1264,7 +1260,6 @@ impl Dispatcher {
                 prover,
                 attempted,
                 budget_aborts,
-                rescued: report.rescue_retries > 0,
                 from_disk: false,
             },
         );
@@ -1292,7 +1287,6 @@ impl Dispatcher {
         for (prover, aborts) in &outcome.budget_aborts {
             report.per_prover.entry(*prover).or_default().budget_aborts += aborts;
         }
-        report.rescue_retries = outcome.rescued as usize;
         if outcome.proved {
             report.proved_sequents = 1;
             if let Some(prover) = outcome.prover {
@@ -1301,7 +1295,9 @@ impl Dispatcher {
                 stats.cache_hits += 1;
             }
         } else {
-            report.unproved.push(obligation.sequent.describe());
+            report
+                .unproved
+                .push(unproved_description(obligation, &report));
         }
         report
     }
@@ -1322,22 +1318,18 @@ impl Dispatcher {
         }
     }
 
-    /// Attempts one obligation by running its attempt plan: a queue of phases, each a
+    /// Attempts one obligation by running its attempt plan: a list of phases, each a
     /// sequent, the provers to try on it in order, and their fuel. The first success
     /// wins. `hinted` is the inlined hint-filtered sequent and `full` the inlined full
-    /// sequent. The plan starts with
+    /// sequent. The plan is
     ///
     /// 1. the hinted sequent (the full one without hints), every routed prover;
     /// 2. when hints narrowed the sequent, the full sequent, every routed prover but
     ///    the syntactic one;
     ///
-    /// both under fuel when budgets are on. Each phase whose attempts aborted on fuel
-    /// appends one unbudgeted **rescue** phase of exactly the aborted provers, in the
-    /// same order. Rescue phases therefore run only after every budgeted phase has
-    /// failed, and the aborted attempts' unknown verdicts are settled before the
-    /// obligation can be reported unproved: budgets change attempt counts and times,
-    /// never verdicts. Attempts that complete within their fuel reach the unbudgeted
-    /// verdict and are not retried.
+    /// both under fuel when budgets are on. An attempt that runs out of fuel has
+    /// failed, so an obligation whose attempts all fail or run out of fuel is
+    /// unproved, and its unproved line names the provers that ran out.
     fn prove_one_uncached(
         &self,
         obligation: &ProofObligation,
@@ -1360,18 +1352,12 @@ impl Dispatcher {
             retry.provers.retain(|p| *p != ProverId::Syntactic);
             plan.push(retry);
         }
-        let first_rescue = plan.len();
-        let mut next = 0;
-        while let Some(&Phase {
+        for Phase {
             sequent,
-            ref provers,
+            provers,
             fuel,
-        }) = plan.get(next)
+        } in &plan
         {
-            if next == first_rescue {
-                report.rescue_retries = 1;
-            }
-            let mut aborted = Vec::new();
             for &prover in provers {
                 let start = Instant::now();
                 let deadline = self
@@ -1396,34 +1382,19 @@ impl Dispatcher {
                         report.proved_sequents = 1;
                         return report;
                     }
-                    AttemptOutcome::BudgetAborted => {
-                        stats.budget_aborts += 1;
-                        aborted.push(prover);
-                    }
-                    // A crash or a deadline stop is an unknown verdict too, but neither
-                    // is rescued: a rerun would crash again, and a deadline exists
-                    // precisely to bound the attempt's wall clock.
+                    AttemptOutcome::BudgetAborted => stats.budget_aborts += 1,
                     AttemptOutcome::Crashed => stats.crashes += 1,
                     AttemptOutcome::DeadlineExceeded => stats.deadline_aborts += 1,
                     AttemptOutcome::Failed => {}
                 }
             }
-            // Only fuel aborts, so a rescue phase appends nothing and the plan ends.
-            if !aborted.is_empty() {
-                plan.push(Phase {
-                    sequent,
-                    provers: aborted,
-                    fuel: None,
-                });
-            }
-            next += 1;
         }
         // An unproved obligation whose cascade contained crashes or deadline stops is
         // attributed: the reader of the report can tell "no prover could prove this"
         // apart from "the provers that might have proved this were stopped". Faults
-        // off and no deadline → the suffix never appears and the line is byte-for-byte
-        // what it always was.
-        let mut description = obligation.sequent.describe();
+        // off and no deadline → the suffix never appears. Such cascades are never
+        // cached, so only the fuel note needs a cache replay.
+        let mut description = unproved_description(obligation, &report);
         let (crashes, deadlines) = (report.crashes(), report.deadline_aborts());
         if crashes > 0 || deadlines > 0 {
             description.push_str(&format!(
@@ -1436,11 +1407,29 @@ impl Dispatcher {
 }
 
 /// One phase of an obligation's attempt plan: a sequent, the provers to try on it in
-/// order, and their fuel (`None` runs them unbudgeted).
+/// order, and their fuel (`None` only with budgets off).
 struct Phase<'s> {
     sequent: &'s jahob_logic::Sequent,
     provers: Vec<ProverId>,
     fuel: Option<FuelBudget>,
+}
+
+/// The unproved line of an obligation: its sequent's description, followed by
+/// ` [out of fuel: <tags>]` when some attempts ran out of fuel, naming those provers
+/// by [`ProverId::tag`] in [`ProverId`] order. An uncached run and a cache replay
+/// both build the line here from the per-prover abort counts, so they render alike.
+fn unproved_description(obligation: &ProofObligation, report: &VerificationReport) -> String {
+    let mut description = obligation.sequent.describe();
+    let out_of_fuel: Vec<&str> = report
+        .per_prover
+        .iter()
+        .filter(|(_, stats)| stats.budget_aborts > 0)
+        .map(|(prover, _)| prover.tag())
+        .collect();
+    if !out_of_fuel.is_empty() {
+        description.push_str(&format!(" [out of fuel: {}]", out_of_fuel.join(", ")));
+    }
+    description
 }
 
 /// The set/function classification of the free variables of `sequent` under `context`
@@ -1465,12 +1454,12 @@ fn var_classes(context: &ProverContext, sequent: &jahob_logic::Sequent) -> Strin
 
 /// The verdict of one prover attempt. `Failed` is a completed negative run
 /// — identical to what an unbudgeted run would conclude. `BudgetAborted` means the
-/// attempt ran out of fuel with the verdict still unknown, so the rescue pass reruns
-/// it without fuel. The two containment outcomes are likewise unknown-verdict stops:
+/// attempt ran out of fuel before its search finished; within the attempt's caps
+/// that is a failure too, recorded apart so the unproved line can say fuel ended
+/// it. The two containment outcomes are unknown-verdict stops:
 /// `Crashed` is a prover panic caught at the attempt boundary, `DeadlineExceeded` a
-/// cooperative wall-clock stop ([`DispatcherConfig::deadline_ms`]). Neither is
-/// rescued — a crash would just crash again, and a deadline exists precisely to
-/// bound the attempt's wall clock.
+/// cooperative wall-clock stop ([`DispatcherConfig::deadline_ms`]); a cascade with
+/// either is never cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AttemptOutcome {
     Proved,
@@ -1497,19 +1486,22 @@ struct FuelBudget {
     smt_steps: usize,
 }
 
-/// The feature-dependent fuel policy. Reachability sequents legitimately build large
-/// automata and quantified sequents legitimately saturate longer, so those buckets
-/// keep generous budgets; everything else gets fuel sized so that the provers'
-/// *successful* runs fit comfortably while hopeless runs abort at a small fraction
-/// of their unbudgeted cost. Aborts are always rescued unbudgeted, so these
-/// constants trade only time, never verdicts.
+/// The feature-dependent fuel policy: the deterministic form of the paper's
+/// per-prover time limits. A cap is part of what an attempt means — an attempt that
+/// runs out of fuel has failed — so these constants decide verdicts, not just time.
+/// They are sized so that every proof of the §7 suite fits comfortably while
+/// hopeless runs abort at a small fraction of their unbudgeted cost; the budgets
+/// on/off differential test pins that they fit. Sequents that quantify over a set
+/// are MONA's own monadic second-order fragment and legitimately build large
+/// automata, and quantified sequents legitimately saturate longer, so those buckets
+/// keep generous budgets.
 ///
 /// The SMT step budget is the big saver on the §7 suite: every winning ground search
 /// there closes after unit propagation alone (a single DPLL step), while the searches
 /// that end in a countermodel (a genuine SMT failure some later prover then
 /// discharges) burn hundreds of decision steps at tens of milliseconds per attempt.
 fn fuel_for(features: &SequentFeatures) -> FuelBudget {
-    let (mona_work, mona_states) = if features.reachability_atoms > 0 {
+    let (mona_work, mona_states) = if features.set_binders > 0 {
         (2_000_000, 768)
     } else {
         (150_000, 256)
@@ -2031,9 +2023,9 @@ mod tests {
 
     #[test]
     fn budgets_are_part_of_the_cache_fingerprint() {
-        // Budgets change attempt counts and attribution (never verdicts), and cached
-        // outcomes replay those counts — so a budgets-on entry must not answer a
-        // budgets-off lookup.
+        // Budgets change attempt counts and attribution, and a cap could cost a proof
+        // whose search outgrows it; cached outcomes replay all of that — so a
+        // budgets-on entry must not answer a budgets-off lookup.
         let on = DispatcherConfig::builder().build();
         let off = DispatcherConfig::builder().budgets(false).build();
         assert!(on.budgets && !off.budgets);
@@ -2045,8 +2037,9 @@ mod tests {
         );
     }
 
-    /// An unprovable sequent whose set/quantifier structure blows MONA's non-reach
-    /// fuel (and FOL's quantified iteration fuel) while still completing unbudgeted.
+    /// An unprovable sequent whose object-quantified membership structure blows
+    /// MONA's small fuel (and FOL's quantified iteration fuel) while still completing
+    /// unbudgeted.
     fn fuel_hungry_unprovable() -> ProofObligation {
         ob(
             &[
@@ -2060,11 +2053,10 @@ mod tests {
         )
     }
 
-    /// A valid sequent only MONA can prove (the second-order existential is native
-    /// WS1S but approximated away by the FOL/SMT translations) whose automaton
-    /// exceeds the non-reach fuel — so with budgets on, *only* the unbudgeted
-    /// rescue pass can discharge it.
-    fn rescue_only_provable() -> ProofObligation {
+    /// A valid sequent only MONA can prove: the existential over the set `s` is
+    /// native monadic second-order logic but approximated away by the FOL/SMT
+    /// translations. Its automaton exceeds MONA's small fuel and fits the large one.
+    fn set_quantified_provable() -> ProofObligation {
         ob(
             &[
                 "ALL x. x : a --> x : b | x : c",
@@ -2092,41 +2084,66 @@ mod tests {
         .prove_one(&o, &context);
         assert!(!on.succeeded() && !off.succeeded(), "verdicts must agree");
         assert!(on.budget_aborts() > 0, "the budgets must engage: {on:?}");
-        assert_eq!(on.rescue_retries, 1, "aborts + failure = one rescue retry");
         assert_eq!(off.budget_aborts(), 0, "budgets off never aborts");
-        assert_eq!(off.rescue_retries, 0, "budgets off never rescues");
         // The budgeted run pays strictly less prover time on the aborted attempts
         // only when they abort early; what it must never do is attempt fewer
-        // *distinct* provers than the unbudgeted run in total (rescue included).
+        // *distinct* provers than the unbudgeted run.
         assert_eq!(on.per_prover.len(), off.per_prover.len());
     }
 
     #[test]
-    fn rescue_pass_recovers_proofs_the_budgets_interrupted() {
-        let o = rescue_only_provable();
+    fn set_quantified_sequents_give_mona_its_large_cap() {
+        let o = set_quantified_provable();
+        let features = SequentFeatures::of(&o.sequent);
+        assert_eq!(features.set_binders, 1, "{features:?}");
+        assert_eq!(fuel_for(&features).mona_work, 2_000_000);
         let context = ProverContext::default();
         let dispatcher = Dispatcher::with_config(DispatcherConfig::builder().build());
         let report = dispatcher.prove_one(&o, &context);
         assert!(
             report.succeeded(),
-            "the rescue pass must recover the MONA proof: {report:?}"
+            "MONA must prove the sequent within its fuel: {report:?}"
         );
-        assert_eq!(report.per_prover[&ProverId::Mona].proved, 1);
-        assert!(report.budget_aborts() > 0, "{report:?}");
-        assert_eq!(report.rescue_retries, 1);
-        // The cached outcome replays the abort counts and the rescued bit too.
+        let mona = report.per_prover[&ProverId::Mona];
+        assert_eq!((mona.proved, mona.budget_aborts), (1, 0), "{report:?}");
+        // One budgeted phase and no attempt without fuel: no prover runs twice.
+        assert!(
+            report.per_prover.values().all(|s| s.attempted == 1),
+            "{report:?}"
+        );
+        // The cached outcome credits MONA again and replays the abort counts.
         let replay = dispatcher.prove_one(&o, &context);
         assert_eq!(replay.cache_hits, 1, "{replay:?}");
         assert_eq!(replay.budget_aborts(), report.budget_aborts());
-        assert_eq!(replay.rescue_retries, 1);
         assert_eq!(replay.per_prover[&ProverId::Mona].proved, 1);
+    }
+
+    #[test]
+    fn out_of_fuel_lines_render_alike_uncached_and_from_the_cache() {
+        let o = fuel_hungry_unprovable();
+        let context = ProverContext::default();
+        let dispatcher = Dispatcher::with_config(DispatcherConfig::builder().build());
+        let uncached = dispatcher.prove_one(&o, &context);
+        assert_eq!(uncached.cache_misses, 1);
+        assert_eq!(
+            uncached.unproved,
+            vec![format!("{} [out of fuel: mona, fol]", o.sequent.describe())]
+        );
+        let replay = dispatcher.prove_one(&o, &context);
+        assert_eq!(replay.cache_hits, 1, "{replay:?}");
+        assert_eq!(replay.unproved, uncached.unproved);
+        // Without fuel nothing runs out of it, and the line is the bare description.
+        let unbudgeted =
+            Dispatcher::with_config(DispatcherConfig::builder().budgets(false).build())
+                .prove_one(&o, &context);
+        assert_eq!(unbudgeted.unproved, vec![o.sequent.describe()]);
     }
 
     #[test]
     fn budgets_off_restores_the_pre_cost_model_dispatcher_exactly() {
         // With budgets off the plan is the plain cascade: every prover runs once,
         // without fuel, and a sequent none of them proves costs exactly one attempt
-        // per prover — no aborts and no rescue phase.
+        // per prover and no aborts.
         let dispatcher = Dispatcher::with_config(
             DispatcherConfig::builder()
                 .cache(CacheMode::Off)
@@ -2135,7 +2152,7 @@ mod tests {
         );
         let r = dispatcher.prove_one(&fuel_hungry_unprovable(), &ProverContext::default());
         assert!(!r.succeeded());
-        assert_eq!((r.budget_aborts(), r.rescue_retries), (0, 0), "{r:?}");
+        assert_eq!(r.budget_aborts(), 0, "{r:?}");
         let attempts: Vec<(ProverId, usize)> = r
             .per_prover
             .iter()

@@ -12,6 +12,11 @@
 //!   WS1S has no `card`) are demoted behind everything else, **not dropped**: they
 //!   still run, in global order, if every promoted prover fails.
 //!
+//! A fragment counts only where the prover's translator keeps it. Reachability is
+//! MONA's in the paper, but this MONA's translator approximates `rtrancl_pt` away, so
+//! nothing promotes MONA on it: the step lambda leaves MONA in the fallback tail,
+//! behind FOL, which proves such sequents.
+//!
 //! Because [`route`] always returns a permutation of the global order, routing can
 //! change which prover is credited and how many attempts are spent, but never which
 //! sequents end up proved — the routing differential test pins this.
@@ -49,22 +54,17 @@ fn score(prover: ProverId, f: &SequentFeatures) -> Option<u32> {
             }
         }
         ProverId::Mona => {
-            if f.reachability_atoms > 0 && f.card_atoms == 0 && f.arith_atoms == 0 {
-                // Reachability over backbones is the one fragment where the automata
-                // construction is worth its risk — nothing else decides it. (This test
-                // comes first: `rtrancl_pt` carries its step predicate as a lambda, so
-                // the higher-order exclusion below must not mask it.)
-                Some(90)
-            } else if f.card_atoms > 0 || f.arith_atoms > 0 || f.tuples > 0 || f.lambdas > 0 {
+            if f.card_atoms > 0 || f.arith_atoms > 0 || f.tuples > 0 || f.lambdas > 0 {
                 // Outside WS1S: no cardinality, no arithmetic beyond successor, no
                 // relational (tuple) state, no higher-order binders. These are exactly
                 // the sequents MONA burns ~100 ms failing on (EXPERIMENTS.md Fig. 7).
+                // Reachability lands here too, through `rtrancl_pt`'s step lambda,
+                // which MONA's translator approximates away (see the module doc).
                 None
             } else if f.memberships > 0 {
                 // Monadic membership shape is *decidable* by MONA, but a successful
                 // automata run (~100 µs) saves little over SMT/FOL while a failing
-                // one costs ~100 ms — keep MONA behind the bounded provers unless
-                // reachability forces it.
+                // one costs ~100 ms — keep MONA behind the bounded provers.
                 Some(45)
             } else {
                 None
@@ -119,7 +119,9 @@ pub fn route(features: &SequentFeatures, global: &[ProverId]) -> Vec<ProverId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dispatcher, DispatcherConfig, ProverContext};
     use jahob_logic::{parse_form, Sequent};
+    use jahob_vcgen::ProofObligation;
 
     fn features(assumptions: &[&str], goal: &str) -> SequentFeatures {
         SequentFeatures::of(&Sequent::new(
@@ -204,14 +206,29 @@ mod tests {
     }
 
     #[test]
-    fn reachability_promotes_mona_first() {
-        let f = features(
-            &["rtrancl_pt (% x y. x..next = y) root n", "n : nodes"],
-            "rtrancl_pt (% x y. x..next = y) root n",
+    fn reachability_ranks_fol_before_mona() {
+        // MONA's translator approximates `rtrancl_pt` away, so reachability earns it
+        // no promotion: the step lambda demotes MONA to the fallback tail, and FOL,
+        // ranked ahead of it, is the prover that proves the sequent.
+        let obligation = ProofObligation {
+            sequent: Sequent::new(
+                Vec::new(),
+                parse_form("rtrancl_pt (% u v. u..next = v) root root").expect("parse"),
+            ),
+            hints: Vec::new(),
+        };
+        let order = route(
+            &SequentFeatures::of(&obligation.sequent),
+            &ProverId::default_order(),
         );
-        let order = route(&f, &ProverId::default_order());
-        assert_eq!(order[0], ProverId::Syntactic);
-        assert_eq!(order[1], ProverId::Mona, "{order:?}");
+        assert!(
+            position(&order, ProverId::Fol) < position(&order, ProverId::Mona),
+            "{order:?}"
+        );
+        let report = Dispatcher::with_config(DispatcherConfig::builder().build())
+            .prove_one(&obligation, &ProverContext::default());
+        assert!(report.succeeded(), "{report:?}");
+        assert_eq!(report.per_prover[&ProverId::Fol].proved, 1, "{report:?}");
     }
 
     #[test]

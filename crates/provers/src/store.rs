@@ -17,15 +17,19 @@
 //! order, hint usage, routing). A store written under one configuration is therefore
 //! never *replayed* under another: entries with a foreign fingerprint are loaded but
 //! can never be looked up, and a later merge-write carries them along untouched, so
-//! one store file can serve many configurations side by side.
+//! one store file can serve many configurations side by side. The record's outcome
+//! half holds the proved bit, the credited prover and the per-prover attempted and
+//! budget-abort counts — everything a replay needs to render the same report line,
+//! `[out of fuel: …]` note included.
 //!
 //! **Versioning and robustness.** The file starts with a
 //! `jahob-proof-store v<N>` header ([`STORE_VERSION`]) and ends with an `## end`
 //! trailer carrying the record count, so truncation is detected even at a line
-//! boundary. A missing file is a silent cold start; a corrupt, truncated or
+//! boundary. A missing file is a silent cold start; a corrupt, truncated, older- or
 //! future-versioned file is a **warned** cold start (one stderr line naming the path
 //! and the reason) — never a crash, and never a partial load: a store either parses
-//! completely or contributes nothing.
+//! completely or contributes nothing. A v3 store, whose verdicts may have been won
+//! by the retired unbudgeted rescue pass, therefore never replays under v4.
 //!
 //! **Merge semantics.** A flush re-reads the file, overlays the live snapshot on top
 //! (live verdicts win on key collision — they are at least as fresh), and writes the
@@ -49,8 +53,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// layout, the canonical-form definition, or the fingerprint contents change
 /// incompatibly; files with any other version load as empty (with a warning).
 /// v2 added the per-prover budget-abort counts and the rescued bit to verdict
-/// records; v3 dropped the failure-memo records and the skipped counts.
-pub const STORE_VERSION: u32 = 3;
+/// records; v3 dropped the failure-memo records and the skipped counts; v4 dropped
+/// the rescued bit, so a verdict an unbudgeted rescue won is never replayed by a
+/// build that no longer rescues.
+pub const STORE_VERSION: u32 = 4;
 
 /// Magic prefix of the header line, shared by every format version.
 const MAGIC: &str = "jahob-proof-store";
@@ -168,8 +174,8 @@ fn parse(text: &str) -> Result<Verdicts, StoreError> {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields[0] {
             "V" => {
-                if fields.len() != 11 {
-                    return Err(err("verdict record needs 11 fields"));
+                if fields.len() != 10 {
+                    return Err(err("verdict record needs 10 fields"));
                 }
                 let key = CacheKey {
                     config_fingerprint: unescape(fields[1]).ok_or_else(|| err("fingerprint"))?,
@@ -197,7 +203,6 @@ fn parse(text: &str) -> Result<Verdicts, StoreError> {
                     attempted: parse_counts(fields[8]).ok_or_else(|| err("attempted counts"))?,
                     budget_aborts: parse_counts(fields[9])
                         .ok_or_else(|| err("budget-abort counts"))?,
-                    rescued: parse_bool(fields[10]).ok_or_else(|| err("rescued bit"))?,
                     from_disk: false, // stamped by `SequentCache::absorb`
                 };
                 verdicts.push((key, outcome));
@@ -281,7 +286,7 @@ pub(crate) fn merge_write_with(
     let written = verdicts.len();
     for (key, outcome) in &verdicts {
         out.push_str(&format!(
-            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
             escape(&key.config_fingerprint),
             escape(key.sequent.repr()),
             match &key.hinted {
@@ -294,7 +299,6 @@ pub(crate) fn merge_write_with(
             outcome.prover.map_or("-", |prover| prover.tag()),
             render_counts(&outcome.attempted),
             render_counts(&outcome.budget_aborts),
-            outcome.rescued as u8,
         ));
     }
     out.push_str(&format!("## end\t{written}\n"));
@@ -419,7 +423,6 @@ mod tests {
                     prover: Some(ProverId::Bapa),
                     attempted: vec![(ProverId::Syntactic, 1), (ProverId::Bapa, 1)],
                     budget_aborts: vec![(ProverId::Fol, 1)],
-                    rescued: false,
                     from_disk: false,
                 },
             ),
@@ -430,7 +433,6 @@ mod tests {
                     prover: None,
                     attempted: Vec::new(),
                     budget_aborts: Vec::new(),
-                    rescued: true,
                     from_disk: false,
                 },
             ),

@@ -1,10 +1,12 @@
 //! Differential test for the dispatcher's scaling mechanisms.
 //!
 //! The shared-queue parallel dispatch, the canonical-form result cache, per-sequent
-//! prover routing, fuel-budgeted attempts (with the unbudgeted rescue pass) and the
-//! program-wide obligation batching are pure optimisations: they must not change
-//! *what* gets proved, only how fast. This harness runs the full §7 example suite
-//! under every combination of
+//! prover routing and the program-wide obligation batching are pure optimisations:
+//! they must not change *what* gets proved, only how fast. Fuel budgets are not one
+//! by construction — a cap is part of what an attempt means, so an attempt that runs
+//! out of fuel has failed — and this harness pins that the caps fit every proof of
+//! the suite, so budgets change no suite verdict either. It runs the full §7
+//! example suite under every combination of
 //! `{threads = 1, 2, 4, 8} x {cache on, off} x {route on, off} x {budgets on, off}`
 //! and asserts that every configuration proves the identical set of sequents per
 //! method, and reports the `unproved` descriptions in the identical, deterministic
@@ -137,7 +139,7 @@ fn batched_program_dispatch_matches_the_per_method_path_across_the_matrix() {
 fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
     // Single-threaded, the batched path processes obligations in the same order as the
     // per-method path, so the full report — per-prover proved/attempted/aborted counts,
-    // cache attribution, hit/miss counters, rescue retries, unproved ordering — must
+    // cache attribution, hit/miss counters, unproved ordering — must
     // agree field for field (everything except measured times, which is why renders
     // are byte-identical up to timings). Under parallelism the hit/miss split can
     // wobble (two workers racing a cold key), so this strict form is pinned for
@@ -145,7 +147,6 @@ fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
     type Strict = Vec<(
         String,
         Vec<(String, usize, usize, usize, usize)>,
-        usize,
         usize,
         usize,
         Vec<String>,
@@ -171,7 +172,6 @@ fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
                         .collect(),
                     r.report.cache_hits,
                     r.report.cache_misses,
-                    r.report.rescue_retries,
                     r.report.unproved.clone(),
                 )
             })
@@ -223,14 +223,14 @@ fn routing_on_and_off_prove_the_same_sequents_across_the_matrix() {
 
 #[test]
 fn fuel_budgets_change_nothing_but_time() {
-    // Fuel budgets + rescue pass are a pure optimisation: early abort, never
-    // pruning. Whatever the thread count, cache setting or routing mode, budgets on
-    // and off must prove the identical sequent set (same `unproved` lists in the
+    // A fuel cap is part of what an attempt means, so budgets could lose a proof
+    // whose search needs more than its cap. This pins that the caps fit every proof
+    // of the suite: whatever the thread count, cache setting or routing mode, budgets
+    // on and off must prove the identical sequent set (same `unproved` lists in the
     // same order) AND credit the identical prover for every proof — the cascade
-    // order does not depend on the budgets, aborted attempts are retried unbudgeted
-    // by the rescue pass, and completed budgeted attempts reach the same verdicts as
-    // unbudgeted ones. Attempt counts and times are deliberately not compared
-    // (aborting early and rescuing is the whole point).
+    // order does not depend on the budgets, and completed budgeted attempts reach
+    // the same verdicts as unbudgeted ones. Attempt counts and times are
+    // deliberately not compared (aborting hopeless attempts early is the point).
     let attribution = |options: &VerifyOptions| -> Vec<(String, Vec<(String, usize)>)> {
         let mut per_method = Vec::new();
         for entry in suite::full_suite() {
@@ -270,15 +270,14 @@ fn fuel_budgets_change_nothing_but_time() {
 }
 
 /// One pass's attempt accounting per structure: per-prover `(attempted, proved,
-/// budget_aborts)` and the rescue retries, summed over the structure's methods.
-type PassAccounting = Vec<(String, BTreeMap<String, (usize, usize, usize)>, usize)>;
+/// budget_aborts)`, summed over the structure's methods.
+type PassAccounting = Vec<(String, BTreeMap<String, (usize, usize, usize)>)>;
 
 fn structure_accounting<'r>(
     name: &str,
     reports: impl Iterator<Item = &'r VerificationReport>,
-) -> (String, BTreeMap<String, (usize, usize, usize)>, usize) {
+) -> (String, BTreeMap<String, (usize, usize, usize)>) {
     let mut per_prover: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    let mut rescue_retries = 0;
     for report in reports {
         for (id, s) in &report.per_prover {
             let cell = per_prover.entry(id.to_string()).or_default();
@@ -286,9 +285,8 @@ fn structure_accounting<'r>(
             cell.1 += s.proved;
             cell.2 += s.budget_aborts;
         }
-        rescue_retries += report.rescue_retries;
     }
-    (name.to_string(), per_prover, rescue_retries)
+    (name.to_string(), per_prover)
 }
 
 #[test]
@@ -314,7 +312,7 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
                     .iter()
                     .map(|(id, s)| (id.to_string(), (s.attempted, s.proved, s.budget_aborts)))
                     .collect();
-                (row.name.clone(), per_prover, row.rescue_retries)
+                (row.name.clone(), per_prover)
             })
             .collect()
     };
@@ -331,7 +329,7 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
     assert!(
         first
             .iter()
-            .flat_map(|(_, per_prover, _)| per_prover.values())
+            .flat_map(|(_, per_prover)| per_prover.values())
             .any(|(_, _, aborts)| *aborts > 0),
         "the fuel budgets must engage on the suite: {first:?}"
     );

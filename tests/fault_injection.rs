@@ -67,14 +67,13 @@ fn full_snapshot(rows: &[SuiteRow]) -> Vec<String> {
                 })
                 .collect();
             format!(
-                "{} {}/{} cache={}+{}disk/{} rescue={} [{}]",
+                "{} {}/{} cache={}+{}disk/{} [{}]",
                 r.name,
                 r.proved_sequents,
                 r.total_sequents,
                 r.cache_hits,
                 r.cache_disk_hits,
                 r.cache_misses,
-                r.rescue_retries,
                 provers.join(";")
             )
         })

@@ -8,7 +8,7 @@
 //! every entry by configuration fingerprint, so the route-on and route-off worlds
 //! are seeded separately and must never answer each other's lookups.
 //!
-//! The same file also pins the robustness contract: corrupt, truncated and
+//! The same file also pins the robustness contract: corrupt, truncated, old- and
 //! future-version store files are cold starts (never crashes), and concurrent
 //! flushing dispatchers on one directory never torn-write the store.
 
@@ -172,21 +172,26 @@ fn committed_seed_fixtures_warm_start_the_suite() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The sized list's verdicts written in the v2 layout, the format before the
-/// failure-memo `F` records and the per-prover skipped counts were dropped: a
-/// current store rewritten with the old header, an empty skipped field in every
-/// verdict record and the two-count trailer. Its keys are real, so a reader that
-/// accepted the old version would answer the sized list from it.
-fn sized_list_store_as_v2() -> String {
-    let dir = temp_dir("v2-source");
+/// The sized list's verdicts from a current store, with every line rewritten by
+/// `rewrite`. Its keys are real, so a reader that accepted the rewritten file's old
+/// version would answer the sized list from it.
+fn sized_list_store_rewritten(name: &str, rewrite: impl Fn(&str) -> String) -> String {
+    let dir = temp_dir(name);
     let verifier = Verifier::with_config(persistent_config(&dir, 1, true));
     assert!(verifier.verify(&suite::sized_list()).verified());
     verifier.flush().expect("flush");
     let current = std::fs::read_to_string(store_path(&dir)).expect("read store");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut old = String::new();
-    for line in current.lines() {
-        let line = if line.starts_with("jahob-proof-store ") {
+    current.lines().map(|line| rewrite(line) + "\n").collect()
+}
+
+/// The sized list's store in the v2 layout, the format before the failure-memo `F`
+/// records, the per-prover skipped counts and the rescued bit were dropped: the old
+/// header, an empty skipped field and a rescued bit in every verdict record, and
+/// the two-count trailer.
+fn sized_list_store_as_v2() -> String {
+    sized_list_store_rewritten("v2-source", |line| {
+        if line.starts_with("jahob-proof-store ") {
             "jahob-proof-store v2".to_string()
         } else if let Some(count) = line.strip_prefix("## end\t") {
             format!("## end\t{count}\t0")
@@ -194,12 +199,25 @@ fn sized_list_store_as_v2() -> String {
             let mut fields: Vec<&str> = line.split('\t').collect();
             assert_eq!(fields[0], "V", "{line}");
             fields.insert(9, "");
+            fields.push("0");
             fields.join("\t")
-        };
-        old.push_str(&line);
-        old.push('\n');
-    }
-    old
+        }
+    })
+}
+
+/// The sized list's store in the v3 layout, the format before the rescued bit was
+/// dropped: the `v3` header and a rescued column after every verdict record's
+/// budget-abort counts.
+fn sized_list_store_as_v3() -> String {
+    sized_list_store_rewritten("v3-source", |line| {
+        if line.starts_with("jahob-proof-store ") {
+            "jahob-proof-store v3".to_string()
+        } else if line.starts_with("V\t") {
+            format!("{line}\t0")
+        } else {
+            line.to_string()
+        }
+    })
 }
 
 #[test]
@@ -214,6 +232,7 @@ fn corrupt_truncated_and_future_version_stores_cold_start() {
             "jahob-proof-store v999\nV\twhatever\n".to_string(),
         ),
         ("old-v2", sized_list_store_as_v2()),
+        ("old-v3", sized_list_store_as_v3()),
     ] {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).expect("mkdir");
