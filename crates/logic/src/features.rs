@@ -36,9 +36,6 @@ pub struct SequentFeatures {
     pub arith_atoms: usize,
     /// Equality applications (`=` over any type).
     pub equalities: usize,
-    /// Reachability and shape atoms: `rtrancl_pt` and `tree [...]`. MONA's translator
-    /// approximates them away, so no routing or fuel rule promotes MONA on them.
-    pub reachability_atoms: usize,
     /// `ALL`/`EX` binders.
     pub quantifiers: usize,
     /// Higher-order binders (lambdas and set comprehensions) — outside every
@@ -99,7 +96,6 @@ impl SequentFeatures {
             | Const::GtEq
             | Const::IntLit(_) => self.arith_atoms += 1,
             Const::Eq => self.equalities += 1,
-            Const::Rtrancl | Const::Tree => self.reachability_atoms += 1,
             Const::Tuple => self.tuples += 1,
             Const::FieldRead | Const::FieldWrite | Const::ArrayRead | Const::ArrayWrite => {
                 self.field_ops += 1
@@ -256,7 +252,6 @@ mod tests {
             &["rtrancl_pt (% x y. x..next = y) root n"],
             "n : {z. z : nodes}",
         ));
-        assert_eq!(f.reachability_atoms, 1);
         assert!(f.lambdas >= 2, "lambda + comprehension: {f:?}");
         assert!(!f.is_ground());
     }

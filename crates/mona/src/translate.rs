@@ -28,14 +28,16 @@ use std::collections::BTreeMap;
 /// Options for the MONA-style prover.
 #[derive(Debug, Clone)]
 pub struct MonaOptions {
-    /// Maximum number of distinct variables (tracks); the automaton alphabet is `2^n`.
+    /// Maximum number of free tracks ([`MonaResult::tracks`]); a sequent with more is
+    /// not applicable. It bounds only the free count: the decider adds a track for
+    /// every bound variable, so the automaton alphabet can be larger than `2^max_tracks`.
     pub max_tracks: usize,
     /// Work budget of the automata construction, in state×symbol units charged per
     /// intermediate automaton ([`Dfa::work_cost`](jahob_automata::Dfa::work_cost));
     /// `0` means unlimited. Exhausting it aborts the attempt cooperatively
-    /// ([`MonaResult::budget_exhausted`]) instead of proving anything — callers with
-    /// a fuel policy (the dispatcher's budgeted cascade) pass a reduced budget here
-    /// and retry unbudgeted when they must.
+    /// ([`MonaResult::budget_exhausted`]) instead of proving anything. Callers with
+    /// a fuel policy (the dispatcher's budgeted cascade) pass a reduced budget here,
+    /// and for them an attempt that exhausts it has failed.
     pub max_work: u64,
     /// Per-automaton state cap of intermediate products/determinisations; exceeding
     /// it also counts as budget exhaustion.
@@ -66,7 +68,10 @@ pub struct MonaResult {
     pub proved: bool,
     /// `true` if the sequent (after approximation) was inside the supported fragment.
     pub applicable: bool,
-    /// The number of automaton tracks used.
+    /// The number of free tracks: one per free variable of the translated sequent,
+    /// plus one for `null` when it occurs. The decider gives every bound variable a
+    /// track too, so the automata can run on more tracks than this: an attempt with
+    /// `tracks = 8` and one bound variable runs on 9 tracks, i.e. 512 symbols.
     pub tracks: usize,
     /// `true` when the attempt stopped because the automata construction ran out of
     /// its work/state budget ([`MonaOptions::max_work`]/[`MonaOptions::max_states`])
@@ -426,5 +431,244 @@ mod tests {
             )
             .proved
         );
+    }
+
+    /// How [`prove_sequent`] ends under one MONA fuel cap.
+    #[derive(Debug, Clone, Copy)]
+    enum Pin {
+        /// Proved, charging exactly this much work.
+        Proved(u64),
+        /// Decided not valid, charging exactly this much work.
+        Refuted(u64),
+        /// Ran out of work before deciding.
+        OutOfWork,
+        /// An intermediate automaton outgrew the state cap, however much work it had.
+        OutOfStates,
+    }
+
+    /// The dispatcher's two MONA fuel caps, `(max_work, max_states)` (`fuel_for` in
+    /// `jahob-provers`): the small one for most sequents, the large one for sequents
+    /// that bind a set.
+    const SMALL: (u64, usize) = (150_000, 256);
+    const LARGE: (u64, usize) = (2_000_000, 768);
+
+    /// Monadic sequents and how MONA ends on them under the small and the large cap.
+    /// The work a decision charges is the sum of its intermediate automata's sizes, so
+    /// these values change exactly when some automaton the decider builds changes size.
+    const PINNED: &[(&[&str], &str, Pin, Pin)] = &[
+        // The crate example and the sequents of the tests above.
+        (
+            &["ALL x. x : nodes --> x : alloc", "n : nodes"],
+            "n : alloc",
+            Pin::Proved(640),
+            Pin::Proved(640),
+        ),
+        (
+            &["n : alloc"],
+            "n : nodes",
+            Pin::Refuted(160),
+            Pin::Refuted(160),
+        ),
+        (
+            &["nodes = nodes1", "x : nodes"],
+            "x : nodes1",
+            Pin::Proved(400),
+            Pin::Proved(400),
+        ),
+        (
+            &["ALL x. x : a --> x : b", "ALL x. x : b --> x : c"],
+            "ALL x. x : a --> x : c",
+            Pin::Proved(5_696),
+            Pin::Proved(5_696),
+        ),
+        (
+            &["ALL e. e : a <-> e : b"],
+            "a = b",
+            Pin::Proved(424),
+            Pin::Proved(424),
+        ),
+        (
+            &[
+                "ALL x. x : nodes --> x ~= null",
+                "null : nodes | ok : nodes",
+            ],
+            "ok : nodes | False",
+            Pin::Proved(1_536),
+            Pin::Proved(1_536),
+        ),
+        (
+            &["x : a", "x ~: b"],
+            "x : a - b",
+            Pin::Proved(208),
+            Pin::Proved(208),
+        ),
+        (
+            &["x : a Un b"],
+            "x : a",
+            Pin::Refuted(240),
+            Pin::Refuted(240),
+        ),
+        (
+            &["~(n = null)", "~(n : alloc)", "n : List"],
+            "n : alloc",
+            Pin::Refuted(1_168),
+            Pin::Refuted(1_168),
+        ),
+        (
+            &["~(null : alloc)", "x : alloc"],
+            "~(x = null)",
+            Pin::Proved(224),
+            Pin::Proved(224),
+        ),
+        (
+            &["a : s", "b : t", "c : u"],
+            "a : s",
+            Pin::Proved(3_328),
+            Pin::Proved(3_328),
+        ),
+        // The set-quantified sequent only MONA proves, and only under the large cap.
+        (
+            &[
+                "ALL x. x : a --> x : b | x : c",
+                "ALL x. x : b --> x : d",
+                "ALL x. x : c --> x : d",
+                "ALL x. x : d --> x : e",
+                "ALL x. x : e --> x : f",
+            ],
+            "EX s. ALL x. (x : a --> x : s) & (x : s --> x : f)",
+            Pin::OutOfWork,
+            Pin::Proved(1_810_432),
+        ),
+        // An inclusion chain that misses its goal: refuted only under the large cap.
+        (
+            &[
+                "ALL x. x : a --> x : b",
+                "ALL x. x : b --> x : c",
+                "ALL x. x : c --> x : d",
+                "ALL x. x : d --> x : e",
+                "ALL x. x : e --> x : f",
+            ],
+            "ALL x. x : a --> x : g",
+            Pin::OutOfWork,
+            Pin::Refuted(1_466_368),
+        ),
+        // The monadic parts of MONA attempts on wrong `add`/`put` methods (the mutants of
+        // the perfbench `reject_mutants` workload), as the approximation leaves them.
+        (
+            &[
+                "~(null : PriorityQueue)",
+                "~(null : alloc)",
+                "~(heap = null)",
+            ],
+            "False",
+            Pin::Refuted(1_360),
+            Pin::Refuted(1_360),
+        ),
+        (
+            &[
+                "~(null : ArrayList)",
+                "~(null : alloc)",
+                "v = null | v : alloc",
+                "~(v = null)",
+                "~(elems = null)",
+            ],
+            "False",
+            Pin::Refuted(4_384),
+            Pin::Refuted(4_384),
+        ),
+        (
+            &[
+                "~(null : PriorityQueue)",
+                "~(null : alloc)",
+                "x = null | x : alloc",
+                "~(x = null) & ~(x : content)",
+                "~(heap = null)",
+            ],
+            "False",
+            Pin::OutOfStates,
+            Pin::Refuted(14_464),
+        ),
+        (
+            &[
+                "~(null : SllNode)",
+                "~(null : SinglyLinkedList)",
+                "~(null : alloc)",
+                "x = null | x : alloc",
+                "~(x = null) & ~(x : content)",
+                "~(fresh$_1 = null) & ~(fresh$_1 : alloc) & fresh$_1 : SllNode",
+            ],
+            "False",
+            Pin::OutOfStates,
+            Pin::OutOfStates,
+        ),
+        (
+            &[
+                "~(null : DllNode)",
+                "~(null : CircularList)",
+                "~(null : alloc)",
+                "x = null | x : alloc",
+                "~(x = null) & ~(x : content) & ~(head = null) & head : nodes",
+                "head = null | head : nodes",
+                "~(fresh$_1 = null) & ~(fresh$_1 : alloc) & fresh$_1 : DllNode",
+            ],
+            "False",
+            Pin::OutOfWork,
+            Pin::OutOfStates,
+        ),
+        (
+            &[
+                "~(null : Node)",
+                "~(null : AssocList)",
+                "~(null : alloc)",
+                "k0 = null | k0 : alloc",
+                "v0 = null | v0 : alloc",
+                "~(k0 = null) & ~(v0 = null) & ~(EX v. False)",
+                "first = null | first : nodes",
+                "~(fresh$_1 = null) & ~(fresh$_1 : alloc) & fresh$_1 : Node",
+            ],
+            "fresh$_1 = null | fresh$_1 : nodes",
+            Pin::OutOfWork,
+            Pin::OutOfStates,
+        ),
+    ];
+
+    #[test]
+    fn work_charges_and_verdicts_are_pinned() {
+        for &(assumptions, goal, small, large) in PINNED {
+            let sequent = seq(assumptions, goal);
+            for ((cap_work, max_states), pin) in [(SMALL, small), (LARGE, large)] {
+                let run = |max_work| {
+                    let options = MonaOptions {
+                        max_work,
+                        max_states,
+                        ..MonaOptions::default()
+                    };
+                    let result = prove_sequent(&sequent, &options);
+                    assert!(result.applicable && !result.deadline_exceeded, "{goal}");
+                    result
+                };
+                let context = format!("{goal} under ({cap_work}, {max_states}), pinned {pin:?}");
+                match pin {
+                    Pin::Proved(work) | Pin::Refuted(work) => {
+                        // A decision that fits in `work` repeats exactly under any larger
+                        // budget, so the run at `work` stands for the run at the cap.
+                        assert!(1 < work && work <= cap_work, "{context}");
+                        let decided = run(work);
+                        assert!(!decided.budget_exhausted, "{context}");
+                        assert_eq!(decided.proved, matches!(pin, Pin::Proved(_)), "{context}");
+                        assert!(run(work - 1).budget_exhausted, "{context}");
+                    }
+                    Pin::OutOfWork => {
+                        let stopped = run(cap_work);
+                        assert!(stopped.budget_exhausted && !stopped.proved, "{context}");
+                    }
+                    Pin::OutOfStates => {
+                        // `max_work = 0` lifts the work budget; the state cap alone stops it.
+                        let stopped = run(0);
+                        assert!(stopped.budget_exhausted && !stopped.proved, "{context}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,13 +9,20 @@
 //!
 //! First-order variables are encoded as singleton sets (the standard MONA encoding): the
 //! track of a first-order variable carries exactly one `1`, at the variable's position.
+//!
+//! Every variable, free or bound, owns a track of the alphabet. Connectives become
+//! products of `jahob-automata`'s flat-table DFAs, each minimised. A quantifier projects
+//! its variable's track away with [`Dfa::project`], a subset construction run on the
+//! body's DFA, and then closes acceptance under trailing zero columns. The decider
+//! charges every intermediate automaton's [`Dfa::work_cost`] against its work budget,
+//! and a product or projection larger than the state cap stops the decision.
 
 // The primitive-automaton constructors fill several transition rows per symbol index, so
 // the symbol loop indexes `trans[state][a]` directly; an iterator rewrite would obscure
 // the transition tables.
 #![allow(clippy::needless_range_loop)]
 
-use jahob_automata::{Dfa, Nfa};
+use jahob_automata::Dfa;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -350,9 +357,7 @@ impl Decider {
                     .intersect_bounded(&self.singleton(self.track(v)), self.max_states)?;
                 self.charge(body.work_cost())?;
                 charged(
-                    Nfa::from_dfa(&body)
-                        .project(self.track(v))
-                        .determinize_bounded(self.max_states)?
+                    body.project(self.track(v), self.max_states)?
                         .accept_zero_extensions()
                         .minimize(),
                 )
@@ -368,9 +373,7 @@ impl Decider {
                 let body = self.compile(a)?;
                 self.charge(body.work_cost())?;
                 charged(
-                    Nfa::from_dfa(&body)
-                        .project(self.track(v))
-                        .determinize_bounded(self.max_states)?
+                    body.project(self.track(v), self.max_states)?
                         .accept_zero_extensions()
                         .minimize(),
                 )
