@@ -1,10 +1,10 @@
-//! First-order terms, literals, clauses and unification.
+//! First-order terms, literals and clauses.
 //!
-//! The resolution prover works on clauses over untyped first-order terms. Variables are
-//! numbered; function and predicate symbols are named strings (constants are nullary
-//! functions). Equality is the distinguished predicate [`EQ`].
+//! The translation produces, and the resolution prover takes, clauses over untyped
+//! first-order terms. Variables are numbered; function and predicate symbols are named
+//! strings (constants are nullary functions). Equality is the distinguished predicate
+//! [`EQ`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The distinguished equality predicate symbol.
@@ -36,40 +36,6 @@ impl Term {
             Term::App(_, args) => args.iter().for_each(|a| a.vars(out)),
         }
     }
-
-    /// The number of symbols in the term.
-    pub fn size(&self) -> usize {
-        match self {
-            Term::Var(_) => 1,
-            Term::App(_, args) => 1 + args.iter().map(Term::size).sum::<usize>(),
-        }
-    }
-
-    /// Applies a substitution, following binding chains so that a variable bound to
-    /// another bound variable resolves all the way to its final value (unification
-    /// produces acyclic bindings, so the recursion terminates).
-    pub fn apply(&self, subst: &Subst) -> Term {
-        match self {
-            Term::Var(v) => match subst.get(v) {
-                Some(t) => t.apply(subst),
-                None => self.clone(),
-            },
-            Term::App(f, args) => {
-                Term::App(f.clone(), args.iter().map(|a| a.apply(subst)).collect())
-            }
-        }
-    }
-
-    /// Renames every variable by adding `offset`.
-    pub fn shift_vars(&self, offset: u32) -> Term {
-        match self {
-            Term::Var(v) => Term::Var(v + offset),
-            Term::App(f, args) => Term::App(
-                f.clone(),
-                args.iter().map(|a| a.shift_vars(offset)).collect(),
-            ),
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -94,9 +60,6 @@ impl fmt::Display for Term {
     }
 }
 
-/// A substitution mapping variables to terms.
-pub type Subst = BTreeMap<u32, Term>;
-
 /// An atom: a predicate applied to terms.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Atom {
@@ -120,30 +83,9 @@ impl Atom {
         Atom::new(EQ, vec![lhs, rhs])
     }
 
-    /// Applies a substitution.
-    pub fn apply(&self, subst: &Subst) -> Atom {
-        Atom {
-            pred: self.pred.clone(),
-            args: self.args.iter().map(|a| a.apply(subst)).collect(),
-        }
-    }
-
-    /// Renames every variable by adding `offset`.
-    pub fn shift_vars(&self, offset: u32) -> Atom {
-        Atom {
-            pred: self.pred.clone(),
-            args: self.args.iter().map(|a| a.shift_vars(offset)).collect(),
-        }
-    }
-
     /// Collects the variables of the atom.
     pub fn vars(&self, out: &mut Vec<u32>) {
         self.args.iter().for_each(|a| a.vars(out));
-    }
-
-    /// The number of symbols in the atom.
-    pub fn size(&self) -> usize {
-        1 + self.args.iter().map(Term::size).sum::<usize>()
     }
 }
 
@@ -180,22 +122,6 @@ impl Literal {
         Literal {
             positive: false,
             atom,
-        }
-    }
-
-    /// Applies a substitution.
-    pub fn apply(&self, subst: &Subst) -> Literal {
-        Literal {
-            positive: self.positive,
-            atom: self.atom.apply(subst),
-        }
-    }
-
-    /// Renames every variable by adding `offset`.
-    pub fn shift_vars(&self, offset: u32) -> Literal {
-        Literal {
-            positive: self.positive,
-            atom: self.atom.shift_vars(offset),
         }
     }
 }
@@ -260,11 +186,6 @@ impl Clause {
         false
     }
 
-    /// The number of symbols in the clause.
-    pub fn size(&self) -> usize {
-        self.literals.iter().map(|l| l.atom.size()).sum()
-    }
-
     /// The variables of the clause.
     pub fn vars(&self) -> Vec<u32> {
         let mut out = Vec::new();
@@ -272,24 +193,6 @@ impl Clause {
             l.atom.vars(&mut out);
         }
         out
-    }
-
-    /// Applies a substitution.
-    pub fn apply(&self, subst: &Subst) -> Clause {
-        Clause::new(self.literals.iter().map(|l| l.apply(subst)).collect())
-    }
-
-    /// Renames variables so they do not collide with clauses using variables below
-    /// `offset`.
-    pub fn shift_vars(&self, offset: u32) -> Clause {
-        Clause {
-            literals: self.literals.iter().map(|l| l.shift_vars(offset)).collect(),
-        }
-    }
-
-    /// The largest variable index occurring in the clause plus one.
-    pub fn var_bound(&self) -> u32 {
-        self.vars().into_iter().max().map_or(0, |v| v + 1)
     }
 }
 
@@ -305,80 +208,6 @@ impl fmt::Display for Clause {
             write!(f, "{l}")?;
         }
         Ok(())
-    }
-}
-
-// ----------------------------------------------------------------------- unification
-
-/// Unifies two terms under an existing substitution, extending it on success.
-pub fn unify_terms(a: &Term, b: &Term, subst: &mut Subst) -> bool {
-    let a = walk(a, subst);
-    let b = walk(b, subst);
-    match (&a, &b) {
-        (Term::Var(x), Term::Var(y)) if x == y => true,
-        (Term::Var(x), t) | (t, Term::Var(x)) => {
-            if occurs(*x, t, subst) {
-                false
-            } else {
-                subst.insert(*x, t.clone());
-                true
-            }
-        }
-        (Term::App(f, fa), Term::App(g, ga)) => {
-            if f != g || fa.len() != ga.len() {
-                return false;
-            }
-            fa.iter()
-                .zip(ga.iter())
-                .all(|(x, y)| unify_terms(x, y, subst))
-        }
-    }
-}
-
-/// Unifies two atoms.
-pub fn unify_atoms(a: &Atom, b: &Atom, subst: &mut Subst) -> bool {
-    a.pred == b.pred
-        && a.args.len() == b.args.len()
-        && a.args
-            .iter()
-            .zip(b.args.iter())
-            .all(|(x, y)| unify_terms(x, y, subst))
-}
-
-fn walk(t: &Term, subst: &Subst) -> Term {
-    match t {
-        Term::Var(v) => match subst.get(v) {
-            Some(bound) => walk(bound, subst),
-            None => t.clone(),
-        },
-        _ => t.clone(),
-    }
-}
-
-fn occurs(v: u32, t: &Term, subst: &Subst) -> bool {
-    match walk(t, subst) {
-        Term::Var(w) => v == w,
-        Term::App(_, args) => args.iter().any(|a| occurs(v, a, subst)),
-    }
-}
-
-/// Matches `pattern` against `target` (one-way unification), extending `subst`.
-pub fn match_terms(pattern: &Term, target: &Term, subst: &mut Subst) -> bool {
-    match pattern {
-        Term::Var(v) => match subst.get(v) {
-            Some(bound) => bound == target,
-            None => {
-                subst.insert(*v, target.clone());
-                true
-            }
-        },
-        Term::App(f, fa) => match target {
-            Term::App(g, ga) if f == g && fa.len() == ga.len() => fa
-                .iter()
-                .zip(ga.iter())
-                .all(|(p, t)| match_terms(p, t, subst)),
-            _ => false,
-        },
     }
 }
 
@@ -399,34 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn unification_binds_variables() {
-        let mut s = Subst::new();
-        assert!(unify_terms(
-            &f("next", vec![v(0)]),
-            &f("next", vec![c("a")]),
-            &mut s
-        ));
-        assert_eq!(s.get(&0), Some(&c("a")));
-    }
-
-    #[test]
-    fn unification_occurs_check() {
-        let mut s = Subst::new();
-        assert!(!unify_terms(&v(0), &f("next", vec![v(0)]), &mut s));
-    }
-
-    #[test]
-    fn unification_propagates_through_chains() {
-        let mut s = Subst::new();
-        assert!(unify_terms(&v(0), &v(1), &mut s));
-        assert!(unify_terms(&v(1), &c("a"), &mut s));
-        // X0 is bound to X1 which is bound to a; `apply` resolves the whole chain.
-        assert_eq!(walk(&v(0), &s), c("a"));
-        assert_eq!(f("g", vec![v(0)]).apply(&s), f("g", vec![c("a")]));
-        assert_eq!(f("g", vec![v(1)]).apply(&s), f("g", vec![c("a")]));
-    }
-
-    #[test]
     fn clause_dedups_and_detects_tautologies() {
         let a = Atom::new("p", vec![c("x")]);
         let cl = Clause::new(vec![Literal::pos(a.clone()), Literal::pos(a.clone())]);
@@ -435,22 +236,6 @@ mod tests {
         assert!(taut.is_tautology());
         let refl = Clause::new(vec![Literal::pos(Atom::eq(c("a"), c("a")))]);
         assert!(refl.is_tautology());
-    }
-
-    #[test]
-    fn matching_is_one_way() {
-        let mut s = Subst::new();
-        assert!(match_terms(
-            &f("p", vec![v(0)]),
-            &f("p", vec![c("a")]),
-            &mut s
-        ));
-        let mut s2 = Subst::new();
-        assert!(!match_terms(
-            &f("p", vec![c("a")]),
-            &f("p", vec![v(0)]),
-            &mut s2
-        ));
     }
 
     #[test]

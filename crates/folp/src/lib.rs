@@ -6,12 +6,14 @@
 //!
 //! The crate has three layers:
 //!
-//! * [`fol`] — first-order terms, literals, clauses, unification and matching;
+//! * [`fol`] — first-order terms, literals and clauses;
 //! * [`translate`] — the Jahob-style translation from higher-order sequents to clauses
 //!   (set memberships become predicates, transitive closure becomes an axiomatised
-//!   reachability predicate, unsupported constructs are approximated away by polarity);
+//!   reachability predicate, unsupported constructs are approximated away by polarity,
+//!   and a clause with an atom that has no translation is dropped);
 //! * [`resolution`] — a given-clause saturation loop with binary resolution, factoring
-//!   and subsumption.
+//!   and subsumption, run on a flat kernel: symbols interned once per run, each clause
+//!   a run of `u32` cells, unification in place on a binding trail.
 //!
 //! The convenience function [`prove_sequent`] runs the full pipeline and reports whether
 //! the sequent was proved.
@@ -64,8 +66,8 @@ pub struct FolResult {
 }
 
 impl FolResult {
-    /// `true` when the attempt stopped on a resource limit (iteration/clause/time
-    /// budget) rather than reaching saturation or a proof — the verdict is
+    /// `true` when the attempt stopped on its iteration or clause limit rather than
+    /// reaching saturation or a proof — the verdict is
     /// *unknown*, and a caller running with deliberately reduced
     /// [`ResolutionLimits`] as a fuel budget should treat the attempt as aborted,
     /// not failed. A translation overflow (`outcome == None`) is a genuine
@@ -75,9 +77,9 @@ impl FolResult {
         self.outcome == Some(ResolutionOutcome::ResourceLimit)
     }
 
-    /// `true` when the attempt stopped because it passed the wall-clock deadline of
-    /// [`ResolutionLimits::deadline`] — also an unknown verdict, but attributed to
-    /// time rather than fuel.
+    /// `true` when the attempt stopped because it passed a wall-clock limit
+    /// ([`ResolutionLimits::max_millis`] or [`ResolutionLimits::deadline`]) — also an
+    /// unknown verdict, but attributed to time rather than fuel.
     pub fn deadline_exceeded(&self) -> bool {
         self.outcome == Some(ResolutionOutcome::DeadlineLimit)
     }
@@ -172,6 +174,40 @@ mod tests {
             &["root..next = mid"],
             "rtrancl_pt (% u v. u..next = v) mid root"
         ));
+    }
+
+    #[test]
+    fn atoms_without_a_translation_are_never_merged() {
+        // Strict `subset` and formula-level `ite` have no first-order translation. Two
+        // such atoms of equal size are not one symbol, nor is one atom under two
+        // bindings of its variable.
+        assert!(!proves(&["A subset B"], "C subset D"));
+        assert!(!proves(&["ite c p q"], "ite d p q"));
+        assert!(!proves(
+            &["EX x. x subset B", "EX x. ~(x subset B)"],
+            "False"
+        ));
+    }
+
+    #[test]
+    fn the_wall_clock_net_is_a_deadline_not_fuel() {
+        // A clause set that never saturates, under caps that never bind: only the
+        // `max_millis` net stops it, and that stop is on time.
+        let options = FolOptions {
+            limits: ResolutionLimits {
+                max_iterations: usize::MAX,
+                max_clauses: usize::MAX,
+                max_clause_size: usize::MAX,
+                max_literals: usize::MAX,
+                max_millis: 5,
+                deadline: None,
+            },
+            ..FolOptions::default()
+        };
+        let result = prove_sequent(&seq(&["ALL x. p x --> p (f x)", "p a"], "q"), &options);
+        assert_eq!(result.outcome, Some(ResolutionOutcome::DeadlineLimit));
+        assert!(result.deadline_exceeded());
+        assert!(!result.resource_limited());
     }
 
     #[test]

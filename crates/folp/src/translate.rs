@@ -25,6 +25,9 @@ use jahob_logic::types::Type;
 use jahob_logic::Sequent;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The predicate standing for an atom that has no first-order translation.
+const UNTRANSLATED: &str = "untranslated$";
+
 /// Options controlling the translation.
 #[derive(Debug, Clone)]
 pub struct TranslateOptions {
@@ -229,7 +232,11 @@ impl ClausifyCx {
         let matrix = self.skolemize(form, &mut bound, &mut Vec::new());
         let cnf = self.to_cnf(&matrix)?;
         for clause in cnf {
-            if clause.is_tautology() {
+            // Reading an atom without a translation as `true` satisfies its clause, so
+            // dropping the clause only weakens the refutation set: Figure 14's polarity
+            // approximation, at clause level.
+            let untranslated = clause.literals.iter().any(|l| l.atom.pred == UNTRANSLATED);
+            if untranslated || clause.is_tautology() {
                 continue;
             }
             self.clauses.push(clause);
@@ -401,10 +408,8 @@ impl ClausifyCx {
             self.preds.insert((format!("p${p}"), 0));
             return Atom::new(format!("p${p}"), Vec::new());
         }
-        // Fallback: an opaque propositional atom derived from the formula text.
-        let name = format!("opaque${}", atom.size());
-        self.preds.insert((name.clone(), 0));
-        Atom::new(name, Vec::new())
+        // No first-order reading: a placeholder whose clauses `clausify` drops.
+        Atom::new(UNTRANSLATED, Vec::new())
     }
 
     fn convert_membership(

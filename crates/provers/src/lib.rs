@@ -1782,6 +1782,21 @@ mod tests {
     }
 
     #[test]
+    fn atoms_without_a_translation_prove_nothing() {
+        let dispatcher = Dispatcher::new();
+        let context = ProverContext::default();
+        let unprovable: [(&[&str], &str); 3] = [
+            (&["A subset B"], "C subset D"),
+            (&["ite c p q"], "ite d p q"),
+            (&["EX x. x subset B", "EX x. ~(x subset B)"], "False"),
+        ];
+        for (assumptions, goal) in unprovable {
+            let r = dispatcher.prove_one(&ob(assumptions, goal), &context);
+            assert!(!r.succeeded(), "{assumptions:?} |- {goal}");
+        }
+    }
+
+    #[test]
     fn interactive_lemmas_are_honoured() {
         let dispatcher = Dispatcher::new();
         let mut context = ProverContext::default();
