@@ -11,6 +11,11 @@
 //! answers are definitive, which is the direction that matters for soundness of the
 //! provers built on top of it; see the module documentation of [`solver`].
 //!
+//! A [`LinExpr`] is a vector of coefficients sorted by variable, so the solver
+//! eliminates on the rows its callers build: adding two rows is a merge, bound counts
+//! are dense arrays, and each round orders its rows as their `Debug` texts order
+//! without printing them.
+//!
 //! # Example
 //!
 //! ```

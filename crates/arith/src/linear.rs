@@ -3,6 +3,10 @@
 //! This is the constraint language shared by the SMT arithmetic theory (`jahob-smt`) and
 //! the BAPA decision procedure (`jahob-bapa`). Variables are identified by small integer
 //! indices assigned by the caller.
+//!
+//! An expression keeps its non-zero coefficients as one vector sorted by variable, so
+//! adding two expressions is a merge and the solver works on the same rows the callers
+//! build.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -11,10 +15,11 @@ use std::fmt;
 pub type VarId = u32;
 
 /// A linear expression `sum(coeff_i * x_i) + constant` with integer coefficients.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct LinExpr {
-    /// Coefficients by variable (zero coefficients are never stored).
-    coeffs: BTreeMap<VarId, i128>,
+    /// `(variable, coefficient)` pairs sorted by variable; zero coefficients are never
+    /// stored.
+    terms: Vec<(VarId, i128)>,
     /// The constant term.
     constant: i128,
 }
@@ -28,17 +33,15 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(c: i128) -> Self {
         LinExpr {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression consisting of a single variable.
     pub fn var(v: VarId) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, 1);
         LinExpr {
-            coeffs,
+            terms: vec![(v, 1)],
             constant: 0,
         }
     }
@@ -50,30 +53,38 @@ impl LinExpr {
 
     /// The coefficient of a variable (zero if absent).
     pub fn coeff(&self, v: VarId) -> i128 {
-        self.coeffs.get(&v).copied().unwrap_or(0)
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.terms[i].1,
+            Err(_) => 0,
+        }
     }
 
-    /// Iterates over the non-zero coefficients.
+    /// Iterates over the non-zero coefficients in increasing variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, i128)> + '_ {
-        self.coeffs.iter().map(|(v, c)| (*v, *c))
+        self.terms.iter().copied()
     }
 
-    /// The variables with non-zero coefficients.
+    /// The variables with non-zero coefficients, in increasing order.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.coeffs.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
     }
 
     /// Returns `true` if the expression is a constant.
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.terms.is_empty()
     }
 
     /// Adds `coeff * var` to the expression.
     pub fn add_term(&mut self, v: VarId, coeff: i128) {
-        let entry = self.coeffs.entry(v).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            self.coeffs.remove(&v);
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1 == 0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) if coeff != 0 => self.terms.insert(i, (v, coeff)),
+            Err(_) => {}
         }
     }
 
@@ -84,17 +95,12 @@ impl LinExpr {
 
     /// Returns `self + other`.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        for (v, c) in other.iter() {
-            out.add_term(v, c);
-        }
-        out.add_constant(other.constant);
-        out
+        self.combine(1, other, 1)
     }
 
     /// Returns `self - other`.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-1))
+        self.combine(1, other, -1)
     }
 
     /// Returns `k * self`.
@@ -103,8 +109,47 @@ impl LinExpr {
             return LinExpr::zero();
         }
         LinExpr {
-            coeffs: self.coeffs.iter().map(|(v, c)| (*v, c * k)).collect(),
+            terms: self.terms.iter().map(|&(v, c)| (v, c * k)).collect(),
             constant: self.constant * k,
+        }
+    }
+
+    /// Returns `j * self + k * other` for non-zero `j` and `k`, as `self.scale(j)`
+    /// plus `other.scale(k)` term by term: a product from `other` or a sum that is
+    /// zero is dropped.
+    pub(crate) fn combine(&self, j: i128, other: &LinExpr, k: i128) -> LinExpr {
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut l) = (0, 0);
+        while i < a.len() && l < b.len() {
+            let ((va, ca), (vb, cb)) = (a[i], b[l]);
+            if va < vb {
+                terms.push((va, ca * j));
+                i += 1;
+            } else if vb < va {
+                if cb * k != 0 {
+                    terms.push((vb, cb * k));
+                }
+                l += 1;
+            } else {
+                let sum = ca * j + cb * k;
+                if sum != 0 {
+                    terms.push((va, sum));
+                }
+                i += 1;
+                l += 1;
+            }
+        }
+        terms.extend(a[i..].iter().map(|&(v, c)| (v, c * j)));
+        terms.extend(
+            b[l..]
+                .iter()
+                .map(|&(v, c)| (v, c * k))
+                .filter(|&(_, c)| c != 0),
+        );
+        LinExpr {
+            terms,
+            constant: self.constant * j + other.constant * k,
         }
     }
 
@@ -112,7 +157,7 @@ impl LinExpr {
     pub fn eval(&self, assignment: &BTreeMap<VarId, i128>) -> i128 {
         self.constant
             + self
-                .coeffs
+                .terms
                 .iter()
                 .map(|(v, c)| c * assignment.get(v).copied().unwrap_or(0))
                 .sum::<i128>()
@@ -120,7 +165,42 @@ impl LinExpr {
 
     /// The greatest common divisor of the variable coefficients (0 for constants).
     pub fn coeff_gcd(&self) -> i128 {
-        self.coeffs.values().fold(0i128, |acc, c| gcd(acc, c.abs()))
+        self.terms
+            .iter()
+            .fold(0i128, |acc, (_, c)| gcd(acc, c.abs()))
+    }
+
+    /// The `(variable, coefficient)` pairs in increasing variable order.
+    pub(crate) fn terms(&self) -> &[(VarId, i128)] {
+        &self.terms
+    }
+
+    /// Builds an expression from pairs already sorted by variable with no zero
+    /// coefficient.
+    pub(crate) fn from_sorted(terms: Vec<(VarId, i128)>, constant: i128) -> LinExpr {
+        debug_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(terms.iter().all(|&(_, c)| c != 0));
+        LinExpr { terms, constant }
+    }
+}
+
+/// Prints what the derived `Debug` of a `BTreeMap`-backed expression printed,
+/// `LinExpr { coeffs: {0: 1, 2: 3}, constant: 0 }`: the solver's row order is the
+/// order of that text.
+impl fmt::Debug for LinExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Coeffs<'a>(&'a [(VarId, i128)]);
+        impl fmt::Debug for Coeffs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(v, c)| (v, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("LinExpr")
+            .field("coeffs", &Coeffs(&self.terms))
+            .field("constant", &self.constant)
+            .finish()
     }
 }
 
@@ -138,7 +218,7 @@ pub fn gcd(a: i128, b: i128) -> i128 {
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.coeffs {
+        for (v, c) in &self.terms {
             if first {
                 write!(f, "{c}*x{v}")?;
                 first = false;

@@ -16,7 +16,7 @@
 //! This asymmetry keeps every prover built on top of the solver sound.
 
 use crate::linear::{gcd, Constraint, LinExpr, Rel, VarId};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// Result of a satisfiability check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,7 @@ pub fn check_with_limits(constraints: &[Constraint], limits: Limits) -> Outcome 
         };
         let eq = equalities.remove(idx);
         // coeff * var + rest = 0  =>  var = -(rest) / coeff, and coeff is +/-1.
-        let mut rest = eq.clone();
+        let mut rest = eq;
         rest.add_term(var, -coeff);
         let solution = rest.scale(-coeff); // value of `var`
         for e in equalities.iter_mut().chain(inequalities.iter_mut()) {
@@ -100,8 +100,9 @@ pub fn check_with_limits(constraints: &[Constraint], limits: Limits) -> Outcome 
     }
     // Remaining equalities without unit coefficients become inequality pairs.
     for e in equalities {
-        inequalities.push(e.clone());
-        inequalities.push(e.scale(-1));
+        let negated = e.scale(-1);
+        inequalities.push(e);
+        inequalities.push(negated);
     }
 
     // Phase 2: Fourier–Motzkin elimination on the inequalities.
@@ -114,123 +115,118 @@ fn substitute_var(e: &mut LinExpr, var: VarId, value: &LinExpr) {
         return;
     }
     e.add_term(var, -c);
-    let scaled = value.scale(c);
-    for (v, k) in scaled.iter() {
-        e.add_term(v, k);
-    }
-    e.add_constant(scaled.constant_term());
+    *e = e.combine(1, value, c);
 }
 
-/// Tightens `expr <= 0` by dividing through by the gcd of the coefficients, or
-/// returns `None` when the gcd is at most 1 and the expression stays as it is.
-fn tighten(e: &LinExpr) -> Option<LinExpr> {
-    let g = e.coeff_gcd();
-    if g <= 1 {
-        return None;
+/// Tightens `expr <= 0` in place by dividing through by the gcd of the coefficients
+/// when that gcd exceeds 1.
+fn tighten(e: &mut LinExpr) {
+    let mut g = 0;
+    for &(_, c) in e.terms() {
+        g = gcd(g, c.abs());
+        if g == 1 {
+            return;
+        }
     }
-    let mut out = LinExpr::zero();
-    for (v, c) in e.iter() {
-        out.add_term(v, c / g);
+    if g == 0 {
+        return;
     }
     // sum a_i x_i <= -c  =>  sum (a_i/g) x_i <= floor(-c / g)
     let bound = (-e.constant_term()).div_euclid(g);
-    out.add_constant(-bound);
-    Some(out)
+    let terms = e.terms().iter().map(|&(v, c)| (v, c / g)).collect();
+    *e = LinExpr::from_sorted(terms, -bound);
 }
 
-/// An inequality `expr <= 0` with its sort key, the expression's `Debug` text. The
-/// key is formatted once, when the inequality is made, and kept for every round the
-/// inequality survives unchanged.
-struct Inequality {
-    key: String,
-    expr: LinExpr,
-}
-
-impl Inequality {
-    fn new(expr: LinExpr) -> Inequality {
-        Inequality {
-            key: format!("{expr:?}"),
-            expr,
-        }
-    }
-}
-
+/// Fourier–Motzkin elimination on inequalities `expr <= 0`.
+///
+/// The rows are renumbered densely in increasing variable order, which keeps every
+/// order the elimination reads: rows stay sorted, and the smallest variable still
+/// wins a tie. Each round sorts its rows in the order of their `Debug` text (see
+/// [`text_order`]); within one round that order decides which of an `Unsat` and an
+/// `Unknown` the checks meet first. Rows that survive a round unchanged passed its
+/// checks already, so each round normalises and checks only the rows it made.
 fn fourier_motzkin(inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
-    let mut inequalities: Vec<Inequality> = inequalities.into_iter().map(Inequality::new).collect();
+    let mut names: Vec<VarId> = inequalities.iter().flat_map(LinExpr::vars).collect();
+    names.sort_unstable();
+    names.dedup();
+    let dense = |v: VarId| names.binary_search(&v).expect("a collected variable") as VarId;
+    let mut rows: Vec<LinExpr> = inequalities
+        .iter()
+        .map(|e| {
+            let terms = e.iter().map(|(v, c)| (dense(v), c)).collect();
+            LinExpr::from_sorted(terms, e.constant_term())
+        })
+        .collect();
+    let text_rank = text_ranks(&names);
+    // Upper and lower bound counts of each variable.
+    let mut bounds: Vec<(usize, usize)> = vec![(0, 0); names.len()];
+    // `rows[fresh..]` are the rows made since the last round's checks.
+    let mut fresh = 0;
     loop {
         // Normalise and check ground constraints.
-        let mut next = Vec::with_capacity(inequalities.len());
-        for mut e in inequalities {
-            if let Some(t) = tighten(&e.expr) {
-                e = Inequality::new(t);
-            }
-            if e.expr.is_constant() {
-                if e.expr.constant_term() > 0 {
+        let mut kept = fresh;
+        for i in fresh..rows.len() {
+            tighten(&mut rows[i]);
+            let e = &rows[i];
+            if e.is_constant() {
+                if e.constant_term() > 0 {
                     return Outcome::Unsat;
                 }
                 continue;
             }
-            if e.expr.iter().any(|(_, c)| c.abs() > limits.max_coefficient) {
+            if e.iter().any(|(_, c)| c.abs() > limits.max_coefficient) {
                 return Outcome::Unknown;
             }
-            next.push(e);
+            rows.swap(kept, i);
+            kept += 1;
         }
-        inequalities = next;
-        // Equal keys are equal expressions, so sorting by the key brings duplicates
-        // together. The order decides which of an `Unsat` and an `Unknown` the next
-        // round's checks above meet first.
-        inequalities.sort_by(|a, b| a.key.cmp(&b.key));
-        inequalities.dedup_by(|a, b| a.key == b.key);
-        if inequalities.is_empty() {
+        rows.truncate(kept);
+        rows.sort_by(|a, b| text_order(a, b, &text_rank));
+        rows.dedup();
+        if rows.is_empty() {
             return Outcome::Sat;
         }
-        if inequalities.len() > limits.max_constraints {
+        if rows.len() > limits.max_constraints {
             return Outcome::Unknown;
         }
 
-        let var = elimination_var(&inequalities);
-        let (with_var, without): (Vec<Inequality>, Vec<Inequality>) = inequalities
-            .into_iter()
-            .partition(|e| e.expr.coeff(var) != 0);
-        let upper: Vec<&LinExpr> = with_var
-            .iter()
-            .map(|e| &e.expr)
-            .filter(|e| e.coeff(var) > 0)
-            .collect();
-        let lower: Vec<&LinExpr> = with_var
-            .iter()
-            .map(|e| &e.expr)
-            .filter(|e| e.coeff(var) < 0)
-            .collect();
-
-        let mut combined = without;
-        for u in &upper {
-            for l in &lower {
+        let var = elimination_var(&rows, &mut bounds);
+        let mut combined = Vec::with_capacity(rows.len());
+        let mut upper = Vec::new();
+        let mut lower = Vec::new();
+        for e in rows {
+            match e.coeff(var) {
+                0 => combined.push(e),
+                c if c > 0 => upper.push((c, e)),
+                c => lower.push((-c, e)),
+            }
+        }
+        fresh = combined.len();
+        for (a, u) in &upper {
+            for (b, l) in &lower {
                 // u: a*x + p <= 0 (a > 0)   l: -b*x + q <= 0 (b > 0)
                 // Combine: b*p + a*q <= 0.
-                let a = u.coeff(var);
-                let b = -l.coeff(var);
-                let g = gcd(a, b);
-                let combined_expr = u.scale(b / g).add(&l.scale(a / g));
+                let g = gcd(*a, *b);
+                let combined_expr = u.combine(b / g, l, a / g);
                 debug_assert_eq!(combined_expr.coeff(var), 0);
-                combined.push(Inequality::new(combined_expr));
+                combined.push(combined_expr);
                 if combined.len() > limits.max_constraints {
                     return Outcome::Unknown;
                 }
             }
         }
-        inequalities = combined;
+        rows = combined;
     }
 }
 
 /// The variable whose elimination creates the fewest new constraints: the least
 /// product of its upper and lower bound counts, the smallest variable among equals.
 /// One pass over the coefficients counts both bounds of every variable.
-fn elimination_var(inequalities: &[Inequality]) -> VarId {
-    let mut bounds: BTreeMap<VarId, (usize, usize)> = BTreeMap::new();
-    for e in inequalities {
-        for (v, c) in e.expr.iter() {
-            let (upper, lower) = bounds.entry(v).or_default();
+fn elimination_var(rows: &[LinExpr], bounds: &mut [(usize, usize)]) -> VarId {
+    bounds.fill((0, 0));
+    for e in rows {
+        for &(v, c) in e.terms() {
+            let (upper, lower) = &mut bounds[v as usize];
             if c > 0 {
                 *upper += 1;
             } else {
@@ -238,11 +234,92 @@ fn elimination_var(inequalities: &[Inequality]) -> VarId {
             }
         }
     }
-    bounds
-        .into_iter()
-        .min_by_key(|(_, (upper, lower))| upper * lower)
-        .map(|(v, _)| v)
-        .expect("non-empty constraint set has variables")
+    let mut best: Option<(usize, usize)> = None;
+    for (v, &(upper, lower)) in bounds.iter().enumerate() {
+        if upper + lower > 0 && best.is_none_or(|(_, cost)| upper * lower < cost) {
+            best = Some((v, upper * lower));
+        }
+    }
+    best.expect("non-empty constraint set has variables").0 as VarId
+}
+
+/// The rank of each variable's `{v}:` text among the texts of `names`: how the
+/// `Debug` texts of two rows compare the variables `names[i]` and `names[j]`.
+fn text_ranks(names: &[VarId]) -> Vec<usize> {
+    let mut by_text: Vec<usize> = (0..names.len()).collect();
+    by_text.sort_by_cached_key(|&i| format!("{}:", names[i]));
+    let mut rank = vec![0; names.len()];
+    for (r, &i) in by_text.iter().enumerate() {
+        rank[i] = r;
+    }
+    rank
+}
+
+/// Orders two rows as their `Debug` texts order, `LinExpr { coeffs: {v: c, ...},
+/// constant: k }`, without printing them. The texts share their prefix up to the
+/// first entry. An entry's variable text ends in `:`, its coefficient text in `,`
+/// (more entries follow) or `}` (the last one), and the constant text in a space, so
+/// the first entry whose texts differ decides, and a row with an entry sorts before
+/// one whose entries have ended, as a digit sorts before `}`.
+fn text_order(x: &LinExpr, y: &LinExpr, text_rank: &[usize]) -> Ordering {
+    let (a, b) = (x.terms(), y.terms());
+    for i in 0..a.len().min(b.len()) {
+        let ((va, ca), (vb, cb)) = (a[i], b[i]);
+        if va != vb {
+            return text_rank[va as usize].cmp(&text_rank[vb as usize]);
+        }
+        let end = |terms: &[(VarId, i128)]| if i + 1 < terms.len() { b',' } else { b'}' };
+        let (ta, tb) = (end(a), end(b));
+        if ca != cb || ta != tb {
+            return number_text_order(ca, ta, cb, tb);
+        }
+    }
+    match (a.len(), b.len()) {
+        (m, n) if m == n => number_text_order(x.constant_term(), b' ', y.constant_term(), b' '),
+        (0, _) => Ordering::Greater,
+        (_, 0) => Ordering::Less,
+        _ => unreachable!("entry texts that end differently decide the order"),
+    }
+}
+
+/// Orders the decimal text of `a` followed by the byte `ta` against that of `b`
+/// followed by `tb`.
+fn number_text_order(a: i128, ta: u8, b: i128, tb: u8) -> Ordering {
+    if a == b {
+        return ta.cmp(&tb);
+    }
+    let single = -9..=9;
+    if single.contains(&a) && single.contains(&b) {
+        // One digit each, after a `-` that sorts before every digit.
+        return match (a < 0, b < 0) {
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            (false, false) => a.cmp(&b),
+            (true, true) => b.cmp(&a),
+        };
+    }
+    let (mut buf_a, mut buf_b) = ([0u8; 41], [0u8; 41]);
+    decimal(a, ta, &mut buf_a).cmp(decimal(b, tb, &mut buf_b))
+}
+
+/// Writes the decimal text of `n` followed by `end` at the back of `buf`.
+fn decimal(n: i128, end: u8, buf: &mut [u8; 41]) -> &[u8] {
+    let mut at = buf.len() - 1;
+    buf[at] = end;
+    let mut m = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 #[cfg(test)]
@@ -377,14 +454,28 @@ mod tests {
         assert_eq!(check_with_limits(&cs, limits), Outcome::Unknown);
     }
 
-    /// The elimination as it was before keys were cached and bounds counted in one
-    /// pass: every round formats every inequality for the sort and counts each
-    /// variable's bounds with a scan of its own.
+    /// Tightening as a separate copy: the gcd of all coefficients, then a new row.
+    fn reference_tighten(e: &LinExpr) -> Option<LinExpr> {
+        let g = e.coeff_gcd();
+        if g <= 1 {
+            return None;
+        }
+        let mut out = LinExpr::zero();
+        for (v, c) in e.iter() {
+            out.add_term(v, c / g);
+        }
+        out.add_constant(-(-e.constant_term()).div_euclid(g));
+        Some(out)
+    }
+
+    /// The elimination in its plainest form: every round tightens and checks every
+    /// inequality, formats each for the sort and counts each variable's bounds with a
+    /// scan of its own.
     fn reference_fourier_motzkin(mut inequalities: Vec<LinExpr>, limits: Limits) -> Outcome {
         loop {
             let mut next = Vec::with_capacity(inequalities.len());
             for e in &inequalities {
-                let t = tighten(e).unwrap_or_else(|| e.clone());
+                let t = reference_tighten(e).unwrap_or_else(|| e.clone());
                 if t.is_constant() {
                     if t.constant_term() > 0 {
                         return Outcome::Unsat;
@@ -471,6 +562,33 @@ mod tests {
         }
         // Every outcome occurs, so the comparison covers each return.
         assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    }
+
+    #[test]
+    fn text_order_is_the_order_of_the_debug_text() {
+        // Variables 0..=120 stand for themselves.
+        let text_rank = text_ranks(&(0..=120).collect::<Vec<VarId>>());
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let row = |next: &mut dyn FnMut(u64) -> u64| {
+            let size = [1, 10, 100, 1000][next(4) as usize];
+            let mut e = cst(next(2 * size) as i128 - size as i128);
+            for _ in 0..next(4) {
+                let v = [next(12), 100 + next(21)][next(2) as usize] as VarId;
+                e.add_term(v, next(2 * size) as i128 - size as i128);
+            }
+            e
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (row(&mut next), row(&mut next));
+            let want = format!("{a:?}").cmp(&format!("{b:?}"));
+            assert_eq!(text_order(&a, &b, &text_rank), want, "{a:?} vs {b:?}");
+        }
     }
 
     #[test]

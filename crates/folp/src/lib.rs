@@ -187,6 +187,10 @@ mod tests {
             &["EX x. x subset B", "EX x. ~(x subset B)"],
             "False"
         ));
+        // Nor are two terms without one: a membership or an equality used as a term,
+        // or two different binders.
+        assert!(!proves(&["f (x : A) = z"], "f (x = A) = z"));
+        assert!(!proves(&["f (ALL x. p x) = z"], "f (ALL x. q x) = z"));
     }
 
     #[test]

@@ -25,7 +25,8 @@ use jahob_logic::types::Type;
 use jahob_logic::Sequent;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The predicate standing for an atom that has no first-order translation.
+/// The predicate standing for an atom that has no first-order translation, or that
+/// mentions a term without one.
 const UNTRANSLATED: &str = "untranslated$";
 
 /// Options controlling the translation.
@@ -90,6 +91,7 @@ pub fn sequent_to_clauses(
         symbols: BTreeSet::new(),
         preds: BTreeSet::new(),
         used_arith: false,
+        untranslated_term: false,
     };
     for a in &assumptions {
         cx.clausify(&nnf(a))?;
@@ -118,6 +120,7 @@ pub fn sequent_to_clauses(
                 symbols: BTreeSet::new(),
                 preds: BTreeSet::new(),
                 used_arith: false,
+                untranslated_term: false,
             };
             c2.clausify(&nnf(&ax))?;
             clauses.extend(c2.clauses);
@@ -223,6 +226,9 @@ struct ClausifyCx {
     symbols: BTreeSet<(String, usize)>,
     preds: BTreeSet<(String, usize)>,
     used_arith: bool,
+    /// Set when the atom being converted mentions a term without a first-order
+    /// translation.
+    untranslated_term: bool,
 }
 
 impl ClausifyCx {
@@ -333,7 +339,13 @@ impl ClausifyCx {
         positive: bool,
         bound: &BTreeMap<String, Term>,
     ) -> Literal {
-        let a = self.convert_atom(atom, bound);
+        self.untranslated_term = false;
+        let mut a = self.convert_atom(atom, bound);
+        if self.untranslated_term {
+            // One symbol for every such term would merge unrelated terms, so the atom
+            // goes the way of an untranslated one.
+            a = Atom::new(UNTRANSLATED, Vec::new());
+        }
         if positive {
             Literal::pos(a)
         } else {
@@ -494,12 +506,18 @@ impl ClausifyCx {
                     Form::Const(Const::Diff) => "set$diff".to_string(),
                     Form::Const(Const::FiniteSet) => "set$mk".to_string(),
                     Form::Const(Const::Tuple) => "tuple".to_string(),
-                    _ => "term$opaque".to_string(),
+                    _ => {
+                        self.untranslated_term = true;
+                        return Term::constant(UNTRANSLATED);
+                    }
                 };
                 self.symbols.insert((name.clone(), converted.len()));
                 Term::App(name, converted)
             }
-            _ => Term::constant("term$opaque"),
+            _ => {
+                self.untranslated_term = true;
+                Term::constant(UNTRANSLATED)
+            }
         }
     }
 

@@ -1479,10 +1479,11 @@ struct FuelBudget {
     mona_states: usize,
     /// FOL given-clause iterations ([`jahob_folp::ResolutionLimits::max_iterations`]).
     fol_iterations: usize,
-    /// SMT ground-search steps ([`jahob_smt::GroundLimits::max_steps`] — DPLL
-    /// decisions + conflicts). The ground search is deterministic, so a budgeted run
-    /// that completes (`Sat`/`Unsat`) is bit-identical to the unbudgeted verdict; only
-    /// a truncated search (`Unknown`) becomes a budget abort.
+    /// SMT ground-search steps ([`jahob_smt::GroundLimits::max_steps`] — DPLL search
+    /// nodes: the root, and each value tried for a decided atom). The ground search
+    /// is deterministic, so a budgeted run that completes (`Sat`/`Unsat`) is
+    /// bit-identical to the unbudgeted verdict; only a truncated search (`Unknown`)
+    /// becomes a budget abort.
     smt_steps: usize,
 }
 
@@ -1499,7 +1500,7 @@ struct FuelBudget {
 /// The SMT step budget is the big saver on the §7 suite: every winning ground search
 /// there closes after unit propagation alone (a single DPLL step), while the searches
 /// that end in a countermodel (a genuine SMT failure some later prover then
-/// discharges) burn hundreds of decision steps at tens of milliseconds per attempt.
+/// discharges) run hundreds of search steps per attempt.
 fn fuel_for(features: &SequentFeatures) -> FuelBudget {
     let (mona_work, mona_states) = if features.set_binders > 0 {
         (2_000_000, 768)
@@ -1785,10 +1786,12 @@ mod tests {
     fn atoms_without_a_translation_prove_nothing() {
         let dispatcher = Dispatcher::new();
         let context = ProverContext::default();
-        let unprovable: [(&[&str], &str); 3] = [
+        let unprovable: [(&[&str], &str); 5] = [
             (&["A subset B"], "C subset D"),
             (&["ite c p q"], "ite d p q"),
             (&["EX x. x subset B", "EX x. ~(x subset B)"], "False"),
+            (&["f (x : A) = z"], "f (x = A) = z"),
+            (&["f (ALL x. p x) = z"], "f (ALL x. q x) = z"),
         ];
         for (assumptions, goal) in unprovable {
             let r = dispatcher.prove_one(&ob(assumptions, goal), &context);

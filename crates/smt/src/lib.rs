@@ -5,12 +5,14 @@
 //!
 //! The crate provides:
 //!
-//! * [`euf`] — congruence closure over ground terms (the EUF theory solver),
+//! * [`euf`] — congruence closure over a graph of curried ground terms (the EUF theory
+//!   solver), cleared and reused across the checks of one search,
 //! * [`ground`] — a DPLL search over theory atoms combining EUF with linear integer
-//!   arithmetic (via `jahob-arith`),
+//!   arithmetic (via `jahob-arith`), on a flat kernel that interns a clause set's
+//!   terms and atoms once and precomputes each arithmetic atom's linear row,
 //! * [`translate`] — the interface from higher-order sequents: rewriting, polarity
 //!   approximation, heuristic quantifier instantiation with the sequent's own ground
-//!   terms, and conversion to ground clauses.
+//!   terms, and conversion to ground clauses over interned atoms.
 //!
 //! Candidate-term instantiation only tries ground terms already occurring in the
 //! sequent; when a proof needs a universal assumption specialised at a *compound*

@@ -7,7 +7,7 @@
 //! the sequent — a simple, trigger-free variant of E-matching — and then decides the
 //! resulting ground formula with DPLL + congruence closure + linear integer arithmetic.
 
-use crate::ground::{check_clauses, GAtom, GClause, GLiteral, GTerm, GroundLimits, GroundOutcome};
+use crate::ground::{GAtom, GTerm, GroundLimits, GroundOutcome, IndexClause, Problem};
 use jahob_logic::approx::first_order_implication;
 use jahob_logic::form::{Binder, Const, Form, Ident};
 use jahob_logic::rewrite::rewrite_fixpoint;
@@ -81,11 +81,16 @@ pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
     // candidate pool enriched by the terms (Skolem constants, applications) the previous
     // round produced.
     let mut ground: Vec<Form> = Vec::new();
-    for _round in 0..options.instantiation_rounds.max(1) {
+    let rounds = options.instantiation_rounds.max(1);
+    for round in 1..=rounds {
         ground = formulas
             .iter()
             .map(|f| grounder.ground(f, &candidates))
             .collect();
+        if round == rounds {
+            // No round reads the terms this one produced.
+            break;
+        }
         let mut enriched = collect_candidate_terms(&ground, &options.fun_vars);
         enriched.extend(candidates.iter().cloned());
         if enriched.len() == candidates.len() {
@@ -96,12 +101,18 @@ pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
 
     // Give meaning to integer division and remainder by positive literal divisors (the
     // priority queue's parent/child index arithmetic needs this).
-    let ground = define_divisions(ground);
+    let ground = if ground.iter().any(division_pass_applies) {
+        define_divisions(ground)
+    } else {
+        ground
+    };
 
-    // Convert to ground clauses.
-    let mut clauses: Vec<GClause> = Vec::new();
+    // Convert to ground clauses over atoms interned as they are converted.
+    let mut problem = Problem::default();
+    let mut clauses: Vec<IndexClause> = Vec::new();
     for f in &ground {
-        match formula_to_clauses(f, options.max_clauses.saturating_sub(clauses.len())) {
+        let budget = options.max_clauses.saturating_sub(clauses.len());
+        match formula_to_clauses(f, budget, &mut problem) {
             Some(cs) => clauses.extend(cs),
             None => {
                 return SmtResult {
@@ -120,7 +131,7 @@ pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
         }
     }
     let n = clauses.len();
-    let outcome = check_clauses(&clauses, options.ground_limits);
+    let outcome = problem.solve(clauses, options.ground_limits);
     SmtResult {
         proved: outcome == GroundOutcome::Unsat,
         outcome,
@@ -195,6 +206,26 @@ fn define_divisions(formulas: Vec<Form>) -> Vec<Form> {
         ));
     }
     out
+}
+
+/// Whether [`define_divisions`] can change `form`. Its rewrite fires only on a `div`
+/// or `mod` application, and its rebuilding through [`Form::app`] changes only an
+/// application with no arguments or with an application as its head (it flattens
+/// those); on a formula with none of the three the pass returns its input.
+fn division_pass_applies(form: &Form) -> bool {
+    match form {
+        Form::Var(_) | Form::Const(_) => false,
+        Form::Typed(f, _) => division_pass_applies(f),
+        Form::Binder(_, _, body) => division_pass_applies(body),
+        Form::App(head, args) => {
+            matches!(
+                head.as_ref(),
+                Form::Const(Const::Div | Const::Mod) | Form::App(..)
+            ) || args.is_empty()
+                || division_pass_applies(head)
+                || args.iter().any(division_pass_applies)
+        }
+    }
 }
 
 /// Collects ground candidate terms for quantifier instantiation: free variables and
@@ -322,17 +353,27 @@ impl Grounder {
 }
 
 /// Converts a quantifier-free NNF formula into ground clauses (CNF by distribution, with
-/// a budget). Returns `None` when the budget is exceeded.
-fn formula_to_clauses(form: &Form, budget: usize) -> Option<Vec<GClause>> {
-    fn go(form: &Form, positive: bool, budget: usize) -> Option<Vec<GClause>> {
+/// a budget) over atoms interned in `problem`. Returns `None` when the budget is
+/// exceeded.
+fn formula_to_clauses(
+    form: &Form,
+    budget: usize,
+    problem: &mut Problem,
+) -> Option<Vec<IndexClause>> {
+    fn go(
+        form: &Form,
+        positive: bool,
+        budget: usize,
+        problem: &mut Problem,
+    ) -> Option<Vec<IndexClause>> {
         if let Form::App(head, args) = form {
             if let Form::Const(c) = head.as_ref() {
                 match (c, positive) {
-                    (Const::Not, _) => return go(&args[0], !positive, budget),
+                    (Const::Not, _) => return go(&args[0], !positive, budget, problem),
                     (Const::And, true) | (Const::Or, false) => {
                         let mut out = Vec::new();
                         for a in args {
-                            out.extend(go(a, positive, budget)?);
+                            out.extend(go(a, positive, budget, problem)?);
                             if out.len() > budget {
                                 return None;
                             }
@@ -340,9 +381,9 @@ fn formula_to_clauses(form: &Form, budget: usize) -> Option<Vec<GClause>> {
                         return Some(out);
                     }
                     (Const::Or, true) | (Const::And, false) => {
-                        let mut acc: Vec<GClause> = vec![Vec::new()];
+                        let mut acc: Vec<IndexClause> = vec![Vec::new()];
                         for a in args {
-                            let sub = go(a, positive, budget)?;
+                            let sub = go(a, positive, budget, problem)?;
                             let mut next = Vec::new();
                             for base in &acc {
                                 for s in &sub {
@@ -360,14 +401,14 @@ fn formula_to_clauses(form: &Form, budget: usize) -> Option<Vec<GClause>> {
                     }
                     (Const::Impl, _) => {
                         let expanded = Form::or(vec![Form::not(args[0].clone()), args[1].clone()]);
-                        return go(&expanded, positive, budget);
+                        return go(&expanded, positive, budget, problem);
                     }
                     (Const::Iff, _) => {
                         let expanded = Form::and(vec![
                             Form::implies(args[0].clone(), args[1].clone()),
                             Form::implies(args[1].clone(), args[0].clone()),
                         ]);
-                        return go(&expanded, positive, budget);
+                        return go(&expanded, positive, budget, problem);
                     }
                     _ => {}
                 }
@@ -390,16 +431,10 @@ fn formula_to_clauses(form: &Form, budget: usize) -> Option<Vec<GClause>> {
                     Some(Vec::new())
                 }
             }
-            atom => {
-                let lit = GLiteral {
-                    positive,
-                    atom: convert_atom(atom),
-                };
-                Some(vec![vec![lit]])
-            }
+            atom => Some(vec![vec![(problem.atom(&convert_atom(atom)), positive)]]),
         }
     }
-    go(form, true, budget)
+    go(form, true, budget, problem)
 }
 
 /// Converts a HOL atom to a ground SMT atom.
