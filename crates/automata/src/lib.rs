@@ -4,7 +4,7 @@
 //! the WS1S (monadic second-order logic over finite strings) decision procedure in
 //! `jahob-mona`, which plays the role of MONA in the Jahob reproduction (§6.4 of
 //! *Full Functional Verification of Linked Data Structures*, PLDI 2008). See
-//! `docs/ARCHITECTURE.md` for the crate's place in the 12-crate graph.
+//! `docs/ARCHITECTURE.md` for the crate's place in the 11-crate graph.
 //!
 //! Words assign a bit to each of `k` tracks at every position; a symbol is an integer in
 //! `0..2^k`. A [`Dfa`] keeps its transitions in one flat table of `2^k` entries per

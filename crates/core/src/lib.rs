@@ -43,7 +43,7 @@ pub use verifier::{ProgramReport, Verifier};
 /// Options for a verification run.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
-    /// Dispatcher configuration (prover order, threads, hint usage).
+    /// Dispatcher configuration (prover order, threads, caching, routing, fuel).
     pub dispatcher: DispatcherConfig,
     /// Interactively proven lemmas to load (§6.6).
     pub lemmas: LemmaLibrary,
@@ -68,17 +68,6 @@ impl MethodResult {
     pub fn render(&self) -> String {
         self.report.render(&self.method)
     }
-}
-
-/// Verifies one method task with a fresh dispatcher (and hence a fresh result cache).
-/// To share one cache across methods, build a [`Dispatcher`] once and use
-/// [`verify_task_with`].
-pub fn verify_task(task: &MethodTask, options: &VerifyOptions) -> MethodResult {
-    verify_task_with(
-        &Dispatcher::with_config(options.dispatcher.clone()),
-        task,
-        &options.lemmas,
-    )
 }
 
 /// Verifies one method task with an existing dispatcher: a single-method batch through
@@ -225,9 +214,9 @@ pub fn run_suite_with(dispatcher: &Dispatcher, lemmas: &LemmaLibrary) -> Vec<Sui
 }
 
 /// Total prover attempts aborted on a fuel budget across `rows`, all provers summed —
-/// the number behind the Figure 15 footer, the `suite_budget_aborts` bench metric and
-/// the `fuel-budgets` CI gauge (a healthy budgeted suite run aborts *some*
-/// hopeless attempts; zero means the budgets are not engaging).
+/// the number behind the Figure 15 footer's "Fuel budgets" line (a healthy budgeted
+/// suite run aborts *some* hopeless attempts; zero means the budgets are not
+/// engaging).
 pub fn suite_budget_aborts(rows: &[SuiteRow]) -> usize {
     rows.iter()
         .flat_map(|r| r.per_prover.values())
@@ -236,9 +225,9 @@ pub fn suite_budget_aborts(rows: &[SuiteRow]) -> usize {
 }
 
 /// Total prover panics contained at the attempt boundary across `rows`, all provers
-/// summed — the number behind the Figure 15 footer and the `suite_crashes` bench
-/// gauge. Zero on every healthy run; nonzero only when a prover genuinely panicked
-/// or `JAHOB_FAULTS` injected one.
+/// summed — the number behind the Figure 15 footer's "Fault containment" line. Zero
+/// on every healthy run; nonzero only when a prover genuinely panicked or
+/// `JAHOB_FAULTS` injected one.
 pub fn suite_crashes(rows: &[SuiteRow]) -> usize {
     rows.iter()
         .flat_map(|r| r.per_prover.values())
@@ -247,8 +236,9 @@ pub fn suite_crashes(rows: &[SuiteRow]) -> usize {
 }
 
 /// Total prover attempts stopped at the configured wall-clock deadline across
-/// `rows` — the `suite_deadline_aborts` bench gauge. Zero unless
-/// `JAHOB_DEADLINE_MS` (or [`jahob_provers::DispatcherConfig::deadline_ms`]) is set.
+/// `rows` — the other count of the Figure 15 footer's "Fault containment" line. Zero
+/// unless `JAHOB_DEADLINE_MS` (or [`jahob_provers::DispatcherConfig::deadline_ms`])
+/// is set.
 pub fn suite_deadline_aborts(rows: &[SuiteRow]) -> usize {
     rows.iter()
         .flat_map(|r| r.per_prover.values())
@@ -259,7 +249,7 @@ pub fn suite_deadline_aborts(rows: &[SuiteRow]) -> usize {
 /// Renders suite rows as a Figure 15-style table. Each prover cell shows
 /// `proved/attempted` (with the prover's total time), so the cost of failed cascade
 /// attempts — what per-sequent routing and the fuel budgets exist to cut — is
-/// visible in the suite table, not just in benches. Times are printed in
+/// visible in the suite table itself. Times are printed in
 /// milliseconds: a whole structure verifies in tens of them, so the paper's
 /// seconds would round every cell to `0.0s`.
 pub fn render_figure15(rows: &[SuiteRow]) -> String {
@@ -460,7 +450,7 @@ mod tests {
     #[test]
     fn figure15_table_renders_all_rows() {
         // Use a subset-friendly rendering test on two structures to keep the unit test
-        // fast; the full table is produced by the bench harness and examples.
+        // fast; the full table is produced by the `verify_suite` example.
         let options = VerifyOptions::default();
         let rows: Vec<SuiteRow> = suite::full_suite()
             .iter()

@@ -617,8 +617,8 @@ fn const_infix(c: &Const) -> Option<(&'static str, u8)> {
         Gt => (">", 6),
         GtEq => (">=", 6),
         Elem => (":", 6),
-        Subset => ("<s", 6),
-        SubsetEq => ("<=s", 6),
+        Subset => ("subset", 6),
+        SubsetEq => ("subseteq", 6),
         Union => ("Un", 7),
         Inter => ("Int", 7),
         Diff => ("\\", 7),
@@ -718,8 +718,8 @@ fn print_const(c: &Const, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         Union => write!(f, "(Un)"),
         Inter => write!(f, "(Int)"),
         Diff => write!(f, "(\\)"),
-        Subset => write!(f, "(<s)"),
-        SubsetEq => write!(f, "(<=s)"),
+        Subset => write!(f, "(subset)"),
+        SubsetEq => write!(f, "(subseteq)"),
         Card => write!(f, "card"),
         FiniteSet => write!(f, "finiteset"),
         Tuple => write!(f, "tuple"),

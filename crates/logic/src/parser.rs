@@ -1002,6 +1002,14 @@ mod tests {
     #[test]
     fn parses_cardinality_and_tree() {
         assert_eq!(roundtrip("size = card content"), "size = card content");
+        assert_eq!(
+            roundtrip("toVisit - {x} subseteq content"),
+            "toVisit - {x} subseteq content"
+        );
+        assert_eq!(
+            roundtrip("larger subset content Un {x}"),
+            "larger subset content Un {x}"
+        );
         let f = parse_form("tree [List.next]").expect("parses");
         assert_eq!(f, Form::tree(vec![Form::var("List.next")]));
         let f2 = parse_form("tree [Node.left, Node.right]").expect("parses");

@@ -153,13 +153,14 @@ impl SequentKey {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     pub sequent: SequentKey,
-    /// Canonical key of the hint-filtered sequent, when hints are applied.
+    /// Canonical key of the hint-filtered sequent, when the obligation has hints.
     pub hinted: Option<SequentKey>,
     /// Free variables the prover context classifies as sets, then as functions.
     pub var_classes: String,
     /// Whether the interactive lemma library has this obligation registered.
     pub lemma_registered: bool,
-    /// Prover order and hint usage of the dispatcher that stored the entry.
+    /// Prover order, routing, fuel budgets and deadline of the dispatcher that
+    /// stored the entry.
     pub config_fingerprint: String,
 }
 

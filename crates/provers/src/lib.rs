@@ -296,7 +296,7 @@ impl ObligationBatch {
     }
 
     /// A batch in which every obligation shares one context and carries only its index
-    /// as provenance — the shape unit tests and microbenches feed the dispatcher.
+    /// as provenance — the shape unit tests and obligation dumps feed the dispatcher.
     pub fn uniform(obligations: &[ProofObligation], context: &ProverContext) -> Self {
         let mut batch = ObligationBatch::new();
         batch.push_method("", "", Arc::new(context.clone()), obligations.to_vec());
@@ -341,7 +341,8 @@ pub enum CacheMode {
         dir: PathBuf,
         /// Merge-write the store when the last dispatcher sharing the cache is
         /// dropped. With `false`, only explicit [`Dispatcher::flush_store`] calls
-        /// write (what benches use to keep measurement iterations read-only).
+        /// write (what the benchmark and the store tests use to keep a warm store
+        /// read-only).
         flush: bool,
     },
 }
@@ -388,8 +389,6 @@ pub struct DispatcherConfig {
     /// Workers claim one obligation at a time from one shared queue, so an expensive
     /// obligation never strands the rest of a pre-assigned chunk behind it.
     pub threads: usize,
-    /// Apply `by` hints (assumption selection) when present.
-    pub use_hints: bool,
     /// Whether (and how durably) to cache verdicts: consult the canonical-form-keyed
     /// result cache before running provers, optionally backed by the persistent
     /// on-disk proof store ([`CacheMode::Persistent`]).
@@ -427,20 +426,20 @@ pub struct DispatcherConfig {
 }
 
 impl Default for DispatcherConfig {
-    /// The baseline configuration (sequential, hints on, in-memory cache, routing on),
-    /// with [`DispatcherConfig::with_env_overrides`] applied on top so
-    /// a whole test or bench run can be switched to the parallel, uncached, unrouted
-    /// or persistent-store path from the environment.
+    /// The baseline configuration (sequential, in-memory cache, routing on, fuel
+    /// budgets on), with [`DispatcherConfig::with_env_overrides`] applied on top so
+    /// a whole test run or example can be switched to the parallel, uncached,
+    /// unrouted or persistent-store path from the environment.
     fn default() -> Self {
         DispatcherConfig::builder().build().with_env_overrides()
     }
 }
 
 /// Builder for [`DispatcherConfig`]: typed, named knobs instead of the old
-/// bool-and-positional surface. Starts from the pinned baseline (sequential, hints
-/// on, [`CacheMode::Memory`], routing on) and applies **no**
+/// bool-and-positional surface. Starts from the pinned baseline (sequential,
+/// [`CacheMode::Memory`], routing on, fuel budgets on) and applies **no**
 /// environment overrides, so configurations built here mean exactly what the call
-/// site says — benches and differential tests depend on that. Call
+/// site says — the benchmark and the differential tests depend on that. Call
 /// [`DispatcherConfigBuilder::env_overrides`] last to opt back into `JAHOB_*`.
 ///
 /// ```
@@ -467,12 +466,6 @@ impl DispatcherConfigBuilder {
     /// Sets the worker thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables `by` hint application.
-    pub fn hints(mut self, use_hints: bool) -> Self {
-        self.config.use_hints = use_hints;
         self
     }
 
@@ -525,13 +518,12 @@ impl DispatcherConfigBuilder {
 
 impl DispatcherConfig {
     /// Starts a [`DispatcherConfigBuilder`] at the pinned baseline (sequential,
-    /// hints on, in-memory cache, routing on; no environment overrides).
+    /// in-memory cache, routing on, fuel budgets on; no environment overrides).
     pub fn builder() -> DispatcherConfigBuilder {
         DispatcherConfigBuilder {
             config: DispatcherConfig {
                 order: ProverId::default_order(),
                 threads: 1,
-                use_hints: true,
                 cache: CacheMode::Memory,
                 route: true,
                 budgets: true,
@@ -592,22 +584,19 @@ impl DispatcherConfig {
     }
 
     /// A short stable description of the fields that can change a prover verdict or
-    /// the recorded attempt accounting (order, hint usage, routing), mixed into every
-    /// cache key so entries written under one configuration are never served to
-    /// another.
+    /// the recorded attempt accounting (order, routing, budgets, deadline), mixed
+    /// into every cache key so entries written under one configuration are never
+    /// served to another.
     fn fingerprint(&self) -> String {
         let order: Vec<&str> = self.order.iter().map(|p| p.display_name()).collect();
         let mut fingerprint = format!(
-            "order={}|hints={}|route={}|budgets={}",
+            "order={}|route={}|budgets={}",
             order.join(","),
-            self.use_hints,
             self.route,
             self.budgets
         );
-        // Only appended when a deadline is armed, so stores written before the
-        // deadline knob existed keep warm-starting deadline-free runs unchanged.
-        // (A deadline can suppress proofs, so deadline verdicts must never be
-        // served to deadline-free configurations, and vice versa.)
+        // A deadline can suppress proofs, so deadline verdicts must never be
+        // served to deadline-free configurations, and vice versa.
         if let Some(ms) = self.deadline_ms {
             fingerprint.push_str(&format!("|deadline={ms}"));
         }
@@ -744,7 +733,7 @@ pub struct VerificationReport {
     /// counters stay 0 when caching is disabled.
     pub cache_misses: usize,
     /// Always 0: the dispatcher no longer retries fuel-aborted attempts without fuel.
-    /// The field stays only for the benchmark harness that still reports it.
+    /// The field stays only because perfbench still reports it.
     pub rescue_retries: usize,
     /// Total wall-clock time of the run.
     pub total_time: Duration,
@@ -987,7 +976,7 @@ impl Drop for StoreHandle {
 /// when the last sharing dispatcher is dropped (or on [`Dispatcher::flush_store`]).
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
-    /// Configuration (prover order, threads, caching, hint usage).
+    /// Configuration (prover order, threads, caching, routing, fuel).
     pub config: DispatcherConfig,
     cache: Arc<SequentCache>,
     batches: Arc<AtomicUsize>,
@@ -1153,8 +1142,8 @@ impl Dispatcher {
     }
 
     /// Proves a uniform-context batch and aggregates the result — the per-method view
-    /// retained for callers that hold plain obligation slices (unit tests, microbenches,
-    /// obligation dumps).
+    /// retained for callers that hold plain obligation slices (unit tests, obligation
+    /// dumps).
     pub fn prove_obligations(
         &self,
         obligations: &[ProofObligation],
@@ -1197,8 +1186,8 @@ impl Dispatcher {
         // what the provers try first; instantiation runs before inlining and keying,
         // so routing and `SequentKey` both see the instantiated sequent (entries never
         // alias across witnesses).
-        let use_hints = self.config.use_hints && !obligation.hints.is_empty();
-        let hinted = use_hints.then(|| {
+        let has_hints = !obligation.hints.is_empty();
+        let hinted = has_hints.then(|| {
             let selected = obligation.hinted_sequent_with_lemmas(context.lemmas.named_lemmas());
             inline_definitions(&apply_inst_hints(&selected, &obligation.hints))
         });
@@ -1206,7 +1195,7 @@ impl Dispatcher {
         // advice the retry may discard, but an `inst` witness is information the
         // provers cannot rediscover — dropping it on retry would lose proofs whenever
         // a label hint misselected the assumptions.
-        let full = if use_hints {
+        let full = if has_hints {
             inline_definitions(&apply_inst_hints(&obligation.sequent, &obligation.hints))
         } else {
             inline_definitions(&obligation.sequent)
@@ -2364,12 +2353,10 @@ mod tests {
     fn builder_clamps_counts_and_keeps_explicit_knobs() {
         let config = DispatcherConfig::builder()
             .threads(0)
-            .hints(false)
             .route(false)
             .order(vec![ProverId::Smt])
             .build();
         assert_eq!(config.threads, 1, "clamped");
-        assert!(!config.use_hints);
         assert!(!config.route);
         assert_eq!(config.order, vec![ProverId::Smt]);
         assert_eq!(config.cache, CacheMode::Memory, "default mode");

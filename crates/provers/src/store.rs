@@ -29,7 +29,8 @@
 //! future-versioned file is a **warned** cold start (one stderr line naming the path
 //! and the reason) — never a crash, and never a partial load: a store either parses
 //! completely or contributes nothing. A v3 store, whose verdicts may have been won
-//! by the retired unbudgeted rescue pass, therefore never replays under v4.
+//! by the retired unbudgeted rescue pass, therefore never replays under a later
+//! version.
 //!
 //! **Merge semantics.** A flush re-reads the file, overlays the live snapshot on top
 //! (live verdicts win on key collision — they are at least as fresh), and writes the
@@ -55,8 +56,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// v2 added the per-prover budget-abort counts and the rescued bit to verdict
 /// records; v3 dropped the failure-memo records and the skipped counts; v4 dropped
 /// the rescued bit, so a verdict an unbudgeted rescue won is never replayed by a
-/// build that no longer rescues.
-pub const STORE_VERSION: u32 = 4;
+/// build that no longer rescues; v5 prints subset atoms in the canonical form as
+/// `subseteq` and `subset`, the words the parser reads, and drops the `hints=` part
+/// of the configuration fingerprint.
+pub const STORE_VERSION: u32 = 5;
 
 /// Magic prefix of the header line, shared by every format version.
 const MAGIC: &str = "jahob-proof-store";
@@ -417,7 +420,7 @@ mod tests {
         };
         vec![
             (
-                key("order=A|hints=true|route=true", "a |- b"),
+                key("order=A|route=true", "a |- b"),
                 CachedOutcome {
                     proved: true,
                     prover: Some(ProverId::Bapa),
@@ -427,7 +430,7 @@ mod tests {
                 },
             ),
             (
-                key("order=A|hints=true|route=false", "odd\\chars\there |- g"),
+                key("order=A|route=false", "odd\\chars\there |- g"),
                 CachedOutcome {
                     proved: false,
                     prover: None,

@@ -220,6 +220,18 @@ fn sized_list_store_as_v3() -> String {
     })
 }
 
+/// The sized list's current store under the `v4` header: the same records, keyed by
+/// this version's canonical text and fingerprint.
+fn sized_list_store_as_v4() -> String {
+    sized_list_store_rewritten("v4-source", |line| {
+        if line.starts_with("jahob-proof-store ") {
+            "jahob-proof-store v4".to_string()
+        } else {
+            line.to_string()
+        }
+    })
+}
+
 #[test]
 fn corrupt_truncated_and_future_version_stores_cold_start() {
     // An old-version store is rejected whole, exactly like a corrupt one: a warned
@@ -233,6 +245,7 @@ fn corrupt_truncated_and_future_version_stores_cold_start() {
         ),
         ("old-v2", sized_list_store_as_v2()),
         ("old-v3", sized_list_store_as_v3()),
+        ("old-v4", sized_list_store_as_v4()),
     ] {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).expect("mkdir");
