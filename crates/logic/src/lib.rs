@@ -17,10 +17,12 @@
 //! The crate provides the abstract syntax ([`form`]), concrete-syntax parsing
 //! ([`parser`]), pretty printing, substitution and beta reduction ([`subst`]), type
 //! inference ([`typecheck`]), logical simplification and normal forms ([`simplify`]),
-//! sequents ([`sequent`]), the prover-independent rewrites used by formula approximation
-//! ([`rewrite`]), the polarity-based approximation scheme of Figure 14 ([`approx`]),
-//! and the one-pass syntactic feature extraction behind per-sequent prover routing
-//! ([`features`]).
+//! sequents ([`sequent`]), canonicalisation and definition inlining ([`norm`]), the
+//! hash-consed formula bank on which the dispatcher normalises a whole batch, each
+//! distinct node once ([`bank`]), the prover-independent rewrites used by formula
+//! approximation ([`rewrite`]), the polarity-based approximation scheme of Figure 14
+//! ([`approx`]), and the one-pass syntactic feature extraction behind per-sequent
+//! prover routing ([`features`]).
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod approx;
+pub mod bank;
 pub mod features;
 pub mod form;
 pub mod norm;

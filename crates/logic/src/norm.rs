@@ -10,19 +10,20 @@
 //!
 //! * [`definition_substitution`] / [`inline_definitions`] collapse the definitional
 //!   equations of generated variables, so `content_1 = asg$3`, `asg$3 = {x} Un content`
-//!   contribute a single binding `content_1 ↦ {x} Un content`;
+//!   contribute a single binding `content_1 ↦ {x} Un content`. Both run on a fresh
+//!   [`Bank`], the hash-consed store on which the dispatcher inlines a whole batch;
 //! * [`sort_commutative`] orders the arguments of commutative operators so that
 //!   AC-equal formulas (`{x} Un content` vs `content Un {x}`) become syntactically equal;
 //! * [`canonicalize`] combines comment stripping, membership expansion, simplification
 //!   and AC sorting — the "simple syntactic transformations that preserve validity" the
 //!   syntactic prover (§6.1) checks modulo.
 
+use crate::bank::Bank;
 use crate::form::{Const, Form, Ident};
 use crate::rewrite::expand_set_membership;
 use crate::sequent::Sequent;
 use crate::simplify::{simplify, strip_comments_deep};
-use crate::subst::{free_vars, subst_rec, Subst};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::subst::Subst;
 
 /// Returns `true` if `name` was introduced by the verification-condition generator rather
 /// than written by the developer: desugaring temporaries and snapshots contain a `$`
@@ -59,104 +60,23 @@ pub fn is_generated_name(name: &str) -> bool {
 /// Chains are resolved in one depth-first pass: each binding is rewritten once, by the
 /// already resolved bindings it mentions, so `t` in `v ↦ t` mentions no variable the
 /// substitution binds. Bindings on a cycle of definitions, and those that depend on one,
-/// are left as written; no binding mentions its own variable.
+/// are left as written; no binding mentions its own variable. The work runs on a fresh
+/// [`Bank`] ([`Bank::definitions`]).
 pub fn definition_substitution(assumptions: &[Form]) -> Subst {
-    resolve_definitions(assumptions).0
-}
-
-/// [`definition_substitution`] together with the free variables of its replacement
-/// terms, which [`inline_definitions`] needs to apply it beneath binders.
-fn resolve_definitions(assumptions: &[Form]) -> (Subst, BTreeSet<Ident>) {
-    let mut map = collect_definitions(assumptions);
-    let raw_fvs: BTreeMap<Ident, BTreeSet<Ident>> =
-        map.iter().map(|(v, t)| (v.clone(), free_vars(t))).collect();
-    // Binders in the values are renamed against the free variables of every value as
-    // written, as a whole-map substitution of the values would.
-    let renaming_fvs: BTreeSet<Ident> = raw_fvs.values().flatten().cloned().collect();
-    let mut acyclic = BTreeMap::new();
-    for v in raw_fvs.keys() {
-        resolve(v, &mut map, &raw_fvs, &renaming_fvs, &mut acyclic);
-    }
-    // A resolved value mentions no variable the map binds; one left as written keeps
-    // those it mentions.
-    let mut fvs = BTreeSet::new();
-    for (v, raw) in &raw_fvs {
-        let keeps_keys = !acyclic[v];
-        fvs.extend(
-            raw.iter()
-                .filter(|u| keeps_keys || !map.contains_key(*u))
-                .cloned(),
-        );
-    }
-    (map, fvs)
-}
-
-/// The definitional links among `assumptions`, as written (comments stripped).
-fn collect_definitions(assumptions: &[Form]) -> Subst {
-    let mut map = Subst::new();
-    for a in assumptions {
-        let stripped = strip_comments_deep(a);
-        for c in stripped.conjuncts() {
-            // Definitional links are either equalities `v = t` or (for boolean-valued
-            // temporaries, e.g. `result` of a boolean method) bi-implications `v <-> F`.
-            let link = c.as_eq().or_else(|| {
-                c.as_app_of(&Const::Iff).and_then(|args| match args {
-                    [l, r] => Some((l, r)),
-                    _ => None,
-                })
-            });
-            let Some((l, r)) = link else { continue };
-            for (lhs, rhs) in [(l, r), (r, l)] {
-                let Form::Var(v) = lhs else { continue };
-                if !is_generated_name(v) || map.contains_key(v) {
-                    continue;
-                }
-                if free_vars(rhs).contains(v) {
-                    continue;
-                }
-                map.insert(v.clone(), rhs.clone());
-                break;
-            }
-        }
-    }
-    map
-}
-
-/// Resolves `v`'s binding in place after the bindings it mentions, each at most once,
-/// and returns whether it was resolved. `acyclic` marks every binding entered: `false`
-/// until it is resolved, so reaching a binding still on the current path closes a cycle,
-/// and everything on that path is left as written.
-fn resolve(
-    v: &Ident,
-    map: &mut Subst,
-    raw_fvs: &BTreeMap<Ident, BTreeSet<Ident>>,
-    renaming_fvs: &BTreeSet<Ident>,
-    acyclic: &mut BTreeMap<Ident, bool>,
-) -> bool {
-    if let Some(&known) = acyclic.get(v) {
-        return known;
-    }
-    acyclic.insert(v.clone(), false);
-    let mut resolvable = true;
-    for u in &raw_fvs[v] {
-        if raw_fvs.contains_key(u) {
-            resolvable &= resolve(u, map, raw_fvs, renaming_fvs, acyclic);
-        }
-    }
-    if resolvable {
-        let resolved = subst_rec(&map[v], map, renaming_fvs);
-        map.insert(v.clone(), resolved);
-        acyclic.insert(v.clone(), true);
-    }
-    resolvable
+    let mut bank = Bank::new();
+    let ids: Vec<_> = assumptions.iter().map(|a| bank.intern(a)).collect();
+    let definitions = bank.definitions(&ids);
+    bank.substitution(definitions)
 }
 
 /// Inlines the definitional equalities of generated variables into the whole sequent.
 /// Assumptions that become trivially true under the substitution (the definitional
-/// equations themselves) are dropped; labels are preserved.
+/// equations themselves) are dropped; labels are preserved. A sequent that defines
+/// nothing is returned unchanged (and unsimplified).
 ///
 /// The result is equivalent to the input sequent: every substituted occurrence is
-/// justified by one of the assumptions.
+/// justified by one of the assumptions. The work runs on a fresh [`Bank`]
+/// ([`Bank::inline_definitions`]); the dispatcher keeps one bank per batch instead.
 ///
 /// # Examples
 ///
@@ -174,21 +94,13 @@ fn resolve(
 /// assert!(inlined.assumptions.is_empty());
 /// ```
 pub fn inline_definitions(sequent: &Sequent) -> Sequent {
-    let (sub, fvs) = resolve_definitions(&sequent.assumptions);
-    if sub.is_empty() {
+    let mut bank = Bank::new();
+    let interned = bank.intern_sequent(sequent);
+    let inlined = bank.inline_definitions(&interned);
+    if inlined == interned {
         return sequent.clone();
     }
-    let inline = |f: &Form| simplify(&subst_rec(f, &sub, &fvs));
-    Sequent {
-        assumptions: sequent
-            .assumptions
-            .iter()
-            .map(inline)
-            .filter(|a| !a.is_true())
-            .collect(),
-        goal: inline(&sequent.goal),
-        labels: sequent.labels.clone(),
-    }
+    bank.materialise_sequent(&inlined)
 }
 
 /// Sorts the arguments of commutative operators into a canonical order and flattens
@@ -399,6 +311,31 @@ mod tests {
         );
         let inlined = inline_definitions(&sequent);
         assert_eq!(inlined.assumptions, vec![p("EX y_2. p y y_2")]);
+    }
+
+    #[test]
+    fn one_bank_keeps_a_shared_quantifier_apart_under_different_renamings() {
+        // Both sequents hold `EX y. p asg$1 y` and bind `asg$1` to `y`, so the
+        // substitution restricted to the formula's free variables is the same. Only
+        // the first also binds `y_1`, which the renamed binder must avoid: the fresh
+        // name depends on the whole substitution, and a memo keyed by the restricted
+        // one would hand the second sequent the first one's `y_2`.
+        let renamed_twice = Sequent::new(
+            vec![p("asg$1 = y"), p("y_1 = c"), p("EX y. p asg$1 y")],
+            p("q"),
+        );
+        let renamed_once = Sequent::new(vec![p("asg$1 = y"), p("EX y. p asg$1 y")], p("q"));
+        let expected = [vec![p("EX y_2. p y y_2")], vec![p("EX y_1. p y y_1")]];
+        for order in [[0, 1], [1, 0]] {
+            let mut bank = Bank::new();
+            for i in order {
+                let sequent = [&renamed_twice, &renamed_once][i];
+                let interned = bank.intern_sequent(sequent);
+                let inlined = bank.inline_definitions(&interned);
+                assert_eq!(bank.materialise_sequent(&inlined).assumptions, expected[i]);
+                assert_eq!(inline_definitions(sequent).assumptions, expected[i]);
+            }
+        }
     }
 
     #[test]

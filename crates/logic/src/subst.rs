@@ -91,9 +91,8 @@ pub fn substitute(form: &Form, sub: &Subst) -> Form {
 }
 
 /// Applies `sub` to `form` given `replacement_fvs`, the free variables of its
-/// replacement terms. [`substitute`] computes the set per call; a caller applying one
-/// substitution to many formulas computes it once and calls this directly.
-pub(crate) fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> Form {
+/// replacement terms.
+fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> Form {
     match form {
         Form::Var(v) => sub.get(v).cloned().unwrap_or_else(|| form.clone()),
         Form::Const(_) => form.clone(),

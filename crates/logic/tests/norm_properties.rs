@@ -1,13 +1,49 @@
 //! Property-based tests of the canonicalisation and definitional-inlining pass used by
-//! the syntactic prover and the dispatcher (§5.3 / §6.1).
+//! the syntactic prover and the dispatcher (§5.3 / §6.1), including the formula bank
+//! that runs the inlining for a whole batch, compared with the per-sequent reference.
 
+mod reference;
+
+use jahob_logic::bank::Bank;
 use jahob_logic::form::Form;
 use jahob_logic::norm::{
     canonicalize, definition_substitution, inline_definitions, sort_commutative,
 };
 use jahob_logic::subst::free_vars;
-use jahob_logic::Sequent;
+use jahob_logic::{Sequent, Type};
 use proptest::prelude::*;
+
+/// Inlines every sequent in one shared bank, first in order and then (in a fresh bank)
+/// in reverse, and checks each against the reference, which inlines it alone.
+fn shared_bank_matches_the_reference(sequents: &[Sequent]) -> Result<(), TestCaseError> {
+    for reversed in [false, true] {
+        let mut bank = Bank::new();
+        let mut order: Vec<&Sequent> = sequents.iter().collect();
+        if reversed {
+            order.reverse();
+        }
+        for sequent in order {
+            let interned = bank.intern_sequent(sequent);
+            let inlined = bank.inline_definitions(&interned);
+            prop_assert_eq!(
+                bank.materialise_sequent(&inlined),
+                reference::inline_definitions(sequent)
+            );
+            let definitions = bank.definitions(&interned.assumptions);
+            prop_assert_eq!(
+                bank.substitution(definitions),
+                reference::definition_substitution(&sequent.assumptions)
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `EX v1. v1 : set`: its bound `v1` is free in most generated values, so inlining a
+/// definition of `set` that mentions `v1` renames the binder.
+fn quantified_member(set: &str) -> Form {
+    Form::exists("v1", Type::Obj, Form::elem(Form::var("v1"), Form::var(set)))
+}
 
 /// Small ground terms: variables, `null`, singletons and unions over them.
 fn arb_term() -> impl Strategy<Value = Form> {
@@ -178,4 +214,72 @@ proptest! {
             prop_assert!(original_vars.contains(&v), "variable {v} appeared from nowhere");
         }
     }
+
+    /// Chains, in and against key order, inline in a shared bank exactly as the
+    /// reference inlines each alone, beside a quantified assumption whose binder the
+    /// value can capture.
+    #[test]
+    fn bank_inlines_chains_as_the_reference_does(value in arb_term(), len in 1usize..6) {
+        let forward: Vec<Form> = std::iter::once(Form::eq(Form::var("asg$0"), value.clone()))
+            .chain((1..len).map(|i| {
+                Form::eq(Form::var(format!("asg${i}")), Form::var(format!("asg${}", i - 1)))
+            }))
+            .collect();
+        let mut backward: Vec<Form> = (0..len - 1)
+            .map(|i| Form::eq(Form::var(format!("asg${i}")), Form::var(format!("asg${}", i + 1))))
+            .collect();
+        backward.push(Form::eq(Form::var(format!("asg${}", len - 1)), value.clone()));
+        let mut sequents = Vec::new();
+        for assumptions in [forward, backward] {
+            let mut with_binder = assumptions.clone();
+            with_binder.push(quantified_member("asg$0"));
+            sequents.push(Sequent::new(assumptions, quantified_member(&format!("asg${}", len - 1))));
+            sequents.push(Sequent::new(with_binder, Form::eq(Form::var("asg$0"), value.clone())));
+        }
+        shared_bank_matches_the_reference(&sequents)?;
+    }
+
+    /// Diamonds inline in a shared bank as the reference inlines them, next to a
+    /// sequent that shares their formulas under a different substitution.
+    #[test]
+    fn bank_inlines_diamonds_as_the_reference_does(
+        base in arb_term(),
+        a in arb_term(),
+        b in arb_term(),
+    ) {
+        let diamond = vec![
+            Form::eq(Form::var("asg$0"), Form::union(Form::var("asg$1"), Form::var("asg$2"))),
+            Form::eq(Form::var("asg$1"), Form::union(Form::var("asg$3"), a.clone())),
+            Form::eq(Form::var("asg$2"), Form::inter(Form::var("asg$3"), b)),
+            Form::eq(Form::var("asg$3"), base.clone()),
+            quantified_member("asg$0"),
+        ];
+        let mut other = diamond.clone();
+        other[3] = Form::eq(Form::var("asg$3"), a);
+        sequents_share(diamond, other, quantified_member("asg$2"))?;
+    }
+
+    /// Cycles, in every rotation, inline in a shared bank as the reference inlines
+    /// them.
+    #[test]
+    fn bank_inlines_cycles_as_the_reference_does(value in arb_term(), rotation in 0usize..3) {
+        let mut cycle = vec![
+            Form::eq(Form::var("a_1"), Form::union(Form::var("b_1"), value.clone())),
+            Form::eq(Form::var("b_1"), Form::var("a_1")),
+            Form::eq(Form::var("c_1"), Form::union(Form::var("a_1"), value)),
+        ];
+        cycle.rotate_left(rotation);
+        let mut broken = cycle.clone();
+        broken.retain(|f| f.to_string() != "b_1 = a_1");
+        broken.push(quantified_member("c_1"));
+        sequents_share(cycle, broken, quantified_member("c_1"))?;
+    }
+}
+
+/// Two sequents with the same goal, inlined in one bank in either order.
+fn sequents_share(first: Vec<Form>, second: Vec<Form>, goal: Form) -> Result<(), TestCaseError> {
+    shared_bank_matches_the_reference(&[
+        Sequent::new(first, goal.clone()),
+        Sequent::new(second, goal),
+    ])
 }

@@ -7,16 +7,23 @@
 //! any prover runs.
 //!
 //! The canonical form is computed with the same machinery the syntactic prover (§6.1)
-//! trusts: [`inline_definitions`] collapses generated-variable equations,
-//! [`canonicalize`] strips comments and AC-sorts commutative operators, and
+//! trusts: definition inlining ([`inline_definitions`]) collapses generated-variable
+//! equations, [`canonicalize`] strips comments and AC-sorts commutative operators, and
 //! [`alpha_normalize`] names bound variables by their depth. On top of that,
 //! assumptions are deduplicated and sorted, so permuted or duplicated assumption
 //! lists key identically. Every transformation preserves logical equivalence, so a
 //! cache hit on a proved entry is sound: the hit sequent is equivalent to one a prover
-//! actually discharged. Within one `prove_all` batch each worker canonicalises a
-//! recurring formula once (`KeyMemo`).
+//! actually discharged.
+//!
+//! Within one `prove_all` batch each worker keys on one [`KeyBank`]: the batch's
+//! formulas are interned into a [`Bank`], inlined there once per distinct node and
+//! substitution, and each distinct inlined formula is canonicalised and printed once.
+//! A formula the batch has already seen costs an id lookup.
+//!
+//! [`inline_definitions`]: jahob_logic::norm::inline_definitions
 
-use jahob_logic::norm::{alpha_normalize, canonicalize, inline_definitions};
+use jahob_logic::bank::{Bank, InternedSequent, NodeId};
+use jahob_logic::norm::{alpha_normalize, canonicalize};
 use jahob_logic::{Form, Sequent};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -69,58 +76,78 @@ fn key_form(form: &Form) -> Form {
     current
 }
 
-/// The printed [`key_form`] of every distinct formula keyed so far, and whether it is
-/// `True`. One dispatcher worker keeps one memo for one `prove_all` batch, where
-/// the same invariants and background facts recur in most obligations.
+/// One dispatcher worker's formulas for one `prove_all` batch: the [`Bank`] holding
+/// them, the printed key form (`alpha_normalize` then `canonicalize`, to a fixpoint) of
+/// every inlined formula keyed so far and whether it is `True`, and the key text of
+/// every inlined assumption list keyed so far.
 ///
-/// The memo is indexed by the formula itself, never by a hash alone: two formulas
-/// sharing a hash must not share a canonical form, or a cache hit would be unsound.
+/// Everything is indexed by node id, and ids are exact: two formulas share an id only
+/// when they are structurally equal, so two distinct formulas never share a canonical
+/// form by accident. Ids never reach the key text, which is printed from formulas.
 #[derive(Debug, Default)]
-pub(crate) struct KeyMemo {
-    index: HashMap<Form, usize>,
-    keys: Vec<(String, bool)>,
+pub struct KeyBank {
+    /// The batch's interned formulas and their memoised normal forms.
+    pub bank: Bank,
+    forms: HashMap<NodeId, (String, bool)>,
+    assumption_lists: HashMap<Box<[NodeId]>, String>,
 }
 
-impl KeyMemo {
-    /// The slot of `form`'s canonical form, computing it on first sight.
-    fn slot(&mut self, form: &Form) -> usize {
-        if let Some(&slot) = self.index.get(form) {
-            return slot;
+impl KeyBank {
+    /// An empty key bank.
+    pub fn new() -> KeyBank {
+        KeyBank::default()
+    }
+
+    /// The printed canonical form of an inlined formula, and whether it is `True`.
+    fn form(&mut self, id: NodeId) -> &(String, bool) {
+        let bank = &self.bank;
+        self.forms.entry(id).or_insert_with(|| {
+            let canonical = key_form(&bank.materialise(id));
+            (canonical.to_string(), canonical.is_true())
+        })
+    }
+
+    /// The canonical key of a sequent whose definitions have already been inlined in
+    /// this bank ([`Bank::inline_definitions`]).
+    pub fn key(&mut self, inlined: &InternedSequent) -> SequentKey {
+        if !self
+            .assumption_lists
+            .contains_key(inlined.assumptions.as_slice())
+        {
+            for a in &inlined.assumptions {
+                self.form(*a);
+            }
+            // Sorting + deduplicating makes the key invariant under assumption order and
+            // repetition; assumptions that canonicalise to `True` carry no information.
+            let mut assumptions: Vec<&str> = inlined
+                .assumptions
+                .iter()
+                .map(|a| &self.forms[a])
+                .filter(|(_, is_true)| !is_true)
+                .map(|(printed, _)| printed.as_str())
+                .collect();
+            assumptions.sort_unstable();
+            assumptions.dedup();
+            let text = assumptions.join(" ;; ");
+            self.assumption_lists
+                .insert(inlined.assumptions.as_slice().into(), text);
         }
-        let canonical = key_form(form);
-        self.keys.push((canonical.to_string(), canonical.is_true()));
-        self.index.insert(form.clone(), self.keys.len() - 1);
-        self.keys.len() - 1
+        self.form(inlined.goal);
+        SequentKey::from_repr(format!(
+            "{} |- {}",
+            self.assumption_lists[inlined.assumptions.as_slice()],
+            self.forms[&inlined.goal].0
+        ))
     }
 }
 
 impl SequentKey {
-    /// Computes the canonical key of `sequent`.
+    /// Computes the canonical key of `sequent`, on a fresh [`KeyBank`].
     pub fn of(sequent: &Sequent) -> SequentKey {
-        SequentKey::of_inlined(&inline_definitions(sequent), &mut KeyMemo::default())
-    }
-
-    /// Computes the canonical key of a sequent whose generated-variable definitions
-    /// have already been inlined (the dispatcher inlines once and reuses the result
-    /// for both proving and keying), taking each formula's canonical form from `memo`.
-    pub(crate) fn of_inlined(inlined: &Sequent, memo: &mut KeyMemo) -> SequentKey {
-        let goal = memo.slot(&inlined.goal);
-        let slots: Vec<usize> = inlined.assumptions.iter().map(|a| memo.slot(a)).collect();
-        // Sorting + deduplicating makes the key invariant under assumption order and
-        // repetition; assumptions that canonicalise to `True` carry no information.
-        let mut assumptions: Vec<&str> = slots
-            .into_iter()
-            .map(|slot| &memo.keys[slot])
-            .filter(|(_, is_true)| !is_true)
-            .map(|(printed, _)| printed.as_str())
-            .collect();
-        assumptions.sort();
-        assumptions.dedup();
-        SequentKey::from_repr(format!(
-            "{} |- {}",
-            assumptions.join(" ;; "),
-            memo.keys[goal].0
-        ))
+        let mut keys = KeyBank::new();
+        let interned = keys.bank.intern_sequent(sequent);
+        let inlined = keys.bank.inline_definitions(&interned);
+        keys.key(&inlined)
     }
 
     /// The canonical printed form backing the key (stable within a process run; useful
@@ -305,6 +332,7 @@ impl SequentCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jahob_logic::norm::inline_definitions;
     use jahob_logic::parse_form;
 
     fn seq(assumptions: &[&str], goal: &str) -> Sequent {
@@ -334,8 +362,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The key as computed before the memo existed: every formula canonicalised
-    /// afresh.
+    /// The key as computed before the bank existed: every formula inlined and
+    /// canonicalised afresh.
     fn unmemoised_repr(sequent: &Sequent) -> String {
         let inlined = inline_definitions(sequent);
         let mut assumptions: Vec<String> = inlined
@@ -365,23 +393,35 @@ mod tests {
             seq(&["q & p", "x : s"], "EX v. v : content"),
             seq(&["asg$1 = {x} Un content", "x : s"], "EX w. w : asg$1"),
             seq(&["x : s", "a = a", "p & q"], "r"),
+            // The same quantified assumption under two substitutions that differ only
+            // outside its free variables, and under one that renames its binder.
+            seq(&["asg$1 = y", "ALL z. z : s --> p z"], "q asg$1"),
+            seq(&["asg$2 = c", "ALL z. z : s --> p z"], "q asg$2"),
+            seq(&["asg$1 = z", "ALL z. p asg$1 z"], "q"),
+            seq(&["asg$1 = y", "ALL z. p asg$1 z"], "q"),
         ];
         let fresh: Vec<SequentKey> = batch.iter().map(SequentKey::of).collect();
         for (key, sequent) in fresh.iter().zip(&batch) {
             assert_eq!(key.repr(), unmemoised_repr(sequent));
         }
         let keyed = |order: &mut dyn Iterator<Item = usize>| {
-            let mut memo = KeyMemo::default();
-            let mut keys: Vec<(usize, SequentKey)> = order
+            let mut keys = KeyBank::new();
+            let mut out: Vec<(usize, SequentKey)> = order
                 .map(|i| {
-                    let inlined = inline_definitions(&batch[i]);
-                    (i, SequentKey::of_inlined(&inlined, &mut memo))
+                    let interned = keys.bank.intern_sequent(&batch[i]);
+                    let inlined = keys.bank.inline_definitions(&interned);
+                    assert_eq!(
+                        keys.bank.materialise_sequent(&inlined),
+                        inline_definitions(&batch[i])
+                    );
+                    (i, keys.key(&inlined))
                 })
                 .collect();
-            keys.sort_by_key(|(i, _)| *i);
-            // The 13 formulas of the inlined batch hold 8 distinct ones, one slot each.
-            assert_eq!(memo.keys.len(), 8);
-            keys.into_iter().map(|(_, k)| k).collect::<Vec<_>>()
+            out.sort_by_key(|(i, _)| *i);
+            // The 21 formulas of the inlined batch hold 14 distinct ones, one printed
+            // form each.
+            assert_eq!(keys.forms.len(), 14);
+            out.into_iter().map(|(_, k)| k).collect::<Vec<_>>()
         };
         assert_eq!(keyed(&mut (0..batch.len())), fresh);
         assert_eq!(keyed(&mut (0..batch.len()).rev()), fresh);

@@ -29,7 +29,11 @@
 //!   longer leave threads idle the way a contiguous-chunk split does;
 //! * **result caching** — with [`DispatcherConfig::cache`] enabled, every obligation is
 //!   keyed by the canonical form of its definition-inlined sequent ([`SequentKey`]) and
-//!   looked up in an in-memory cache before any prover runs ([`cache`]);
+//!   looked up in an in-memory cache before any prover runs ([`cache`]). Each worker
+//!   normalises its share of a batch on one formula bank ([`KeyBank`], over
+//!   [`jahob_logic::bank::Bank`]): inlining, keying and the syntactic checks run once
+//!   per distinct node, and the inlined sequent is rebuilt as formulas only for the
+//!   provers, on a cache miss;
 //! * **per-sequent routing** — with [`DispatcherConfig::route`] enabled, each
 //!   obligation's cascade order is chosen from the sequent's syntactic features
 //!   ([`jahob_logic::SequentFeatures`] → [`router`]): provers whose fragment the
@@ -63,18 +67,18 @@ pub mod inst;
 pub mod router;
 pub mod store;
 
-pub use cache::{CacheStats, SequentCache, SequentKey};
+pub use cache::{CacheStats, KeyBank, SequentCache, SequentKey};
 pub use faults::FaultSpec;
 pub use store::{store_path, STORE_VERSION};
 
-use cache::{CacheKey, CachedOutcome, KeyMemo};
+use cache::{CacheKey, CachedOutcome};
 use faults::FaultPlane;
 use inst::apply_inst_hints;
-use jahob_logic::norm::{canonicalize, inline_definitions};
-use jahob_logic::simplify::{simplify, strip_comments_deep};
-use jahob_logic::{Form, SequentFeatures};
+use jahob_logic::bank::{Bank, InternedSequent, NodeId};
+use jahob_logic::simplify::strip_comments_deep;
+use jahob_logic::{Form, Sequent, SequentFeatures};
 use jahob_vcgen::ProofObligation;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -202,9 +206,10 @@ impl LemmaLibrary {
         self.entries.insert(key.into());
     }
 
-    /// Returns `true` if the obligation has a registered proof.
+    /// Returns `true` if the obligation has a registered proof. With none registered,
+    /// the obligation's key is not printed.
     pub fn contains(&self, obligation: &ProofObligation) -> bool {
-        self.entries.contains(&Self::key_of(obligation))
+        !self.entries.is_empty() && self.entries.contains(&Self::key_of(obligation))
     }
 
     /// Number of registered obligation proofs plus named lemmas.
@@ -1088,9 +1093,12 @@ impl Dispatcher {
     /// into its entry's slot and emitted in batch order, so the folded reports —
     /// including every method's `unproved` list — are identical for every thread count.
     ///
-    /// Each worker keeps one key memo for the batch, so a formula that recurs across
-    /// its obligations (an invariant, a background fact) is canonicalised for the cache
-    /// key once per worker rather than once per occurrence.
+    /// Each worker keeps one [`KeyBank`] for the batch and drops it when the batch
+    /// ends. It interns the worker's obligations into one formula bank, so a formula
+    /// that recurs across them (an invariant, a background fact) is inlined,
+    /// simplified, canonicalised for the cache key and checked by the syntactic prover
+    /// once per worker rather than once per occurrence. The configuration fingerprint
+    /// every cache key carries is printed once per batch.
     pub fn prove_all(&self, batch: &ObligationBatch) -> BatchReport {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -1099,14 +1107,15 @@ impl Dispatcher {
         let next = AtomicUsize::new(0);
         let slots: Vec<OnceLock<VerificationReport>> =
             entries.iter().map(|_| OnceLock::new()).collect();
+        let fingerprint = self.config.fingerprint();
         let worker = || {
-            let mut key_memo = KeyMemo::default();
+            let mut keys = KeyBank::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(entry) = entries.get(i) else {
                     break;
                 };
-                let report = self.prove_entry(entry, &mut key_memo);
+                let report = self.prove_entry(entry, &mut keys, &fingerprint);
                 slots[i]
                     .set(report)
                     .expect("obligation indices are claimed exactly once");
@@ -1156,27 +1165,35 @@ impl Dispatcher {
     /// Proves one batch entry, stamping the report with the obligation's wall time (so
     /// per-method folds sum to a meaningful method time even inside a program-wide
     /// batch).
-    fn prove_entry(&self, entry: &BatchEntry, key_memo: &mut KeyMemo) -> VerificationReport {
+    fn prove_entry(
+        &self,
+        entry: &BatchEntry,
+        keys: &mut KeyBank,
+        fingerprint: &str,
+    ) -> VerificationReport {
         let start = Instant::now();
-        let mut report = self.prove_one_inner(&entry.obligation, &entry.context, key_memo);
+        let mut report = self.prove_one_inner(&entry.obligation, &entry.context, keys, fingerprint);
         report.total_time = start.elapsed();
         report
     }
 
-    /// Attempts one obligation, consulting the result cache first when enabled.
+    /// Attempts one obligation, consulting the result cache first when enabled. It
+    /// normalises on a fresh [`KeyBank`].
     pub fn prove_one(
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
     ) -> VerificationReport {
-        self.prove_one_inner(obligation, context, &mut KeyMemo::default())
+        let fingerprint = self.config.fingerprint();
+        self.prove_one_inner(obligation, context, &mut KeyBank::new(), &fingerprint)
     }
 
     fn prove_one_inner(
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
-        key_memo: &mut KeyMemo,
+        keys: &mut KeyBank,
+        fingerprint: &str,
     ) -> VerificationReport {
         // §5.3: before any prover runs, substitute the definitions of the intermediate
         // variables introduced by the VC generator (assignment temporaries, pre-state
@@ -1185,39 +1202,54 @@ impl Dispatcher {
         // the hints name, and the instances produced by `inst` hints ([`inst`]) — is
         // what the provers try first; instantiation runs before inlining and keying,
         // so routing and `SequentKey` both see the instantiated sequent (entries never
-        // alias across witnesses).
+        // alias across witnesses). Inlining, keying and the syntactic checks run on the
+        // worker's bank; the inlined `Sequent`s the other provers read are built from
+        // it only when no cached verdict answers the obligation.
         let has_hints = !obligation.hints.is_empty();
         let hinted = has_hints.then(|| {
             let selected = obligation.hinted_sequent_with_lemmas(context.lemmas.named_lemmas());
-            inline_definitions(&apply_inst_hints(&selected, &obligation.hints))
+            inlined(
+                &mut keys.bank,
+                &apply_inst_hints(&selected, &obligation.hints),
+            )
         });
         // The full-sequent fallback keeps the instantiations too: label hints are
         // advice the retry may discard, but an `inst` witness is information the
         // provers cannot rediscover — dropping it on retry would lose proofs whenever
         // a label hint misselected the assumptions.
         let full = if has_hints {
-            inline_definitions(&apply_inst_hints(&obligation.sequent, &obligation.hints))
+            inlined(
+                &mut keys.bank,
+                &apply_inst_hints(&obligation.sequent, &obligation.hints),
+            )
         } else {
-            inline_definitions(&obligation.sequent)
+            inlined(&mut keys.bank, &obligation.sequent)
         };
         if !self.config.cache.is_enabled() {
-            return self.prove_one_uncached(obligation, context, hinted.as_ref(), &full);
+            return self.prove_one_uncached(
+                obligation,
+                context,
+                &mut keys.bank,
+                hinted.as_ref(),
+                &full,
+            );
         }
-        let full_classes = var_classes(context, &full);
+        let full_classes = var_classes(context, &keys.bank, &full);
         let key = CacheKey {
-            sequent: SequentKey::of_inlined(&full, key_memo),
-            hinted: hinted.as_ref().map(|h| SequentKey::of_inlined(h, key_memo)),
+            sequent: keys.key(&full),
+            hinted: hinted.as_ref().map(|h| keys.key(h)),
             var_classes: match &hinted {
-                Some(h) => format!("{full_classes}|{}", var_classes(context, h)),
+                Some(h) => format!("{full_classes}|{}", var_classes(context, &keys.bank, h)),
                 None => full_classes,
             },
             lemma_registered: context.lemmas.contains(obligation),
-            config_fingerprint: self.config.fingerprint(),
+            config_fingerprint: fingerprint.to_string(),
         };
         if let Some(outcome) = self.cache.lookup(&key) {
             return self.report_from_cache(obligation, outcome);
         }
-        let mut report = self.prove_one_uncached(obligation, context, hinted.as_ref(), &full);
+        let mut report =
+            self.prove_one_uncached(obligation, context, &mut keys.bank, hinted.as_ref(), &full);
         report.cache_misses = 1;
         // A cascade that contained a crash or a deadline stop has attempts with
         // *unknown* verdicts: caching its outcome would freeze a fault-perturbed
@@ -1294,10 +1326,11 @@ impl Dispatcher {
     /// A budgeted phase over `sequent`: every prover in routed order (the static
     /// [`router::route`] permutation of the global order when routing is on, the
     /// global order itself otherwise), under the sequent's fuel when budgets are on.
-    fn phase<'s>(&self, sequent: &'s jahob_logic::Sequent) -> Phase<'s> {
+    fn phase<'s>(&self, sequent: &'s Sequent, interned: &'s InternedSequent) -> Phase<'s> {
         let features = SequentFeatures::of(sequent);
         Phase {
             sequent,
+            interned,
             provers: if self.config.route {
                 router::route(&features, &self.config.order)
             } else {
@@ -1310,7 +1343,8 @@ impl Dispatcher {
     /// Attempts one obligation by running its attempt plan: a list of phases, each a
     /// sequent, the provers to try on it in order, and their fuel. The first success
     /// wins. `hinted` is the inlined hint-filtered sequent and `full` the inlined full
-    /// sequent. The plan is
+    /// sequent, both in `bank`; they are rebuilt as formulas for the provers here. The
+    /// plan is
     ///
     /// 1. the hinted sequent (the full one without hints), every routed prover;
     /// 2. when hints narrowed the sequent, the full sequent, every routed prover but
@@ -1323,26 +1357,31 @@ impl Dispatcher {
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
-        hinted: Option<&jahob_logic::Sequent>,
-        full: &jahob_logic::Sequent,
+        bank: &mut Bank,
+        hinted: Option<&InternedSequent>,
+        full: &InternedSequent,
     ) -> VerificationReport {
         let mut report = VerificationReport {
             total_sequents: 1,
             ..VerificationReport::default()
         };
-        let mut plan = vec![self.phase(hinted.unwrap_or(full))];
+        let first = hinted.unwrap_or(full);
+        let first_sequent = bank.materialise_sequent(first);
         // Hints are advice, not a restriction: when they narrowed the sequent, the
         // full assumption set (still instantiated) is tried next. With
         // instantiation-only hints the two sequents coincide and the retry would
         // repeat the first phase, so it is left out. The syntactic checks run once per
         // obligation, in the first phase.
-        if hinted.is_some_and(|h| h != full) {
-            let mut retry = self.phase(full);
+        let full_sequent = (first != full).then(|| bank.materialise_sequent(full));
+        let mut plan = vec![self.phase(&first_sequent, first)];
+        if let Some(full_sequent) = &full_sequent {
+            let mut retry = self.phase(full_sequent, full);
             retry.provers.retain(|p| *p != ProverId::Syntactic);
             plan.push(retry);
         }
         for Phase {
             sequent,
+            interned,
             provers,
             fuel,
         } in &plan
@@ -1356,7 +1395,11 @@ impl Dispatcher {
                 let outcome = contained_attempt(
                     &self.faults,
                     prover,
-                    sequent,
+                    Attempted {
+                        sequent,
+                        interned,
+                        bank: &mut *bank,
+                    },
                     obligation,
                     context,
                     fuel.as_ref(),
@@ -1395,10 +1438,12 @@ impl Dispatcher {
     }
 }
 
-/// One phase of an obligation's attempt plan: a sequent, the provers to try on it in
-/// order, and their fuel (`None` only with budgets off).
+/// One phase of an obligation's attempt plan: a sequent (as formulas, and in the
+/// worker's bank), the provers to try on it in order, and their fuel (`None` only with
+/// budgets off).
 struct Phase<'s> {
-    sequent: &'s jahob_logic::Sequent,
+    sequent: &'s Sequent,
+    interned: &'s InternedSequent,
     provers: Vec<ProverId>,
     fuel: Option<FuelBudget>,
 }
@@ -1421,12 +1466,19 @@ fn unproved_description(obligation: &ProofObligation, report: &VerificationRepor
     description
 }
 
+/// An obligation's sequent interned into `bank`, with its definitions inlined there.
+fn inlined(bank: &mut Bank, sequent: &Sequent) -> InternedSequent {
+    let interned = bank.intern_sequent(sequent);
+    bank.inline_definitions(&interned)
+}
+
 /// The set/function classification of the free variables of `sequent` under `context`
 /// — part of every cache key, because the classification steers the SMT/FOL
-/// translations.
-fn var_classes(context: &ProverContext, sequent: &jahob_logic::Sequent) -> String {
+/// translations. The variables come from the bank's per-node free variables, in name
+/// order.
+fn var_classes(context: &ProverContext, bank: &Bank, sequent: &InternedSequent) -> String {
     let mut classes = String::new();
-    for v in &sequent.free_vars() {
+    for v in bank.sequent_free_vars(sequent) {
         if context.set_vars.contains(v) {
             classes.push_str("S:");
             classes.push_str(v);
@@ -1505,6 +1557,14 @@ fn fuel_for(features: &SequentFeatures) -> FuelBudget {
     }
 }
 
+/// The sequent one attempt runs on: its formulas for the provers, and its nodes in
+/// the worker's bank for the syntactic prover.
+struct Attempted<'a> {
+    sequent: &'a Sequent,
+    interned: &'a InternedSequent,
+    bank: &'a mut Bank,
+}
+
 /// Runs a single prover on a sequent. With `fuel` present, MONA and FOL run under
 /// its limits and report [`AttemptOutcome::BudgetAborted`] when they hit them;
 /// without it they run with their standing (effectively unlimited) budgets, and a
@@ -1517,7 +1577,7 @@ fn fuel_for(features: &SequentFeatures) -> FuelBudget {
 /// interactive provers have no long-running loops and are exempt.
 fn attempt(
     prover: ProverId,
-    sequent: &jahob_logic::Sequent,
+    on: Attempted<'_>,
     obligation: &ProofObligation,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
@@ -1530,8 +1590,9 @@ fn attempt(
             AttemptOutcome::Failed
         }
     };
+    let sequent = on.sequent;
     match prover {
-        ProverId::Syntactic => verdict(syntactic_prover(sequent)),
+        ProverId::Syntactic => verdict(syntactic_prover_on(on.bank, on.interned)),
         ProverId::Mona => {
             let mut opts = jahob_mona::MonaOptions::default();
             if let Some(fuel) = fuel {
@@ -1610,7 +1671,7 @@ fn attempt(
 fn contained_attempt(
     faults: &FaultPlane,
     prover: ProverId,
-    sequent: &jahob_logic::Sequent,
+    on: Attempted<'_>,
     obligation: &ProofObligation,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
@@ -1619,7 +1680,7 @@ fn contained_attempt(
     faults::install_quiet_panic_hook();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         faults.prover_attempt(prover);
-        attempt(prover, sequent, obligation, context, fuel, deadline)
+        attempt(prover, on, obligation, context, fuel, deadline)
     }));
     faults::clear_injected_panic_marker();
     match outcome {
@@ -1636,54 +1697,67 @@ fn contained_attempt(
 /// inlining the definitional equalities of generated variables and canonicalising
 /// commutative operators — the "simple syntactic transformations that preserve validity"
 /// the paper alludes to. Both passes are sound: they only rewrite the sequent into
-/// equivalent form and then look for the goal among the assumptions.
-pub fn syntactic_prover(sequent: &jahob_logic::Sequent) -> bool {
-    if syntactic_check(sequent, false) {
+/// equivalent form and then look for the goal among the assumptions. The checks run on
+/// a fresh [`Bank`]; the dispatcher runs them on its batch's bank
+/// ([`syntactic_prover_on`]).
+pub fn syntactic_prover(sequent: &Sequent) -> bool {
+    let mut bank = Bank::new();
+    let interned = bank.intern_sequent(sequent);
+    syntactic_prover_on(&mut bank, &interned)
+}
+
+/// [`syntactic_prover`] on a sequent interned in `bank`, reading the bank's memoised
+/// normal forms. The second check inlines the sequent again: on a sequent the
+/// dispatcher has already inlined, that can still find a definition the first inlining
+/// produced (in `SinglyLinkedList.add`, substituting one definition turns another
+/// assumption into `fresh$_1 = null`).
+pub fn syntactic_prover_on(bank: &mut Bank, sequent: &InternedSequent) -> bool {
+    if trivially_valid(bank, sequent, false) {
         return true;
     }
-    let inlined = inline_definitions(sequent);
-    syntactic_check(&inlined, true)
+    let inlined = bank.inline_definitions(sequent);
+    trivially_valid(bank, &inlined, true)
 }
 
 /// One pass of the syntactic validity checks. When `canonical` is set, formulas are
 /// compared modulo commutativity/associativity of `&`, `|`, `Un`, `Int`, `+`, `=` and
-/// membership expansion; otherwise only simplification and comment stripping are applied.
-fn syntactic_check(sequent: &jahob_logic::Sequent, canonical: bool) -> bool {
-    let norm = |f: &Form| -> Form {
+/// membership expansion ([`Bank::canonical`]); otherwise only simplification and
+/// comment stripping are applied.
+fn trivially_valid(bank: &mut Bank, sequent: &InternedSequent, canonical: bool) -> bool {
+    let norm = |bank: &mut Bank, f: NodeId| {
         if canonical {
-            canonicalize(f)
+            bank.canonical(f)
         } else {
-            simplify(&strip_comments_deep(f))
+            let stripped = bank.strip_comments(f);
+            bank.simplify(stripped)
         }
     };
-    let goal = norm(&sequent.goal);
-    if goal.is_true() {
+    let goal = norm(bank, sequent.goal);
+    if bank.is_true(goal) {
         return true;
     }
     // Reflexive equality.
-    if let Some((l, r)) = goal.as_eq() {
-        if l == r {
-            return true;
-        }
+    if bank.as_eq(goal).is_some_and(|(l, r)| l == r) {
+        return true;
     }
-    let assumptions: Vec<Form> = sequent.assumptions.iter().map(norm).collect();
+    let assumptions: Vec<NodeId> = sequent.assumptions.iter().map(|a| norm(bank, *a)).collect();
     // A false assumption proves anything.
-    if assumptions.iter().any(Form::is_false) {
+    if assumptions.iter().any(|a| bank.is_false(*a)) {
         return true;
     }
     // The goal (or each of its conjuncts) appears among the assumptions, possibly as a
     // conjunct of an assumption, possibly as a symmetric equality.
-    let mut available: BTreeSet<Form> = BTreeSet::new();
-    for a in &assumptions {
-        for c in a.conjuncts() {
-            available.insert(c.clone());
-            if let Some((l, r)) = c.as_eq() {
-                available.insert(Form::eq(r.clone(), l.clone()));
+    let mut available: HashSet<NodeId> = HashSet::new();
+    for a in assumptions {
+        for c in bank.conjuncts(a) {
+            available.insert(c);
+            if let Some((l, r)) = bank.as_eq(c) {
+                available.insert(bank.eq(r, l));
             }
         }
     }
-    goal.conjuncts().iter().all(|c| {
-        available.contains(*c) || c.as_eq().map(|(l, r)| l == r).unwrap_or(false) || c.is_true()
+    bank.conjuncts(goal).iter().all(|c| {
+        available.contains(c) || bank.as_eq(*c).is_some_and(|(l, r)| l == r) || bank.is_true(*c)
     })
 }
 
@@ -1714,6 +1788,26 @@ mod tests {
         assert!(syntactic_prover(&ob(&["False"], "anything = 1").sequent));
         assert!(syntactic_prover(&ob(&[], "x = x").sequent));
         assert!(!syntactic_prover(&ob(&["p | q"], "p").sequent));
+    }
+
+    #[test]
+    fn the_syntactic_check_inlines_the_inlined_sequent_again() {
+        // `(fresh$1 = null) = True` is no definition as written; once the first
+        // inlining simplifies it to `fresh$1 = null`, the syntactic prover's own
+        // inlining substitutes it and the goal becomes `r null = r null`.
+        let obligation = ob(
+            &["asg$1 = c", "(fresh$1 = null) = True"],
+            "r fresh$1 = r null",
+        );
+        let inlined = jahob_logic::norm::inline_definitions(&obligation.sequent);
+        assert_eq!(
+            inlined.assumptions,
+            vec![parse_form("fresh$1 = null").unwrap()]
+        );
+        assert!(syntactic_prover(&inlined));
+        let report = Dispatcher::new().prove_one(&obligation, &ProverContext::default());
+        assert_eq!(report.proved_sequents, 1);
+        assert_eq!(report.per_prover[&ProverId::Syntactic].proved, 1);
     }
 
     #[test]

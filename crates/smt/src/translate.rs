@@ -10,7 +10,7 @@
 use crate::ground::{GAtom, GTerm, GroundLimits, GroundOutcome, IndexClause, Problem};
 use jahob_logic::approx::first_order_implication;
 use jahob_logic::form::{Binder, Const, Form, Ident};
-use jahob_logic::rewrite::rewrite_fixpoint;
+use jahob_logic::rewrite::rewrite_bottom_up;
 use jahob_logic::simplify::{nnf, simplify};
 use jahob_logic::subst::{free_vars, substitute, Subst};
 use jahob_logic::Sequent;
@@ -143,6 +143,9 @@ pub fn prove_sequent(sequent: &Sequent, options: &SmtOptions) -> SmtResult {
 /// `k`) by fresh variables constrained with the floor-division axioms
 /// `k*q <= a < k*(q+1)`, appending the defining constraints as extra formulas. Divisions
 /// by non-literal or non-positive divisors are left uninterpreted.
+///
+/// One bottom-up pass suffices: a node is rewritten after its arguments, so a numerator
+/// holds no literal division any more, and a rewrite introduces none.
 fn define_divisions(formulas: Vec<Form>) -> Vec<Form> {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
@@ -167,7 +170,7 @@ fn define_divisions(formulas: Vec<Form>) -> Vec<Form> {
     let rewritten: Vec<Form> = formulas
         .iter()
         .map(|f| {
-            rewrite_fixpoint(f, &|t| {
+            rewrite_bottom_up(f, &|t| {
                 if let Form::App(head, args) = t {
                     if args.len() == 2 {
                         if let Some(k) = positive_divisor(&args[1]) {
@@ -559,6 +562,82 @@ mod tests {
 
     fn proves(assumptions: &[&str], goal: &str) -> bool {
         prove_sequent(&seq(assumptions, goal), &SmtOptions::default()).proved
+    }
+
+    /// [`define_divisions`] as it was, rewriting each formula to a fixpoint.
+    fn fixpoint_define_divisions(formulas: Vec<Form>) -> Vec<Form> {
+        use jahob_logic::rewrite::rewrite_fixpoint;
+        use std::cell::RefCell;
+        use std::collections::BTreeMap;
+        let quotients: RefCell<BTreeMap<(Form, i64), String>> = RefCell::new(BTreeMap::new());
+        let quotient_of = |a: &Form, k: i64| -> String {
+            let mut map = quotients.borrow_mut();
+            let next = map.len();
+            map.entry((a.clone(), k))
+                .or_insert_with(|| format!("smt$div{next}"))
+                .clone()
+        };
+        let mut out: Vec<Form> = formulas
+            .iter()
+            .map(|f| {
+                rewrite_fixpoint(f, &|t| {
+                    let Form::App(head, args) = t else {
+                        return None;
+                    };
+                    let [a, Form::Const(Const::IntLit(k))] = args.as_slice() else {
+                        return None;
+                    };
+                    let k = *k;
+                    match head.as_ref() {
+                        Form::Const(Const::Div) if k > 0 => Some(Form::var(quotient_of(a, k))),
+                        Form::Const(Const::Mod) if k > 0 => {
+                            let q = Form::var(quotient_of(a, k));
+                            Some(Form::minus(
+                                a.clone(),
+                                Form::app(Form::Const(Const::Times), vec![Form::int(k), q]),
+                            ))
+                        }
+                        _ => None,
+                    }
+                })
+            })
+            .collect();
+        for ((numerator, k), q) in quotients.into_inner() {
+            let kq = Form::app(Form::Const(Const::Times), vec![Form::int(k), Form::var(q)]);
+            out.push(Form::cmp(Const::LtEq, kq.clone(), numerator.clone()));
+            out.push(Form::cmp(
+                Const::Lt,
+                numerator,
+                Form::plus(kq, Form::int(k)),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn one_division_pass_matches_the_fixpoint() {
+        let formulas: Vec<Form> = [
+            "(a div 2) div 3 = b mod 2",
+            "a mod 2 = 0 | (a div 2) mod 3 < (c + a div 2) div 4",
+            "ALL i. i div 2 <= i & x div 0 = x div (0 - 1)",
+        ]
+        .iter()
+        .map(|f| parse_form(f).expect("parse"))
+        .collect();
+        let defined = define_divisions(formulas.clone());
+        assert_eq!(defined, fixpoint_define_divisions(formulas));
+        // Each quotient is named once, numbered in order of first use: `a div 2` is
+        // `smt$div0` wherever it occurs and `smt$div0 div 3` is `smt$div1`; the five
+        // quotients add two constraints each, and divisors that are not positive
+        // literals stay as written.
+        let printed: Vec<String> = defined.iter().map(|f| f.to_string()).collect();
+        assert_eq!(printed.len(), 3 + 2 * 5);
+        assert_eq!(printed[0], "smt$div1 = b - 2 * smt$div2");
+        assert_eq!(
+            printed[1],
+            "a - 2 * smt$div0 = 0 | smt$div0 - 3 * smt$div1 < smt$div3"
+        );
+        assert!(printed[2].contains("x div 0 = x div (0 - 1)"));
     }
 
     #[test]
