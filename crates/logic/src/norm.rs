@@ -10,19 +10,26 @@
 //!
 //! * [`definition_substitution`] / [`inline_definitions`] collapse the definitional
 //!   equations of generated variables, so `content_1 = asg$3`, `asg$3 = {x} Un content`
-//!   contribute a single binding `content_1 ↦ {x} Un content`. Both run on a fresh
-//!   [`Bank`], the hash-consed store on which the dispatcher inlines a whole batch;
+//!   contribute a single binding `content_1 ↦ {x} Un content`;
 //! * [`sort_commutative`] orders the arguments of commutative operators so that
 //!   AC-equal formulas (`{x} Un content` vs `content Un {x}`) become syntactically equal;
 //! * [`canonicalize`] combines comment stripping, membership expansion, simplification
 //!   and AC sorting — the "simple syntactic transformations that preserve validity" the
-//!   syntactic prover (§6.1) checks modulo.
+//!   syntactic prover (§6.1) checks modulo;
+//! * [`alpha_normalize`] names every bound variable by its depth, so alpha-equivalent
+//!   formulas become structurally equal.
+//!
+//! Each of these functions interns its input into a fresh [`Bank`], the hash-consed
+//! store where every step is memoised per node ([`Bank::inline_definitions`],
+//! [`Bank::canonical`], [`Bank::sort_commutative`], [`Bank::alpha_normalize`]), and
+//! rebuilds the result. The dispatcher runs the same steps on one bank per batch, so a
+//! subterm shared inside a formula or across the batch is rewritten once. The
+//! `Form`-recursive versions these replaced are kept as test oracles
+//! (`crates/logic/tests/reference`).
 
-use crate::bank::Bank;
-use crate::form::{Const, Form, Ident};
-use crate::rewrite::expand_set_membership;
+use crate::bank::{Bank, NodeId};
+use crate::form::Form;
 use crate::sequent::Sequent;
-use crate::simplify::{simplify, strip_comments_deep};
 use crate::subst::Subst;
 
 /// Returns `true` if `name` was introduced by the verification-condition generator rather
@@ -109,99 +116,28 @@ pub fn inline_definitions(sequent: &Sequent) -> Sequent {
 ///
 /// Handled operators: `&`, `|` (sorted, duplicates removed), `=` and `<->` (operands
 /// ordered), `Un`, `Int`, `+`, `*` (chains flattened, leaves sorted, rebuilt
-/// left-nested).
+/// left-nested; duplicates removed only for the idempotent `Un` and `Int`). Operands
+/// are ordered as [`Form`]'s `Ord` orders them. The work runs on a fresh [`Bank`]
+/// ([`Bank::sort_commutative`]).
 pub fn sort_commutative(form: &Form) -> Form {
-    match form {
-        Form::Var(_) | Form::Const(_) => form.clone(),
-        Form::Typed(f, t) => Form::Typed(Box::new(sort_commutative(f)), t.clone()),
-        Form::Binder(b, vars, body) => {
-            Form::Binder(*b, vars.clone(), Box::new(sort_commutative(body)))
-        }
-        Form::App(fun, args) => {
-            let fun = sort_commutative(fun);
-            let args: Vec<Form> = args.iter().map(sort_commutative).collect();
-            if let Form::Const(c) = &fun {
-                match c {
-                    Const::And | Const::Or => {
-                        let mut parts: Vec<Form> = Vec::new();
-                        for a in &args {
-                            let leaves = if *c == Const::And {
-                                a.conjuncts().into_iter().cloned().collect::<Vec<_>>()
-                            } else {
-                                a.disjuncts().into_iter().cloned().collect::<Vec<_>>()
-                            };
-                            parts.extend(leaves);
-                        }
-                        parts.sort();
-                        parts.dedup();
-                        return if *c == Const::And {
-                            Form::and(parts)
-                        } else {
-                            Form::or(parts)
-                        };
-                    }
-                    Const::Eq | Const::Iff if args.len() == 2 => {
-                        let mut args = args;
-                        if args[0] > args[1] {
-                            args.swap(0, 1);
-                        }
-                        return Form::app(fun, args);
-                    }
-                    Const::Union | Const::Inter | Const::Plus | Const::Times if args.len() == 2 => {
-                        let mut leaves = Vec::new();
-                        for a in &args {
-                            collect_ac_leaves(c, a, &mut leaves);
-                        }
-                        leaves.sort();
-                        // Union and intersection are idempotent, and the simplifier
-                        // collapses `t Un t` only when the copies are siblings — dedup
-                        // here so AC-equal chains canonicalise identically regardless of
-                        // the original association.
-                        if matches!(c, Const::Union | Const::Inter) {
-                            leaves.dedup();
-                        }
-                        let mut iter = leaves.into_iter();
-                        let first = iter.next().expect("binary operator has arguments");
-                        return iter.fold(first, |acc, next| {
-                            Form::app(Form::Const(c.clone()), vec![acc, next])
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            Form::App(Box::new(fun), args)
-        }
-    }
-}
-
-fn collect_ac_leaves(op: &Const, form: &Form, out: &mut Vec<Form>) {
-    if let Some(parts) = form.as_app_of(op) {
-        if parts.len() == 2 {
-            for p in parts {
-                collect_ac_leaves(op, p, out);
-            }
-            return;
-        }
-    }
-    out.push(form.clone());
+    on_fresh_bank(form, Bank::sort_commutative)
 }
 
 /// Canonicalises a formula for syntactic comparison: strips comments, expands membership
 /// in set-algebraic expressions, simplifies, sorts commutative operators, and simplifies
-/// again (so equalities whose operands became identical collapse to `True`).
+/// again (so equalities whose operands became identical collapse to `True`). The work
+/// runs on a fresh [`Bank`] ([`Bank::canonical`]); the dispatcher keeps one bank per
+/// batch instead, so a formula shared across the batch is canonicalised once.
 pub fn canonicalize(form: &Form) -> Form {
-    let f = strip_comments_deep(form);
-    let f = expand_set_membership(&f);
-    let f = simplify(&f);
-    let f = sort_commutative(&f);
-    simplify(&f)
+    on_fresh_bank(form, Bank::canonical)
 }
 
 /// Renames every bound variable to a canonical name (`?b<depth>`, its de Bruijn
 /// level: the number of enclosing bound variables), so that alpha-equivalent formulas
 /// become structurally equal. Free variables are untouched. The `?` prefix cannot be
 /// produced by the parser, so the canonical names never collide with (or capture)
-/// program and specification variables.
+/// program and specification variables. The work runs on a fresh [`Bank`]
+/// ([`Bank::alpha_normalize`]).
 ///
 /// Naming by depth rather than by traversal order matters for AC canonicalisation:
 /// sibling binders (two quantified disjuncts, say) receive the *same* canonical name,
@@ -217,38 +153,15 @@ pub fn canonicalize(form: &Form) -> Form {
 /// assert_eq!(a, b);
 /// ```
 pub fn alpha_normalize(form: &Form) -> Form {
-    fn go(form: &Form, env: &mut Vec<(Ident, Ident)>) -> Form {
-        match form {
-            Form::Var(v) => {
-                // Innermost binding wins (shadowing).
-                for (from, to) in env.iter().rev() {
-                    if from == v {
-                        return Form::Var(to.clone());
-                    }
-                }
-                form.clone()
-            }
-            Form::Const(_) => form.clone(),
-            Form::Typed(f, t) => Form::Typed(Box::new(go(f, env)), t.clone()),
-            Form::App(fun, args) => Form::App(
-                Box::new(go(fun, env)),
-                args.iter().map(|a| go(a, env)).collect(),
-            ),
-            Form::Binder(b, vars, body) => {
-                let depth = env.len();
-                let mut renamed = Vec::with_capacity(vars.len());
-                for (v, t) in vars {
-                    let fresh = format!("?b{}", env.len());
-                    env.push((v.clone(), fresh.clone()));
-                    renamed.push((fresh, t.clone()));
-                }
-                let body = go(body, env);
-                env.truncate(depth);
-                Form::Binder(*b, renamed, Box::new(body))
-            }
-        }
-    }
-    go(form, &mut Vec::new())
+    on_fresh_bank(form, Bank::alpha_normalize)
+}
+
+/// Interns `form` into a fresh bank, applies `op` and rebuilds the result.
+fn on_fresh_bank(form: &Form, op: fn(&mut Bank, NodeId) -> NodeId) -> Form {
+    let mut bank = Bank::new();
+    let id = bank.intern(form);
+    let out = op(&mut bank, id);
+    bank.materialise(out)
 }
 
 #[cfg(test)]

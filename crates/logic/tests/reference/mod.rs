@@ -1,4 +1,5 @@
-//! Definition inlining as it was before the formula bank, kept as a test oracle.
+//! Definition inlining and canonicalisation as they were before the formula bank,
+//! kept as test oracles.
 //!
 //! Each sequent is inlined on its own, on owned `Form` trees: the definitional links
 //! are collected from its comment-stripped assumptions, resolved in one depth-first
@@ -6,11 +7,17 @@
 //! renaming, each result simplified. `jahob_logic::bank::Bank::inline_definitions`,
 //! which shares the work between the sequents of a batch, must build exactly what
 //! [`inline_definitions`] builds, whatever else the bank holds.
+//!
+//! [`canonicalize`], [`sort_commutative`], [`alpha_normalize`] and [`key_form`] rebuild
+//! each formula recursively, as the library did before it ran them on the bank
+//! (`Bank::canonical`, `Bank::sort_commutative`, `Bank::alpha_normalize` and
+//! `Bank::key_form`).
 
 #![allow(dead_code)]
 
 use jahob_logic::form::{Const, Form, Ident};
 use jahob_logic::norm::is_generated_name;
+use jahob_logic::rewrite::expand_set_membership;
 use jahob_logic::simplify::{simplify, strip_comments_deep};
 use jahob_logic::subst::{free_vars, fresh_name, substitute_one, Subst};
 use jahob_logic::Sequent;
@@ -173,4 +180,141 @@ fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> For
             )
         }
     }
+}
+
+/// Sorts the arguments of commutative operators on `Form` trees: `&` and `|` are
+/// flattened, sorted and deduplicated, `=` and `<->` order their two operands, and
+/// binary `Un`, `Int`, `+` and `*` chains are flattened, sorted (deduplicated only for
+/// `Un` and `Int`) and rebuilt left-nested. Every other node is rebuilt as it is.
+pub fn sort_commutative(form: &Form) -> Form {
+    match form {
+        Form::Var(_) | Form::Const(_) => form.clone(),
+        Form::Typed(f, t) => Form::Typed(Box::new(sort_commutative(f)), t.clone()),
+        Form::Binder(b, vars, body) => {
+            Form::Binder(*b, vars.clone(), Box::new(sort_commutative(body)))
+        }
+        Form::App(fun, args) => {
+            let fun = sort_commutative(fun);
+            let args: Vec<Form> = args.iter().map(sort_commutative).collect();
+            if let Form::Const(c) = &fun {
+                match c {
+                    Const::And | Const::Or => {
+                        let mut parts: Vec<Form> = Vec::new();
+                        for a in &args {
+                            let leaves = if *c == Const::And {
+                                a.conjuncts()
+                            } else {
+                                a.disjuncts()
+                            };
+                            parts.extend(leaves.into_iter().cloned());
+                        }
+                        parts.sort();
+                        parts.dedup();
+                        return if *c == Const::And {
+                            Form::and(parts)
+                        } else {
+                            Form::or(parts)
+                        };
+                    }
+                    Const::Eq | Const::Iff if args.len() == 2 => {
+                        let mut args = args;
+                        if args[0] > args[1] {
+                            args.swap(0, 1);
+                        }
+                        return Form::app(fun, args);
+                    }
+                    Const::Union | Const::Inter | Const::Plus | Const::Times if args.len() == 2 => {
+                        let mut leaves = Vec::new();
+                        for a in &args {
+                            collect_ac_leaves(c, a, &mut leaves);
+                        }
+                        leaves.sort();
+                        if matches!(c, Const::Union | Const::Inter) {
+                            leaves.dedup();
+                        }
+                        let mut iter = leaves.into_iter();
+                        let first = iter.next().expect("binary operator has arguments");
+                        return iter.fold(first, |acc, next| {
+                            Form::app(Form::Const(c.clone()), vec![acc, next])
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            Form::App(Box::new(fun), args)
+        }
+    }
+}
+
+/// The leaves of a chain of binary applications of `op`.
+fn collect_ac_leaves(op: &Const, form: &Form, out: &mut Vec<Form>) {
+    if let Some(parts) = form.as_app_of(op) {
+        if parts.len() == 2 {
+            for p in parts {
+                collect_ac_leaves(op, p, out);
+            }
+            return;
+        }
+    }
+    out.push(form.clone());
+}
+
+/// Strips comments, expands membership, simplifies, sorts commutative operators and
+/// simplifies again, on `Form` trees.
+pub fn canonicalize(form: &Form) -> Form {
+    let f = strip_comments_deep(form);
+    let f = expand_set_membership(&f);
+    let f = simplify(&f);
+    let f = sort_commutative(&f);
+    simplify(&f)
+}
+
+/// Renames every bound variable `?b<depth>`, the number of enclosing bound variables;
+/// applications and binders are rebuilt as they are.
+pub fn alpha_normalize(form: &Form) -> Form {
+    fn go(form: &Form, env: &mut Vec<(Ident, Ident)>) -> Form {
+        match form {
+            Form::Var(v) => {
+                for (from, to) in env.iter().rev() {
+                    if from == v {
+                        return Form::Var(to.clone());
+                    }
+                }
+                form.clone()
+            }
+            Form::Const(_) => form.clone(),
+            Form::Typed(f, t) => Form::Typed(Box::new(go(f, env)), t.clone()),
+            Form::App(fun, args) => Form::App(
+                Box::new(go(fun, env)),
+                args.iter().map(|a| go(a, env)).collect(),
+            ),
+            Form::Binder(b, vars, body) => {
+                let depth = env.len();
+                let mut renamed = Vec::with_capacity(vars.len());
+                for (v, t) in vars {
+                    let fresh = format!("?b{}", env.len());
+                    env.push((v.clone(), fresh.clone()));
+                    renamed.push((fresh, t.clone()));
+                }
+                let body = go(body, env);
+                env.truncate(depth);
+                Form::Binder(*b, renamed, Box::new(body))
+            }
+        }
+    }
+    go(form, &mut Vec::new())
+}
+
+/// The cache key's form of one formula: [`alpha_normalize`] then [`canonicalize`],
+/// repeated until nothing changes, for at most five rounds.
+pub fn key_form(form: &Form) -> Form {
+    let mut current = canonicalize(&alpha_normalize(form));
+    for _ in 0..4 {
+        let next = canonicalize(&alpha_normalize(&current));
+        if next == current {
+            break;
+        }
+        current = next;
+    }
+    current
 }

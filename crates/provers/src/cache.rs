@@ -8,23 +8,26 @@
 //!
 //! The canonical form is computed with the same machinery the syntactic prover (§6.1)
 //! trusts: definition inlining ([`inline_definitions`]) collapses generated-variable
-//! equations, [`canonicalize`] strips comments and AC-sorts commutative operators, and
-//! [`alpha_normalize`] names bound variables by their depth. On top of that,
-//! assumptions are deduplicated and sorted, so permuted or duplicated assumption
-//! lists key identically. Every transformation preserves logical equivalence, so a
-//! cache hit on a proved entry is sound: the hit sequent is equivalent to one a prover
-//! actually discharged.
+//! equations, [`canonicalize`] strips comments, expands membership and AC-sorts
+//! commutative operators, and [`alpha_normalize`] names bound variables by their depth.
+//! On top of that, assumptions are deduplicated and sorted, so permuted or duplicated
+//! assumption lists key identically. Every transformation preserves logical
+//! equivalence, so a cache hit on a proved entry is sound: the hit sequent is
+//! equivalent to one a prover actually discharged.
 //!
 //! Within one `prove_all` batch each worker keys on one [`KeyBank`]: the batch's
 //! formulas are interned into a [`Bank`], inlined there once per distinct node and
-//! substitution, and each distinct inlined formula is canonicalised and printed once.
-//! A formula the batch has already seen costs an id lookup.
+//! substitution, and brought to their key form there ([`Bank::key_form`]), each step
+//! memoised per node, so a subterm shared inside a formula or across the batch is
+//! canonicalised once. Each distinct inlined formula's key form is materialised and
+//! printed once. A formula the batch has already seen costs an id lookup.
 //!
 //! [`inline_definitions`]: jahob_logic::norm::inline_definitions
+//! [`canonicalize`]: jahob_logic::norm::canonicalize
+//! [`alpha_normalize`]: jahob_logic::norm::alpha_normalize
 
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
-use jahob_logic::norm::{alpha_normalize, canonicalize};
-use jahob_logic::{Form, Sequent};
+use jahob_logic::Sequent;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -52,34 +55,10 @@ impl Hash for SequentKey {
     }
 }
 
-/// The canonical form of one formula: [`alpha_normalize`] then [`canonicalize`],
-/// repeated until nothing changes.
-///
-/// `alpha_normalize` names every binder by its depth, so sibling binders share names
-/// and AC sorting cannot change how any binder is named: one round normally reaches
-/// the fixpoint, and a second round confirms it. The loop guards the cases where
-/// `canonicalize` itself reshapes binders. Its beta reduction (of a lambda application, or of membership in a
-/// comprehension) removes a binder, or renames one beneath it to avoid capture, which
-/// leaves names that are no longer depth-canonical until the next round. On one pass of
-/// the three benchmark workloads, all 8,304 assumptions and goals of the 838 inlined
-/// sequents reach the fixpoint after one round; the bound keeps a pathological input
-/// from looping.
-fn key_form(form: &Form) -> Form {
-    let mut current = canonicalize(&alpha_normalize(form));
-    for _ in 0..4 {
-        let next = canonicalize(&alpha_normalize(&current));
-        if next == current {
-            break;
-        }
-        current = next;
-    }
-    current
-}
-
 /// One dispatcher worker's formulas for one `prove_all` batch: the [`Bank`] holding
-/// them, the printed key form (`alpha_normalize` then `canonicalize`, to a fixpoint) of
-/// every inlined formula keyed so far and whether it is `True`, and the key text of
-/// every inlined assumption list keyed so far.
+/// them, the printed key form ([`Bank::key_form`]) of every inlined formula keyed so
+/// far and whether it is `True`, and the key text of every inlined assumption list
+/// keyed so far.
 ///
 /// Everything is indexed by node id, and ids are exact: two formulas share an id only
 /// when they are structurally equal, so two distinct formulas never share a canonical
@@ -98,12 +77,14 @@ impl KeyBank {
         KeyBank::default()
     }
 
-    /// The printed canonical form of an inlined formula, and whether it is `True`.
+    /// The printed key form of an inlined formula ([`Bank::key_form`]), and whether it
+    /// is `True`. The key form is computed on the bank; only the finished form is
+    /// materialised, to print it.
     fn form(&mut self, id: NodeId) -> &(String, bool) {
-        let bank = &self.bank;
+        let bank = &mut self.bank;
         self.forms.entry(id).or_insert_with(|| {
-            let canonical = key_form(&bank.materialise(id));
-            (canonical.to_string(), canonical.is_true())
+            let key = bank.key_form(id);
+            (bank.materialise(key).to_string(), bank.is_true(key))
         })
     }
 
@@ -329,10 +310,15 @@ impl SequentCache {
     }
 }
 
+/// The `Form`-recursive inlining and key form the bank must match.
+#[cfg(test)]
+#[path = "../../logic/tests/reference/mod.rs"]
+mod reference;
+
 #[cfg(test)]
 mod tests {
+    use super::reference;
     use super::*;
-    use jahob_logic::norm::inline_definitions;
     use jahob_logic::parse_form;
 
     fn seq(assumptions: &[&str], goal: &str) -> Sequent {
@@ -363,13 +349,13 @@ mod tests {
     }
 
     /// The key as computed before the bank existed: every formula inlined and
-    /// canonicalised afresh.
+    /// canonicalised afresh, on `Form` trees.
     fn unmemoised_repr(sequent: &Sequent) -> String {
-        let inlined = inline_definitions(sequent);
+        let inlined = reference::inline_definitions(sequent);
         let mut assumptions: Vec<String> = inlined
             .assumptions
             .iter()
-            .map(key_form)
+            .map(reference::key_form)
             .filter(|a| !a.is_true())
             .map(|a| a.to_string())
             .collect();
@@ -378,7 +364,7 @@ mod tests {
         format!(
             "{} |- {}",
             assumptions.join(" ;; "),
-            key_form(&inlined.goal)
+            reference::key_form(&inlined.goal)
         )
     }
 
@@ -412,7 +398,7 @@ mod tests {
                     let inlined = keys.bank.inline_definitions(&interned);
                     assert_eq!(
                         keys.bank.materialise_sequent(&inlined),
-                        inline_definitions(&batch[i])
+                        reference::inline_definitions(&batch[i])
                     );
                     (i, keys.key(&inlined))
                 })

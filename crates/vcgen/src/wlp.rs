@@ -249,8 +249,10 @@ pub fn split(vc: &Form) -> Vec<ProofObligation> {
     out
 }
 
+/// `assumptions` holds each assumption on the path with its free variables, computed
+/// once when it is pushed rather than at every universal goal below it.
 fn split_rec(
-    assumptions: &mut Vec<Form>,
+    assumptions: &mut Vec<(Form, BTreeSet<String>)>,
     labels: &mut Vec<String>,
     hints: &mut Vec<Hint>,
     goal: &Form,
@@ -284,10 +286,13 @@ fn split_rec(
                     Const::Impl if args.len() == 2 => {
                         // The assumption itself may be a conjunction; keep its conjuncts
                         // separate so `by` hints and provers can select them.
-                        let new_assumptions: Vec<Form> =
-                            args[0].conjuncts().into_iter().cloned().collect();
+                        let new_assumptions = args[0].conjuncts();
                         let n = new_assumptions.len();
-                        assumptions.extend(new_assumptions);
+                        assumptions.extend(
+                            new_assumptions
+                                .into_iter()
+                                .map(|a| (a.clone(), jahob_logic::subst::free_vars(a))),
+                        );
                         split_rec(assumptions, labels, hints, &args[1], out, used_names);
                         assumptions.truncate(assumptions.len() - n);
                         return;
@@ -300,8 +305,8 @@ fn split_rec(
         Form::Binder(Binder::Forall, vars, body) => {
             // Fig. 13: A --> ALL x. G  ~~>  A --> G[x := fresh].
             let mut avoid: BTreeSet<String> = used_names.clone();
-            for a in assumptions.iter() {
-                avoid.extend(jahob_logic::subst::free_vars(a));
+            for (_, vars) in assumptions.iter() {
+                avoid.extend(vars.iter().cloned());
             }
             avoid.extend(jahob_logic::subst::free_vars(body));
             let mut current = body.as_ref().clone();
@@ -318,7 +323,7 @@ fn split_rec(
 }
 
 fn emit(
-    assumptions: &[Form],
+    assumptions: &[(Form, BTreeSet<String>)],
     labels: &[String],
     hints: &[Hint],
     goal: &Form,
@@ -328,7 +333,8 @@ fn emit(
     if goal.is_true() {
         return;
     }
-    let mut sequent = Sequent::new(assumptions.to_vec(), goal);
+    let assumptions = assumptions.iter().map(|(a, _)| a.clone()).collect();
+    let mut sequent = Sequent::new(assumptions, goal);
     sequent.labels = labels.to_vec();
     out.push(ProofObligation {
         sequent,

@@ -8,33 +8,20 @@
 //! every obligation of the §7 suite into one shared bank, once in batch order and once
 //! in reverse, and checks each obligation's inlined sequent, cache-key text, variable
 //! classes and syntactic verdict against a reference computed for that obligation
-//! alone on `Form` trees: the one-pass inlining of `crates/logic/tests/reference`, and
-//! the key and syntactic checks as they were before the bank.
+//! alone on `Form` trees by `crates/logic/tests/reference`: its one-pass inlining, and
+//! its key form and canonical form, with the key text and syntactic checks as they
+//! were before the bank.
 
 #[path = "../crates/logic/tests/reference/mod.rs"]
 mod reference;
 
 use jahob_repro::frontend::program_tasks;
 use jahob_repro::jahob::suite;
-use jahob_repro::logic::norm::{alpha_normalize, canonicalize};
 use jahob_repro::logic::simplify::{simplify, strip_comments_deep};
 use jahob_repro::logic::{Form, Sequent};
 use jahob_repro::provers::inst::apply_inst_hints;
 use jahob_repro::provers::{syntactic_prover_on, KeyBank, LemmaLibrary, ProverContext, SequentKey};
 use std::collections::BTreeSet;
-
-/// `alpha_normalize` then `canonicalize`, to a fixpoint (at most five rounds).
-fn key_form(form: &Form) -> Form {
-    let mut current = canonicalize(&alpha_normalize(form));
-    for _ in 0..4 {
-        let next = canonicalize(&alpha_normalize(&current));
-        if next == current {
-            break;
-        }
-        current = next;
-    }
-    current
-}
 
 /// The key text of an inlined sequent: its assumptions' key forms, without `True`,
 /// sorted and deduplicated, then its goal's.
@@ -42,7 +29,7 @@ fn key_text(inlined: &Sequent) -> String {
     let mut assumptions: Vec<String> = inlined
         .assumptions
         .iter()
-        .map(key_form)
+        .map(reference::key_form)
         .filter(|a| !a.is_true())
         .map(|a| a.to_string())
         .collect();
@@ -51,7 +38,7 @@ fn key_text(inlined: &Sequent) -> String {
     format!(
         "{} |- {}",
         assumptions.join(" ;; "),
-        key_form(&inlined.goal)
+        reference::key_form(&inlined.goal)
     )
 }
 
@@ -59,7 +46,7 @@ fn key_text(inlined: &Sequent) -> String {
 fn trivially_valid(sequent: &Sequent, canonical: bool) -> bool {
     let norm = |f: &Form| {
         if canonical {
-            canonicalize(f)
+            reference::canonicalize(f)
         } else {
             simplify(&strip_comments_deep(f))
         }
