@@ -6,7 +6,9 @@
 //! and 15). This module realises that separation between *dispatch* and *attribution*:
 //! [`assemble_program_batch`] flattens every method of a program into one tagged
 //! [`ObligationBatch`] (each obligation carrying its provenance and its method's
-//! [`ProverContext`](jahob_provers::ProverContext)), and [`fold_method_results`] folds
+//! [`ProverContext`](jahob_provers::ProverContext)), generating every method's
+//! verification conditions straight into the batch's formula bank, and
+//! [`fold_method_results`] folds
 //! the tagged per-obligation reports back into the per-method
 //! [`MethodResult`] shape — in batch order, so the per-method
 //! `unproved` ordering is identical to a per-method dispatch.
@@ -35,15 +37,30 @@ pub fn assemble_program_batch(
     lemmas: &LemmaLibrary,
 ) -> (ObligationBatch, Vec<MethodPlan>) {
     let mut batch = ObligationBatch::new();
-    let mut methods = Vec::new();
-    for task in program_tasks(program) {
-        let method = task.qualified_name();
-        let context = Arc::new(task.prover_context(lemmas));
-        let obligations = task.obligations();
-        methods.push((method.clone(), obligations.len()));
-        batch.push_method(structure, &method, context, obligations);
-    }
+    let methods = assemble_into(&mut batch, structure, program, lemmas);
     (batch, methods)
+}
+
+/// [`assemble_program_batch`] into an existing batch, so several programs share one
+/// batch and its formula bank. Each method's verification conditions are generated
+/// straight into the bank. Returns the program's method plan.
+pub fn assemble_into(
+    batch: &mut ObligationBatch,
+    structure: &str,
+    program: &Program,
+    lemmas: &LemmaLibrary,
+) -> Vec<MethodPlan> {
+    program_tasks(program)
+        .iter()
+        .map(|task| {
+            let method = task.qualified_name();
+            let context = Arc::new(task.prover_context(lemmas));
+            let count = batch.push_generated(structure, &method, context, |bank| {
+                task.obligations_in(bank)
+            });
+            (method, count)
+        })
+        .collect()
 }
 
 /// Folds the tagged per-obligation reports of one structure back into per-method

@@ -26,7 +26,7 @@ pub mod prelude;
 pub mod suite;
 pub mod verifier;
 
-use batch::{assemble_program_batch, fold_method_results};
+use batch::{assemble_into, assemble_program_batch, fold_method_results};
 use jahob_frontend::{MethodTask, Program};
 use jahob_provers::{Dispatcher, LemmaLibrary, ProverId, VerificationReport};
 use std::collections::BTreeMap;
@@ -82,15 +82,10 @@ pub fn verify_task_with(
     lemmas: &LemmaLibrary,
 ) -> MethodResult {
     let method = task.qualified_name();
-    let obligations = task.obligations();
-    let plan = (method.clone(), obligations.len());
     let mut batch = ObligationBatch::new();
-    batch.push_method(
-        "",
-        &method,
-        Arc::new(task.prover_context(lemmas)),
-        obligations,
-    );
+    let context = Arc::new(task.prover_context(lemmas));
+    let count = batch.push_generated("", &method, context, |bank| task.obligations_in(bank));
+    let plan = (method, count);
     let report = dispatcher.prove_all(&batch);
     fold_method_results(&report, "", std::slice::from_ref(&plan))
         .pop()
@@ -193,16 +188,18 @@ pub fn run_suite(options: &VerifyOptions) -> Vec<SuiteRow> {
     )
 }
 
-/// Runs the whole suite through an existing dispatcher (one batch, one `prove_all`).
+/// Runs the whole suite through an existing dispatcher (one batch, one `prove_all`):
+/// every program is assembled into the one batch and its formula bank.
 pub fn run_suite_with(dispatcher: &Dispatcher, lemmas: &LemmaLibrary) -> Vec<SuiteRow> {
     let entries = suite::full_suite();
     let mut batch = ObligationBatch::new();
-    let mut structures: Vec<(&str, Vec<batch::MethodPlan>)> = Vec::new();
-    for entry in &entries {
-        let (program_batch, methods) = assemble_program_batch(entry.name, &entry.program, lemmas);
-        batch.append(program_batch);
-        structures.push((entry.name, methods));
-    }
+    let structures: Vec<(&str, Vec<batch::MethodPlan>)> = entries
+        .iter()
+        .map(|entry| {
+            let methods = assemble_into(&mut batch, entry.name, &entry.program, lemmas);
+            (entry.name, methods)
+        })
+        .collect();
     let report = dispatcher.prove_all(&batch);
     structures
         .iter()

@@ -15,12 +15,16 @@
 //! `jahob-vcgen`.
 
 use crate::ast::{ClassDef, Expr, Hint, JavaType, Lvalue, MethodDef, Program, SpecVarKind, Stmt};
+use jahob_logic::bank::Bank;
 use jahob_logic::form::{Const, Form, Ident};
 use jahob_logic::rewrite::resolve_old;
 use jahob_logic::types::Type;
 use jahob_logic::TypeEnv;
 use jahob_provers::{LemmaLibrary, ProverContext};
-use jahob_vcgen::{desugar, verification_conditions, Command, DesugarEnv, ProofObligation};
+use jahob_vcgen::{
+    desugar, obligations_in, verification_conditions, Command, DesugarEnv, InternedObligation,
+    ProofObligation,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything needed to verify one method.
@@ -44,6 +48,13 @@ impl MethodTask {
     pub fn obligations(&self) -> Vec<ProofObligation> {
         let simple = desugar(&self.commands, &self.env);
         verification_conditions(&simple, Form::tt(), &self.env)
+    }
+
+    /// [`MethodTask::obligations`] generated into `bank`, as the dispatcher proves them.
+    pub fn obligations_in(&self, bank: &mut Bank) -> Vec<InternedObligation> {
+        let simple = desugar(&self.commands, &self.env);
+        let post = bank.intern(&Form::tt());
+        obligations_in(bank, &simple, post, &self.env)
     }
 
     /// Names of set-typed global variables (for prover approximation options).

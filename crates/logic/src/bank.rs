@@ -2,6 +2,13 @@
 //! one `u32` id, and the normalisation the dispatcher runs before any prover is
 //! memoised per node.
 //!
+//! The VC generator (`jahob_vcgen`) builds its verification conditions in a bank through
+//! the constructors that mirror [`Form`]'s smart constructors ([`Bank::and`],
+//! [`Bank::implies`], [`Bank::forall`], [`Bank::comment`]) and splits them with the
+//! bank's cached free variables ([`Bank::is_free_in`]) and capture-avoiding
+//! substitution ([`Bank::substitute_one`]). A batch of obligations keeps that bank, so
+//! the dispatcher normalises and proves them without interning them again.
+//!
 //! The verification conditions of one program share most of their formulas: every
 //! sequent of a method repeats the class invariants and the background facts, and
 //! every method repeats the invariants of its class. Rewriting each sequent on owned
@@ -36,7 +43,7 @@
 use crate::form::{Binder, Const, Form, Ident};
 use crate::norm::is_generated_name;
 use crate::sequent::Sequent;
-use crate::subst::Subst;
+use crate::subst::{fresh_name_by, Subst};
 use crate::types::Type;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -234,7 +241,7 @@ impl Links {
 }
 
 /// A per-node memo: one slot per node id.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NodeMemo(Vec<u32>);
 
 impl NodeMemo {
@@ -256,9 +263,10 @@ impl NodeMemo {
 
 /// A hash-consed store of formulas with memoised normalisation (see the module docs).
 ///
-/// A bank only grows. The dispatcher keeps one per worker per batch and drops it when
-/// the batch ends; it needs no lock.
-#[derive(Debug)]
+/// A bank only grows, so an id stays valid in the bank and in every copy of it. A batch
+/// of obligations owns one: the VC generator builds the obligations in it, the
+/// dispatcher's calling thread proves on it, and each helper thread on a copy.
+#[derive(Debug, Clone)]
 pub struct Bank {
     names: Vec<Box<str>>,
     generated: Vec<bool>,
@@ -354,6 +362,11 @@ impl Bank {
     /// The name of a symbol.
     pub fn name(&self, sym: Sym) -> &str {
         &self.names[sym.0 as usize]
+    }
+
+    /// The symbol of an identifier the bank has interned, without interning it.
+    pub fn find_symbol(&self, name: &str) -> Option<Sym> {
+        self.symbols.get(name).copied()
     }
 
     fn set(&mut self, mut members: Vec<Sym>) -> SetId {
@@ -618,11 +631,24 @@ impl Bank {
         }
     }
 
+    /// [`Sequent::describe`] of an interned sequent: the goal is rebuilt and printed
+    /// only when the sequent has no labels.
+    pub fn describe(&self, sequent: &InternedSequent) -> String {
+        crate::sequent::describe(&sequent.labels, || {
+            self.materialise(sequent.goal).to_string()
+        })
+    }
+
     /// The free variables of a node, in no particular order.
     pub fn free_vars(&self, id: NodeId) -> impl Iterator<Item = &str> + '_ {
         self.members(self.info(id).free)
             .iter()
             .map(|s| self.name(*s))
+    }
+
+    /// Whether `sym` is a free variable of a node, read from the node's cached set.
+    pub fn is_free_in(&self, sym: Sym, id: NodeId) -> bool {
+        self.contains(self.info(id).free, sym)
     }
 
     /// The free variables of a sequent, ordered by name (as [`Sequent::free_vars`]).
@@ -703,7 +729,8 @@ impl Bank {
         id
     }
 
-    fn var(&mut self, sym: Sym) -> NodeId {
+    /// The variable of a symbol, as [`Form::var`].
+    pub fn var(&mut self, sym: Sym) -> NodeId {
         if let Some(Some(id)) = self.vars.get(sym.0 as usize) {
             return *id;
         }
@@ -739,9 +766,15 @@ impl Bank {
         }
     }
 
-    fn app_of(&mut self, c: Const, args: Vec<NodeId>) -> NodeId {
+    /// A constant applied to arguments, as [`Form::app`] builds it.
+    pub fn app_of(&mut self, c: Const, args: Vec<NodeId>) -> NodeId {
         let f = self.konst(c);
         self.app(f, args)
+    }
+
+    /// [`Form::comment`].
+    pub fn comment(&mut self, label: &str, f: NodeId) -> NodeId {
+        self.app_of(Const::Comment(label.to_string()), vec![f])
     }
 
     /// Equality, as [`Form::eq`].
@@ -791,8 +824,13 @@ impl Bank {
         }
     }
 
+    /// [`Form::and`].
+    pub fn and(&mut self, parts: Vec<NodeId>) -> NodeId {
+        self.junction(true, parts)
+    }
+
     /// [`Form::implies`].
-    fn implies(&mut self, l: NodeId, r: NodeId) -> NodeId {
+    pub fn implies(&mut self, l: NodeId, r: NodeId) -> NodeId {
         if self.is_true(l) {
             return r;
         }
@@ -800,6 +838,11 @@ impl Bank {
             return self.bool_lit(true);
         }
         self.app_of(Const::Impl, vec![l, r])
+    }
+
+    /// [`Form::forall_many`].
+    pub fn forall(&mut self, vars: &[(Sym, Type)], body: NodeId) -> NodeId {
+        self.quantify(Binder::Forall, vars, body)
     }
 
     /// [`Form::forall_many`] and [`Form::exists_many`] (`Binder::Exists`).
@@ -959,20 +1002,18 @@ impl Bank {
 
     /// [`crate::subst::fresh_name`] over symbols.
     fn fresh_name(&mut self, base: Sym, avoid: &HashSet<Sym>) -> Sym {
-        if !avoid.contains(&base) {
-            return base;
-        }
-        let base = self.name(base).to_string();
-        let stem = base.trim_end_matches(|c: char| c.is_ascii_digit());
-        let stem = if stem.is_empty() { "v" } else { stem };
-        for i in 1.. {
-            let candidate = format!("{stem}_{i}");
-            match self.symbols.get(candidate.as_str()) {
-                Some(sym) if avoid.contains(sym) => continue,
-                _ => return self.symbol(&candidate),
-            }
-        }
-        unreachable!("fresh_name: exhausted counter")
+        let fresh = fresh_name_by(self.name(base), |name| {
+            self.find_symbol(name)
+                .is_some_and(|sym| avoid.contains(&sym))
+        });
+        self.symbol(&fresh)
+    }
+
+    /// [`crate::subst::substitute_one`]: `replacement` for the free occurrences of `v`,
+    /// renaming binders that would capture its free variables.
+    pub fn substitute_one(&mut self, id: NodeId, v: Sym, replacement: NodeId) -> NodeId {
+        let subst = self.subst(vec![(v, replacement)]);
+        self.substitute_all(id, subst)
     }
 
     /// [`crate::subst::substitute`]: the replacement variables are those of `subst`'s

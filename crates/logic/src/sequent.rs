@@ -96,17 +96,27 @@ impl Sequent {
 
     /// A short human-readable description of the goal for progress reports.
     pub fn describe(&self) -> String {
-        if self.labels.is_empty() {
-            let mut s = self.goal.to_string();
-            if s.len() > 60 {
-                s.truncate(57);
-                s.push_str("...");
-            }
-            s
-        } else {
-            self.labels.join(".")
-        }
+        describe(&self.labels, || self.goal.to_string())
     }
+}
+
+/// The description of a sequent with these labels: the labels joined by `.`, or, when
+/// there are none, the printed goal, which `goal` prints only then. A goal printed
+/// longer than 60 bytes is cut to at most 57, at a character boundary, and ends `...`.
+pub(crate) fn describe(labels: &[String], goal: impl FnOnce() -> String) -> String {
+    if !labels.is_empty() {
+        return labels.join(".");
+    }
+    let mut s = goal();
+    if s.len() > 60 {
+        let mut cut = 57;
+        while !s.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        s.truncate(cut);
+        s.push_str("...");
+    }
+    s
 }
 
 impl fmt::Display for Sequent {
@@ -161,6 +171,15 @@ mod tests {
         let mut s = Sequent::goal_only(p("p"));
         s.labels = vec!["AssocList.put".to_string(), "postcondition".to_string()];
         assert_eq!(s.describe(), "AssocList.put.postcondition");
+    }
+
+    #[test]
+    fn describe_cuts_a_long_goal_at_a_character_boundary() {
+        // Byte 57 of the printed goal falls inside an `é`, so the cut moves back to 56.
+        let s = Sequent::goal_only(p("~(comment ''éééééééééééééééééééééééééé'' (x = 1))"));
+        let printed = s.goal.to_string();
+        assert!(printed.len() > 60 && !printed.is_char_boundary(57));
+        assert_eq!(s.describe(), format!("{}...", &printed[..56]));
     }
 
     #[test]

@@ -53,14 +53,22 @@ fn collect_free(form: &Form, bound: &mut Vec<Ident>, acc: &mut BTreeSet<Ident>) 
 
 /// Generates a variant of `base` that does not occur in `avoid`.
 pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
-    if !avoid.contains(base) {
+    fresh_name_by(base, |name| avoid.contains(name))
+}
+
+/// [`fresh_name`] with the names to avoid given as a predicate, so a caller can test a
+/// candidate against sets it never builds: `base` itself unless it is `taken`,
+/// otherwise the first `stem_i` not `taken`, counting from 1, where `stem` is `base`
+/// without its trailing digits (`v` if that leaves nothing).
+pub fn fresh_name_by(base: &str, taken: impl Fn(&str) -> bool) -> Ident {
+    if !taken(base) {
         return base.to_string();
     }
     let stem = base.trim_end_matches(|c: char| c.is_ascii_digit());
     let stem = if stem.is_empty() { "v" } else { stem };
     for i in 1.. {
         let candidate = format!("{stem}_{i}");
-        if !avoid.contains(&candidate) {
+        if !taken(&candidate) {
             return candidate;
         }
     }

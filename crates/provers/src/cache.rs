@@ -15,9 +15,10 @@
 //! equivalence, so a cache hit on a proved entry is sound: the hit sequent is
 //! equivalent to one a prover actually discharged.
 //!
-//! Within one `prove_all` batch each worker keys on one [`KeyBank`]: the batch's
-//! formulas are interned into a [`Bank`], inlined there once per distinct node and
-//! substitution, and brought to their key form there ([`Bank::key_form`]), each step
+//! Within one `prove_all` batch each worker keys on one [`KeyBank`] over the batch's
+//! formula bank (a helper worker's over a copy of it), where the VC generator built the
+//! obligations: they are inlined there once per distinct node and substitution, and
+//! brought to their key form there ([`Bank::key_form`]), each step
 //! memoised per node, so a subterm shared inside a formula or across the batch is
 //! canonicalised once. Each distinct inlined formula's key form is materialised and
 //! printed once. A formula the batch has already seen costs an id lookup.
@@ -75,6 +76,14 @@ impl KeyBank {
     /// An empty key bank.
     pub fn new() -> KeyBank {
         KeyBank::default()
+    }
+
+    /// A key bank over formulas already in `bank`.
+    pub fn over(bank: Bank) -> KeyBank {
+        KeyBank {
+            bank,
+            ..KeyBank::default()
+        }
     }
 
     /// The printed key form of an inlined formula ([`Bank::key_form`]), and whether it

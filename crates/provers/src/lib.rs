@@ -29,11 +29,12 @@
 //!   longer leave threads idle the way a contiguous-chunk split does;
 //! * **result caching** — with [`DispatcherConfig::cache`] enabled, every obligation is
 //!   keyed by the canonical form of its definition-inlined sequent ([`SequentKey`]) and
-//!   looked up in an in-memory cache before any prover runs ([`cache`]). Each worker
-//!   normalises its share of a batch on one formula bank ([`KeyBank`], over
-//!   [`jahob_logic::bank::Bank`]): inlining, keying and the syntactic checks run once
-//!   per distinct node, and the inlined sequent is rebuilt as formulas only for the
-//!   provers, on a cache miss;
+//!   looked up in an in-memory cache before any prover runs ([`cache`]). A batch owns
+//!   the formula bank ([`jahob_logic::bank::Bank`]) its obligations were generated
+//!   into, and each worker normalises its share there ([`KeyBank`]; a helper thread
+//!   on a copy): inlining, keying and the syntactic checks run once per distinct
+//!   node, no obligation is interned again, and the inlined sequent is rebuilt as
+//!   formulas only for the provers, on a cache miss;
 //! * **per-sequent routing** — with [`DispatcherConfig::route`] enabled, each
 //!   obligation's cascade order is chosen from the sequent's syntactic features
 //!   ([`jahob_logic::SequentFeatures`] → [`router`]): provers whose fragment the
@@ -77,12 +78,12 @@ use inst::apply_inst_hints;
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
 use jahob_logic::simplify::strip_comments_deep;
 use jahob_logic::{Form, Sequent, SequentFeatures};
-use jahob_vcgen::ProofObligation;
+use jahob_vcgen::{InternedObligation, ProofObligation};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The provers of the integrated reasoning system.
@@ -194,11 +195,11 @@ impl LemmaLibrary {
 
     /// The canonical key of an obligation: its label path and printed goal.
     pub fn key_of(obligation: &ProofObligation) -> String {
-        format!(
-            "{}|{}",
-            obligation.sequent.labels.join("."),
-            strip_comments_deep(&obligation.sequent.goal)
-        )
+        Self::key(&obligation.sequent.labels, &obligation.sequent.goal)
+    }
+
+    fn key(labels: &[String], goal: &Form) -> String {
+        format!("{}|{}", labels.join("."), strip_comments_deep(goal))
     }
 
     /// Registers an obligation key as interactively proven.
@@ -206,10 +207,14 @@ impl LemmaLibrary {
         self.entries.insert(key.into());
     }
 
-    /// Returns `true` if the obligation has a registered proof. With none registered,
-    /// the obligation's key is not printed.
-    pub fn contains(&self, obligation: &ProofObligation) -> bool {
-        !self.entries.is_empty() && self.entries.contains(&Self::key_of(obligation))
+    /// Returns `true` if the obligation whose (uninlined) sequent is `sequent`, in
+    /// `bank`, has a registered proof. With none registered, its goal is neither
+    /// rebuilt nor printed.
+    fn contains(&self, bank: &Bank, sequent: &InternedSequent) -> bool {
+        !self.entries.is_empty()
+            && self
+                .entries
+                .contains(&Self::key(&sequent.labels, &bank.materialise(sequent.goal)))
     }
 
     /// Number of registered obligation proofs plus named lemmas.
@@ -255,8 +260,8 @@ pub struct ObligationTag {
 /// so batching a whole program costs one context per method, not per obligation.
 #[derive(Debug, Clone)]
 pub struct BatchEntry {
-    /// The proof obligation.
-    pub obligation: ProofObligation,
+    /// The proof obligation, its formulas in the batch's bank.
+    pub obligation: InternedObligation,
     /// Where the obligation came from.
     pub tag: ObligationTag,
     /// The per-method proving context (set/function variable classification, lemmas).
@@ -267,8 +272,16 @@ pub struct BatchEntry {
 /// the unit [`Dispatcher::prove_all`] dispatches. Assembling one batch per program (or
 /// per suite) hands the work-stealing queue the whole obligation pool at once while the
 /// tags keep per-method attribution intact.
-#[derive(Debug, Clone, Default)]
+///
+/// The batch owns the formula bank its obligations live in. The VC generator builds
+/// them there ([`ObligationBatch::push_generated`]), so a formula shared by several
+/// obligations or methods is one node, and [`Dispatcher::prove_all`] proves on that
+/// bank without interning the obligations again.
+#[derive(Debug, Default)]
 pub struct ObligationBatch {
+    /// Behind a lock only so that `prove_all`, which takes the batch by shared
+    /// reference, can prove on the bank itself and put it back, grown, afterwards.
+    bank: Mutex<Bank>,
     entries: Vec<BatchEntry>,
 }
 
@@ -279,7 +292,8 @@ impl ObligationBatch {
     }
 
     /// Appends one method's obligations, tagging each with `(structure, method, index)`
-    /// and sharing `context` across them.
+    /// and sharing `context` across them. Each obligation is interned into the batch's
+    /// bank once, here.
     pub fn push_method(
         &mut self,
         structure: &str,
@@ -287,6 +301,27 @@ impl ObligationBatch {
         context: Arc<ProverContext>,
         obligations: Vec<ProofObligation>,
     ) {
+        self.push_generated(structure, method, context, |bank| {
+            obligations
+                .iter()
+                .map(|o| InternedObligation::intern(bank, o))
+                .collect()
+        });
+    }
+
+    /// Appends one method's obligations as [`ObligationBatch::push_method`] does, built
+    /// by `generate` straight into the batch's bank (as
+    /// `jahob_vcgen::obligations_in` builds them). Returns how many it appended.
+    pub fn push_generated(
+        &mut self,
+        structure: &str,
+        method: &str,
+        context: Arc<ProverContext>,
+        generate: impl FnOnce(&mut Bank) -> Vec<InternedObligation>,
+    ) -> usize {
+        let bank = self.bank.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let obligations = generate(bank);
+        let count = obligations.len();
         for (index, obligation) in obligations.into_iter().enumerate() {
             self.entries.push(BatchEntry {
                 obligation,
@@ -298,6 +333,13 @@ impl ObligationBatch {
                 context: Arc::clone(&context),
             });
         }
+        count
+    }
+
+    /// The obligation of entry `index`, rebuilt as formulas.
+    pub fn obligation(&self, index: usize) -> ProofObligation {
+        let bank = self.bank.lock().unwrap_or_else(PoisonError::into_inner);
+        self.entries[index].obligation.materialise(&bank)
     }
 
     /// A batch in which every obligation shares one context and carries only its index
@@ -306,11 +348,6 @@ impl ObligationBatch {
         let mut batch = ObligationBatch::new();
         batch.push_method("", "", Arc::new(context.clone()), obligations.to_vec());
         batch
-    }
-
-    /// Appends all entries of `other`, preserving their tags.
-    pub fn append(&mut self, mut other: ObligationBatch) {
-        self.entries.append(&mut other.entries);
     }
 
     /// The entries, in batch order.
@@ -1093,12 +1130,14 @@ impl Dispatcher {
     /// into its entry's slot and emitted in batch order, so the folded reports —
     /// including every method's `unproved` list — are identical for every thread count.
     ///
-    /// Each worker keeps one [`KeyBank`] for the batch and drops it when the batch
-    /// ends. It interns the worker's obligations into one formula bank, so a formula
-    /// that recurs across them (an invariant, a background fact) is inlined,
-    /// simplified, canonicalised for the cache key and checked by the syntactic prover
-    /// once per worker rather than once per occurrence. The configuration fingerprint
-    /// every cache key carries is printed once per batch.
+    /// Each worker normalises on one [`KeyBank`] over the batch's formula bank, in
+    /// which the obligations already are, so a formula that recurs across them (an
+    /// invariant, a background fact) is inlined, simplified, canonicalised for the
+    /// cache key and checked by the syntactic prover once per worker rather than once
+    /// per occurrence. The calling thread proves on the batch's own bank and puts it
+    /// back, grown, when the batch ends; each helper proves on a copy taken before any
+    /// worker starts, and drops it. A single-threaded dispatcher copies nothing. The
+    /// configuration fingerprint every cache key carries is printed once per batch.
     pub fn prove_all(&self, batch: &ObligationBatch) -> BatchReport {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -1108,8 +1147,8 @@ impl Dispatcher {
         let slots: Vec<OnceLock<VerificationReport>> =
             entries.iter().map(|_| OnceLock::new()).collect();
         let fingerprint = self.config.fingerprint();
-        let worker = || {
-            let mut keys = KeyBank::new();
+        let worker = |bank: Bank| {
+            let mut keys = KeyBank::over(bank);
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(entry) = entries.get(i) else {
@@ -1120,10 +1159,17 @@ impl Dispatcher {
                     .set(report)
                     .expect("obligation indices are claimed exactly once");
             }
+            keys.bank
         };
+        let worker = &worker;
+        let mut bank = batch.bank.lock().unwrap_or_else(PoisonError::into_inner);
+        let copies: Vec<Bank> = (1..threads).map(|_| bank.clone()).collect();
         std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-            worker();
+            let helpers: Vec<_> = copies
+                .into_iter()
+                .map(|copy| scope.spawn(move || drop(worker(copy))))
+                .collect();
+            *bank = worker(std::mem::take(&mut *bank));
             // The scope's own join returns once the helpers' closures have finished,
             // while their threads may still be exiting. Joining each thread waits for
             // its exit, which hands its allocator arena back, so the next batch's
@@ -1178,19 +1224,22 @@ impl Dispatcher {
     }
 
     /// Attempts one obligation, consulting the result cache first when enabled. It
-    /// normalises on a fresh [`KeyBank`].
+    /// interns the obligation into a fresh [`KeyBank`] and normalises there.
     pub fn prove_one(
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
     ) -> VerificationReport {
         let fingerprint = self.config.fingerprint();
-        self.prove_one_inner(obligation, context, &mut KeyBank::new(), &fingerprint)
+        let mut keys = KeyBank::new();
+        let interned = InternedObligation::intern(&mut keys.bank, obligation);
+        self.prove_one_inner(&interned, context, &mut keys, &fingerprint)
     }
 
+    /// Attempts one obligation whose formulas are in `keys`' bank.
     fn prove_one_inner(
         &self,
-        obligation: &ProofObligation,
+        obligation: &InternedObligation,
         context: &ProverContext,
         keys: &mut KeyBank,
         fingerprint: &str,
@@ -1203,31 +1252,31 @@ impl Dispatcher {
         // what the provers try first; instantiation runs before inlining and keying,
         // so routing and `SequentKey` both see the instantiated sequent (entries never
         // alias across witnesses). Inlining, keying and the syntactic checks run on the
-        // worker's bank; the inlined `Sequent`s the other provers read are built from
-        // it only when no cached verdict answers the obligation.
-        let has_hints = !obligation.hints.is_empty();
-        let hinted = has_hints.then(|| {
-            let selected = obligation.hinted_sequent_with_lemmas(context.lemmas.named_lemmas());
-            inlined(
-                &mut keys.bank,
-                &apply_inst_hints(&selected, &obligation.hints),
-            )
-        });
-        // The full-sequent fallback keeps the instantiations too: label hints are
-        // advice the retry may discard, but an `inst` witness is information the
-        // provers cannot rediscover — dropping it on retry would lose proofs whenever
-        // a label hint misselected the assumptions.
-        let full = if has_hints {
-            inlined(
-                &mut keys.bank,
-                &apply_inst_hints(&obligation.sequent, &obligation.hints),
-            )
+        // worker's bank, where the obligation already is; the inlined `Sequent`s the
+        // other provers read are built from it only when no cached verdict answers the
+        // obligation. The hint passes run on formulas, so only an obligation with hints
+        // is rebuilt as one, and what they build is interned.
+        let (hinted, full) = if obligation.hints.is_empty() {
+            (None, keys.bank.inline_definitions(&obligation.sequent))
         } else {
-            inlined(&mut keys.bank, &obligation.sequent)
+            let materialised = obligation.materialise(&keys.bank);
+            let hints = &materialised.hints;
+            let selected = materialised.hinted_sequent_with_lemmas(context.lemmas.named_lemmas());
+            let hinted = inlined(&mut keys.bank, &apply_inst_hints(&selected, hints));
+            // The full-sequent fallback keeps the instantiations too: label hints are
+            // advice the retry may discard, but an `inst` witness is information the
+            // provers cannot rediscover — dropping it on retry would lose proofs
+            // whenever a label hint misselected the assumptions.
+            let full = inlined(
+                &mut keys.bank,
+                &apply_inst_hints(&materialised.sequent, hints),
+            );
+            (Some(hinted), full)
         };
+        let original = &obligation.sequent;
         if !self.config.cache.is_enabled() {
             return self.prove_one_uncached(
-                obligation,
+                original,
                 context,
                 &mut keys.bank,
                 hinted.as_ref(),
@@ -1242,14 +1291,14 @@ impl Dispatcher {
                 Some(h) => format!("{full_classes}|{}", var_classes(context, &keys.bank, h)),
                 None => full_classes,
             },
-            lemma_registered: context.lemmas.contains(obligation),
+            lemma_registered: context.lemmas.contains(&keys.bank, original),
             config_fingerprint: fingerprint.to_string(),
         };
         if let Some(outcome) = self.cache.lookup(&key) {
-            return self.report_from_cache(obligation, outcome);
+            return self.report_from_cache(&keys.bank, original, outcome);
         }
         let mut report =
-            self.prove_one_uncached(obligation, context, &mut keys.bank, hinted.as_ref(), &full);
+            self.prove_one_uncached(original, context, &mut keys.bank, hinted.as_ref(), &full);
         report.cache_misses = 1;
         // A cascade that contained a crash or a deadline stop has attempts with
         // *unknown* verdicts: caching its outcome would freeze a fault-perturbed
@@ -1293,7 +1342,8 @@ impl Dispatcher {
     /// run.
     fn report_from_cache(
         &self,
-        obligation: &ProofObligation,
+        bank: &Bank,
+        original: &InternedSequent,
         outcome: CachedOutcome,
     ) -> VerificationReport {
         let mut report = VerificationReport {
@@ -1318,7 +1368,7 @@ impl Dispatcher {
         } else {
             report
                 .unproved
-                .push(unproved_description(obligation, &report));
+                .push(unproved_description(bank, original, &report));
         }
         report
     }
@@ -1343,8 +1393,9 @@ impl Dispatcher {
     /// Attempts one obligation by running its attempt plan: a list of phases, each a
     /// sequent, the provers to try on it in order, and their fuel. The first success
     /// wins. `hinted` is the inlined hint-filtered sequent and `full` the inlined full
-    /// sequent, both in `bank`; they are rebuilt as formulas for the provers here. The
-    /// plan is
+    /// sequent, both in `bank`; they are rebuilt as formulas for the provers here.
+    /// `original` is the obligation's sequent before inlining, which the interactive
+    /// library and the unproved line name. The plan is
     ///
     /// 1. the hinted sequent (the full one without hints), every routed prover;
     /// 2. when hints narrowed the sequent, the full sequent, every routed prover but
@@ -1355,7 +1406,7 @@ impl Dispatcher {
     /// unproved, and its unproved line names the provers that ran out.
     fn prove_one_uncached(
         &self,
-        obligation: &ProofObligation,
+        original: &InternedSequent,
         context: &ProverContext,
         bank: &mut Bank,
         hinted: Option<&InternedSequent>,
@@ -1400,7 +1451,7 @@ impl Dispatcher {
                         interned,
                         bank: &mut *bank,
                     },
-                    obligation,
+                    original,
                     context,
                     fuel.as_ref(),
                     deadline,
@@ -1426,7 +1477,7 @@ impl Dispatcher {
         // apart from "the provers that might have proved this were stopped". Faults
         // off and no deadline → the suffix never appears. Such cascades are never
         // cached, so only the fuel note needs a cache replay.
-        let mut description = unproved_description(obligation, &report);
+        let mut description = unproved_description(bank, original, &report);
         let (crashes, deadlines) = (report.crashes(), report.deadline_aborts());
         if crashes > 0 || deadlines > 0 {
             description.push_str(&format!(
@@ -1448,12 +1499,17 @@ struct Phase<'s> {
     fuel: Option<FuelBudget>,
 }
 
-/// The unproved line of an obligation: its sequent's description, followed by
-/// ` [out of fuel: <tags>]` when some attempts ran out of fuel, naming those provers
-/// by [`ProverId::tag`] in [`ProverId`] order. An uncached run and a cache replay
-/// both build the line here from the per-prover abort counts, so they render alike.
-fn unproved_description(obligation: &ProofObligation, report: &VerificationReport) -> String {
-    let mut description = obligation.sequent.describe();
+/// The unproved line of an obligation: the description of its sequent (`original`, in
+/// `bank`), followed by ` [out of fuel: <tags>]` when some attempts ran out of fuel,
+/// naming those provers by [`ProverId::tag`] in [`ProverId`] order. An uncached run and
+/// a cache replay both build the line here from the per-prover abort counts, so they
+/// render alike.
+fn unproved_description(
+    bank: &Bank,
+    original: &InternedSequent,
+    report: &VerificationReport,
+) -> String {
+    let mut description = bank.describe(original);
     let out_of_fuel: Vec<&str> = report
         .per_prover
         .iter()
@@ -1578,7 +1634,7 @@ struct Attempted<'a> {
 fn attempt(
     prover: ProverId,
     on: Attempted<'_>,
-    obligation: &ProofObligation,
+    original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
     deadline: Option<Instant>,
@@ -1657,7 +1713,7 @@ fn attempt(
         ProverId::Bapa => {
             verdict(jahob_bapa::prove_sequent(sequent, &jahob_bapa::BapaOptions::default()).proved)
         }
-        ProverId::Interactive => verdict(context.lemmas.contains(obligation)),
+        ProverId::Interactive => verdict(context.lemmas.contains(on.bank, original)),
     }
 }
 
@@ -1672,7 +1728,7 @@ fn contained_attempt(
     faults: &FaultPlane,
     prover: ProverId,
     on: Attempted<'_>,
-    obligation: &ProofObligation,
+    original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
     deadline: Option<Instant>,
@@ -1680,7 +1736,7 @@ fn contained_attempt(
     faults::install_quiet_panic_hook();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         faults.prover_attempt(prover);
-        attempt(prover, on, obligation, context, fuel, deadline)
+        attempt(prover, on, original, context, fuel, deadline)
     }));
     faults::clear_injected_panic_marker();
     match outcome {

@@ -1,12 +1,22 @@
 //! Weakest preconditions (Figure 10) and splitting into sequents (Figure 13).
+//!
+//! Both run on a formula bank ([`jahob_logic::bank::Bank`]), through its constructors
+//! that mirror [`Form`]'s smart constructors case for case. A formula the VC repeats
+//! is built once: a class invariant or background fact assumed on every path, and the
+//! postcondition [`wlp`] puts into every branch of a choice. [`split`] reads each
+//! node's cached free variables to pick fresh names, renames with the bank's memoised
+//! capture-avoiding substitution, and emits each obligation as a list of node ids.
+//! [`obligations_in`] generates straight into a bank the dispatcher then proves on;
+//! [`verification_conditions`] generates on a fresh bank and rebuilds the obligations
+//! as formulas.
 
 use crate::command::{DesugarEnv, Simple};
-use jahob_logic::form::{Binder, Const, Form, Ident};
-use jahob_logic::simplify::simplify;
-use jahob_logic::subst::{fresh_name, substitute_one};
+use jahob_logic::bank::{Bank, InternedSequent, Node, NodeId, Sym};
+use jahob_logic::form::{Binder, Const, Form};
+use jahob_logic::subst::fresh_name_by;
 use jahob_logic::types::Type;
 use jahob_logic::Sequent;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Prefix used internally to carry `by` hints through the weakest-precondition formula.
 const HINT_LABEL_PREFIX: &str = "hint:";
@@ -17,9 +27,8 @@ const HINT_LABEL_PREFIX: &str = "hint:";
 pub const LEMMA_HINT_PREFIX: &str = "lemma:";
 
 /// Prefix marking a `by` hint that supplies a quantifier instantiation (the frontend's
-/// `by inst x := "witness"` syntax). The payload is `var:=witness-text`; the witness
-/// text is the printed form of the typechecked witness formula, re-parsed when the
-/// splitter decodes the hint back out of the verification condition.
+/// `by inst x := "witness"` syntax). The token is `inst:var`; the witness rides through
+/// the verification condition as a formula beside the goal (see [`Hint::encode`]).
 pub const INST_HINT_PREFIX: &str = "inst:";
 
 /// One `by` hint attached to an `assert`/`note` goal (§3.5).
@@ -73,35 +82,35 @@ impl Hint {
         matches!(self, Hint::Inst { .. })
     }
 
-    /// The comment-payload token carrying this hint through the weakest-precondition
-    /// formula (see [`Hint::decode`] for the inverse).
+    /// The token naming this hint in its layer of the weakest-precondition formula:
+    /// the label, `lemma:Name` or `inst:var` (see [`Hint::decode`] for the inverse).
+    ///
+    /// The layer is `comment ''hint:<token>'' F`. An `inst` layer carries its witness as
+    /// a second argument, `comment ''hint:inst:var'' F w`, so the splitter renames a
+    /// havocked variable in the witness exactly as in the goal: the witness denotes the
+    /// values at its assertion.
     pub fn encode(&self) -> String {
         match self {
             Hint::Label(l) => l.clone(),
             Hint::Lemma(name) => format!("{LEMMA_HINT_PREFIX}{name}"),
-            Hint::Inst { var, witness } => format!("{INST_HINT_PREFIX}{var}:={witness}"),
+            Hint::Inst { var, .. } => format!("{INST_HINT_PREFIX}{var}"),
         }
     }
 
-    /// Decodes one comment-payload token back into a hint. Malformed `inst` payloads
-    /// (no `:=`, or a witness that no longer parses) degrade to an inert label hint —
-    /// hints are advice, so the dispatcher's full-sequent retry keeps completeness.
-    pub fn decode(token: &str) -> Hint {
-        if let Some(payload) = token.strip_prefix(INST_HINT_PREFIX) {
-            if let Some((var, witness)) = payload.split_once(":=") {
-                if let Ok(witness) = jahob_logic::parse_form(witness.trim()) {
-                    return Hint::Inst {
-                        var: var.trim().to_string(),
-                        witness,
-                    };
-                }
-            }
-            return Hint::Label(token.to_string());
+    /// Decodes a hint layer's token, with the witness the layer carries if any. An
+    /// `inst` token without a witness degrades to an inert label hint — hints are
+    /// advice, so the dispatcher's full-sequent retry keeps completeness.
+    pub fn decode(token: &str, witness: Option<Form>) -> Hint {
+        if let Some(var) = token.strip_prefix(INST_HINT_PREFIX) {
+            return match witness {
+                Some(witness) => Hint::inst(var, witness),
+                None => Hint::Label(token.to_string()),
+            };
         }
-        if let Some(name) = token.strip_prefix(LEMMA_HINT_PREFIX) {
-            return Hint::Lemma(name.to_string());
+        match token.strip_prefix(LEMMA_HINT_PREFIX) {
+            Some(name) => Hint::Lemma(name.to_string()),
+            None => Hint::Label(token.to_string()),
         }
-        Hint::Label(token.to_string())
     }
 }
 
@@ -179,167 +188,243 @@ impl ProofObligation {
     }
 }
 
+/// A proof obligation whose sequent lives in a [`Bank`]: what [`obligations_in`]
+/// generates and the dispatcher proves. An `inst` hint's witness is a formula.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InternedObligation {
+    /// The sequent, as node ids.
+    pub sequent: InternedSequent,
+    /// The hints attached to the goal, as in [`ProofObligation::hints`].
+    pub hints: Vec<Hint>,
+}
+
+impl InternedObligation {
+    /// Interns an obligation's formulas into `bank`.
+    pub fn intern(bank: &mut Bank, obligation: &ProofObligation) -> InternedObligation {
+        InternedObligation {
+            sequent: bank.intern_sequent(&obligation.sequent),
+            hints: obligation.hints.clone(),
+        }
+    }
+
+    /// Rebuilds the obligation as formulas.
+    pub fn materialise(&self, bank: &Bank) -> ProofObligation {
+        ProofObligation {
+            sequent: bank.materialise_sequent(&self.sequent),
+            hints: self.hints.clone(),
+        }
+    }
+}
+
 /// Computes the weakest precondition of a sequence of simple guarded commands with
-/// respect to `post` (Figure 10).
-pub fn wlp(commands: &[Simple], post: Form, env: &DesugarEnv) -> Form {
+/// respect to `post` (Figure 10), in `bank`.
+pub fn wlp(bank: &mut Bank, commands: &[Simple], post: NodeId, env: &DesugarEnv) -> NodeId {
     let mut current = post;
     for c in commands.iter().rev() {
-        current = wlp_one(c, current, env);
+        current = wlp_one(bank, c, current, env);
     }
     current
 }
 
-fn wlp_one(command: &Simple, post: Form, env: &DesugarEnv) -> Form {
+fn wlp_one(bank: &mut Bank, command: &Simple, post: NodeId, env: &DesugarEnv) -> NodeId {
     match command {
         Simple::Assume { label, form } => {
-            let f = match label {
-                Some(l) => Form::comment(l.clone(), form.clone()),
-                None => form.clone(),
-            };
-            Form::implies(f, post)
+            let mut f = bank.intern(form);
+            if let Some(l) = label {
+                f = bank.comment(l, f);
+            }
+            bank.implies(f, post)
         }
         Simple::Assert { label, form, hints } => {
-            let mut f = form.clone();
-            // Each hint rides in its own comment layer (innermost = last hint), so the
-            // splitter recovers them one per comment, whatever text a witness holds.
+            let mut f = bank.intern(form);
+            // Each hint rides in its own layer (innermost = last hint), so the splitter
+            // recovers them one per layer, whatever a witness holds.
             for hint in hints.iter().rev() {
-                f = Form::comment(format!("{HINT_LABEL_PREFIX}{}", hint.encode()), f);
+                f = hint_layer(bank, hint, f);
             }
             if let Some(l) = label {
-                f = Form::comment(l.clone(), f);
+                f = bank.comment(l, f);
             }
-            Form::and(vec![f, post])
+            bank.and(vec![f, post])
         }
         Simple::Havoc { vars } => {
-            let typed: Vec<(Ident, Type)> =
-                vars.iter().map(|v| (v.clone(), env.var_type(v))).collect();
-            Form::forall_many(typed, post)
+            let typed: Vec<(Sym, Type)> = vars
+                .iter()
+                .map(|v| (bank.symbol(v), env.var_type(v)))
+                .collect();
+            bank.forall(&typed, post)
         }
         Simple::Choice(branches) => {
-            Form::and(branches.iter().map(|b| wlp(b, post.clone(), env)).collect())
+            let parts = branches.iter().map(|b| wlp(bank, b, post, env)).collect();
+            bank.and(parts)
         }
     }
 }
 
+/// `f` inside the layer of `hint` (see [`Hint::encode`]).
+fn hint_layer(bank: &mut Bank, hint: &Hint, f: NodeId) -> NodeId {
+    let label = format!("{HINT_LABEL_PREFIX}{}", hint.encode());
+    match hint {
+        Hint::Inst { witness, .. } => {
+            let witness = bank.intern(witness);
+            bank.app_of(Const::Comment(label), vec![f, witness])
+        }
+        _ => bank.comment(&label, f),
+    }
+}
+
 /// Generates the proof obligations of a command sequence with postcondition `post`:
-/// weakest precondition followed by splitting.
+/// weakest precondition followed by splitting, on a fresh bank, rebuilt as formulas.
 pub fn verification_conditions(
     commands: &[Simple],
     post: Form,
     env: &DesugarEnv,
 ) -> Vec<ProofObligation> {
-    let vc = wlp(commands, post, env);
-    split(&vc)
+    let mut bank = Bank::new();
+    let post = bank.intern(&post);
+    obligations_in(&mut bank, commands, post, env)
+        .iter()
+        .map(|o| o.materialise(&bank))
+        .collect()
+}
+
+/// [`verification_conditions`] into `bank`: the obligations' formulas are the bank's
+/// nodes, shared with everything else it holds.
+pub fn obligations_in(
+    bank: &mut Bank,
+    commands: &[Simple],
+    post: NodeId,
+    env: &DesugarEnv,
+) -> Vec<InternedObligation> {
+    let vc = wlp(bank, commands, post, env);
+    split(bank, vc)
 }
 
 /// Splits a verification condition into a list of implications whose conjunction is
 /// equivalent to it (Figure 13). Labels on goals become sequent labels; labels on
 /// assumptions are preserved for `by`-hint selection.
-pub fn split(vc: &Form) -> Vec<ProofObligation> {
-    let mut out = Vec::new();
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    split_rec(
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-        vc,
-        &mut out,
-        &mut used,
-    );
-    out
+pub fn split(bank: &mut Bank, vc: NodeId) -> Vec<InternedObligation> {
+    let mut splitter = Splitter {
+        bank,
+        assumptions: Vec::new(),
+        labels: Vec::new(),
+        hints: Vec::new(),
+        used: HashSet::new(),
+        out: Vec::new(),
+    };
+    splitter.split(vc);
+    splitter.out
 }
 
-/// `assumptions` holds each assumption on the path with its free variables, computed
-/// once when it is pushed rather than at every universal goal below it.
-fn split_rec(
-    assumptions: &mut Vec<(Form, BTreeSet<String>)>,
-    labels: &mut Vec<String>,
-    hints: &mut Vec<Hint>,
-    goal: &Form,
-    out: &mut Vec<ProofObligation>,
-    used_names: &mut BTreeSet<String>,
-) {
-    match goal {
-        Form::Const(Const::BoolLit(true)) => {}
-        Form::App(head, args) => {
-            if let Form::Const(c) = head.as_ref() {
-                match c {
-                    Const::Comment(l) if args.len() == 1 => {
-                        if let Some(h) = l.strip_prefix(HINT_LABEL_PREFIX) {
-                            // One hint per comment layer (see `wlp_one`).
-                            hints.push(Hint::decode(h));
-                            split_rec(assumptions, labels, hints, &args[0], out, used_names);
-                            hints.pop();
-                        } else {
-                            labels.push(l.clone());
-                            split_rec(assumptions, labels, hints, &args[0], out, used_names);
-                            labels.pop();
+/// The state of one [`split`]: the path to the current goal and what it has emitted.
+struct Splitter<'b> {
+    bank: &'b mut Bank,
+    /// The assumptions on the path, in path order.
+    assumptions: Vec<NodeId>,
+    labels: Vec<String>,
+    hints: Vec<Hint>,
+    /// The fresh names chosen so far in this VC.
+    used: HashSet<Sym>,
+    out: Vec<InternedObligation>,
+}
+
+impl Splitter<'_> {
+    fn split(&mut self, goal: NodeId) {
+        match self.bank.node(goal).clone() {
+            Node::Const(Const::BoolLit(true)) => {}
+            Node::App(head, args) => {
+                let Node::Const(c) = self.bank.node(head) else {
+                    return self.emit(goal);
+                };
+                match (c.clone(), &args[..]) {
+                    (Const::Comment(label), &[body]) => match label.strip_prefix(HINT_LABEL_PREFIX)
+                    {
+                        // One hint per layer (see `wlp_one`).
+                        Some(token) => self.split_under(Hint::decode(token, None), body),
+                        None => {
+                            self.labels.push(label);
+                            self.split(body);
+                            self.labels.pop();
                         }
-                        return;
-                    }
-                    Const::And => {
-                        for a in args {
-                            split_rec(assumptions, labels, hints, a, out, used_names);
+                    },
+                    (Const::Comment(label), &[body, witness]) => {
+                        match label.strip_prefix(HINT_LABEL_PREFIX) {
+                            Some(token) if token.starts_with(INST_HINT_PREFIX) => {
+                                let witness = self.bank.materialise(witness);
+                                self.split_under(Hint::decode(token, Some(witness)), body);
+                            }
+                            _ => self.emit(goal),
                         }
-                        return;
                     }
-                    Const::Impl if args.len() == 2 => {
+                    (Const::And, conjuncts) => {
+                        for c in conjuncts {
+                            self.split(*c);
+                        }
+                    }
+                    (Const::Impl, &[lhs, rhs]) => {
                         // The assumption itself may be a conjunction; keep its conjuncts
                         // separate so `by` hints and provers can select them.
-                        let new_assumptions = args[0].conjuncts();
-                        let n = new_assumptions.len();
-                        assumptions.extend(
-                            new_assumptions
-                                .into_iter()
-                                .map(|a| (a.clone(), jahob_logic::subst::free_vars(a))),
-                        );
-                        split_rec(assumptions, labels, hints, &args[1], out, used_names);
-                        assumptions.truncate(assumptions.len() - n);
-                        return;
+                        let depth = self.assumptions.len();
+                        let conjuncts = self.bank.conjuncts(lhs);
+                        self.assumptions.extend(conjuncts);
+                        self.split(rhs);
+                        self.assumptions.truncate(depth);
                     }
-                    _ => {}
+                    _ => self.emit(goal),
                 }
             }
-            emit(assumptions, labels, hints, goal, out);
+            Node::Binder(Binder::Forall, vars, body) => self.split_universal(&vars, body),
+            _ => self.emit(goal),
         }
-        Form::Binder(Binder::Forall, vars, body) => {
-            // Fig. 13: A --> ALL x. G  ~~>  A --> G[x := fresh].
-            let mut avoid: BTreeSet<String> = used_names.clone();
-            for (_, vars) in assumptions.iter() {
-                avoid.extend(vars.iter().cloned());
-            }
-            avoid.extend(jahob_logic::subst::free_vars(body));
-            let mut current = body.as_ref().clone();
-            for (v, _) in vars {
-                let fresh = fresh_name(v, &avoid);
-                avoid.insert(fresh.clone());
-                used_names.insert(fresh.clone());
-                current = substitute_one(&current, v, &Form::var(fresh));
-            }
-            split_rec(assumptions, labels, hints, &current, out, used_names);
-        }
-        _ => emit(assumptions, labels, hints, goal, out),
     }
-}
 
-fn emit(
-    assumptions: &[(Form, BTreeSet<String>)],
-    labels: &[String],
-    hints: &[Hint],
-    goal: &Form,
-    out: &mut Vec<ProofObligation>,
-) {
-    let goal = simplify(goal);
-    if goal.is_true() {
-        return;
+    fn split_under(&mut self, hint: Hint, body: NodeId) {
+        self.hints.push(hint);
+        self.split(body);
+        self.hints.pop();
     }
-    let assumptions = assumptions.iter().map(|(a, _)| a.clone()).collect();
-    let mut sequent = Sequent::new(assumptions, goal);
-    sequent.labels = labels.to_vec();
-    out.push(ProofObligation {
-        sequent,
-        hints: hints.to_vec(),
-    });
+
+    /// Fig. 13: `A --> ALL x. G` becomes `A --> G[x := fresh]`. Each variable, in binder
+    /// order, takes the name [`fresh_name_by`] picks away from the names used so far
+    /// in this VC, the free variables of the assumptions on the path and the free
+    /// variables of the body. Each candidate is looked up in the nodes' cached free
+    /// variables, so no set of names is built.
+    fn split_universal(&mut self, vars: &[(Sym, Type)], body: NodeId) {
+        let mut current = body;
+        for (v, _) in vars {
+            let bank = &*self.bank;
+            let fresh = fresh_name_by(bank.name(*v), |name| {
+                bank.find_symbol(name).is_some_and(|sym| {
+                    self.used.contains(&sym)
+                        || bank.is_free_in(sym, body)
+                        || self.assumptions.iter().any(|a| bank.is_free_in(sym, *a))
+                })
+            });
+            let fresh = self.bank.symbol(&fresh);
+            self.used.insert(fresh);
+            if fresh != *v {
+                let renamed = self.bank.var(fresh);
+                current = self.bank.substitute_one(current, *v, renamed);
+            }
+        }
+        self.split(current);
+    }
+
+    /// Emits the current path with `goal`, simplified, unless it simplifies to `True`.
+    fn emit(&mut self, goal: NodeId) {
+        let goal = self.bank.simplify(goal);
+        if self.bank.is_true(goal) {
+            return;
+        }
+        self.out.push(InternedObligation {
+            sequent: InternedSequent {
+                assumptions: self.assumptions.clone(),
+                goal,
+                labels: self.labels.clone(),
+            },
+            hints: self.hints.clone(),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +437,24 @@ mod tests {
         parse_form(s).expect("parse")
     }
 
+    /// The weakest precondition of `commands` with respect to `post`, as a formula.
+    fn wlp_form(commands: &[Simple], post: &str, env: &DesugarEnv) -> Form {
+        let mut bank = Bank::new();
+        let post = bank.intern(&p(post));
+        let vc = wlp(&mut bank, commands, post, env);
+        bank.materialise(vc)
+    }
+
+    /// The obligations of splitting `vc`, as formulas.
+    fn split_form(vc: &Form) -> Vec<ProofObligation> {
+        let mut bank = Bank::new();
+        let vc = bank.intern(vc);
+        split(&mut bank, vc)
+            .iter()
+            .map(|o| o.materialise(&bank))
+            .collect()
+    }
+
     #[test]
     fn wlp_of_assume_is_implication() {
         let env = DesugarEnv::default();
@@ -359,7 +462,10 @@ mod tests {
             label: None,
             form: p("x = 1"),
         }];
-        assert_eq!(wlp(&cmds, p("x = 1"), &env).to_string(), "x = 1 --> x = 1");
+        assert_eq!(
+            wlp_form(&cmds, "x = 1", &env).to_string(),
+            "x = 1 --> x = 1"
+        );
     }
 
     #[test]
@@ -370,7 +476,7 @@ mod tests {
             form: p("x ~= null"),
             hints: vec![],
         }];
-        let vc = wlp(&cmds, p("q"), &env);
+        let vc = wlp_form(&cmds, "q", &env);
         assert!(vc.to_string().contains("comment ''check''"));
         assert!(vc.as_app_of(&Const::And).is_some());
     }
@@ -381,13 +487,13 @@ mod tests {
         let cmds = vec![Simple::Havoc {
             vars: vec!["x".into()],
         }];
-        assert_eq!(wlp(&cmds, p("x = x"), &env).to_string(), "ALL x. x = x");
+        assert_eq!(wlp_form(&cmds, "x = x", &env).to_string(), "ALL x. x = x");
     }
 
     #[test]
     fn splitting_separates_conjuncts_and_branches() {
         let vc = p("(a --> g1 & g2) & (b --> g3)");
-        let obligations = split(&vc);
+        let obligations = split_form(&vc);
         assert_eq!(obligations.len(), 3);
         assert_eq!(obligations[0].sequent.assumptions, vec![p("a")]);
         assert_eq!(obligations[2].sequent.goal, p("g3"));
@@ -396,7 +502,7 @@ mod tests {
     #[test]
     fn splitting_instantiates_universal_goals() {
         let vc = p("a --> (ALL x. x : s --> x : t)");
-        let obligations = split(&vc);
+        let obligations = split_form(&vc);
         assert_eq!(obligations.len(), 1);
         // The universal variable became a fresh free variable and the inner implication
         // contributed an assumption.
@@ -410,7 +516,7 @@ mod tests {
             "postcondition",
             Form::comment("hint:sizeInv", Form::comment("hint:xFresh", p("g"))),
         )]);
-        let obligations = split(&vc);
+        let obligations = split_form(&vc);
         assert_eq!(obligations.len(), 1);
         assert_eq!(
             obligations[0].sequent.labels,
@@ -425,7 +531,7 @@ mod tests {
     #[test]
     fn hinted_sequent_filters_assumptions() {
         let vc = p("comment ''a'' (x = 1) --> comment ''b'' (y = 2) --> x = 1");
-        let mut obligations = split(&vc);
+        let mut obligations = split_form(&vc);
         assert_eq!(obligations.len(), 1);
         let mut ob = obligations.remove(0);
         ob.hints = vec![Hint::label("a")];
@@ -437,7 +543,7 @@ mod tests {
     #[test]
     fn lemma_hints_inject_library_formulas_as_assumptions() {
         let vc = p("comment ''a'' (x = 1) --> x = 1");
-        let mut obligations = split(&vc);
+        let mut obligations = split_form(&vc);
         let mut ob = obligations.remove(0);
         let mut lemmas = BTreeMap::new();
         lemmas.insert("nullFresh".to_string(), p("null ~: alloc"));
@@ -500,17 +606,42 @@ mod tests {
             Hint::inst("s", p("{(a, b)} Int rel")),
         ];
         for hint in cases {
-            assert_eq!(Hint::decode(&hint.encode()), hint, "{hint:?}");
+            let witness = match &hint {
+                Hint::Inst { witness, .. } => Some(witness.clone()),
+                _ => None,
+            };
+            assert_eq!(Hint::decode(&hint.encode(), witness), hint, "{hint:?}");
         }
-        // A malformed inst payload degrades to an inert label, never a panic.
+        // The witness rides beside the token, never inside it.
+        assert_eq!(Hint::inst("s", p("a Un b")).encode(), "inst:s");
+        // An inst token without its witness degrades to an inert label, never a panic.
         assert_eq!(
-            Hint::decode("inst:x:=((("),
-            Hint::Label("inst:x:=(((".to_string())
-        );
-        assert_eq!(
-            Hint::decode("inst:orphan"),
+            Hint::decode("inst:orphan", None),
             Hint::Label("inst:orphan".into())
         );
+    }
+
+    #[test]
+    fn inst_witnesses_are_renamed_with_the_goal() {
+        // `x := y` havocs `x`, and splitting renames it `x_1` in the goal. The witness
+        // names the value at the assertion, so it must be renamed too.
+        let env = DesugarEnv::default();
+        let cmds = vec![
+            Command::Assign {
+                var: "x".into(),
+                value: p("y"),
+            },
+            Command::Assert {
+                label: Some("step".into()),
+                form: p("x = y"),
+                hints: vec![Hint::inst("k", p("x"))],
+            },
+        ];
+        let simple = desugar(&cmds, &env);
+        let obligations = verification_conditions(&simple, Form::tt(), &env);
+        assert_eq!(obligations.len(), 1);
+        assert_eq!(obligations[0].sequent.goal, p("x_1 = y"));
+        assert_eq!(obligations[0].hints, vec![Hint::inst("k", p("x_1"))]);
     }
 
     #[test]

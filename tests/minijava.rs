@@ -120,6 +120,58 @@ fn inst_hints_work_from_source_text_end_to_end() {
 }
 
 #[test]
+fn inst_witnesses_name_the_values_at_their_assertion() {
+    // `live := content` havocs `live` before the assertion, which the splitter renames
+    // `live_1` in the goal. The witness `live - dead` names the value at the
+    // assertion, so it must be renamed with the goal; instantiating the `cap` bound at
+    // the stale pre-assignment `live` proves nothing.
+    let src = SLICE_LEMMA.replace(
+        "//: assert residue:",
+        "//: live := \"content\";\n            //: assert residue:",
+    );
+    assert_ne!(src, SLICE_LEMMA);
+    let program = parse_program(&src).expect("parse");
+    for result in verify_program(&program, &VerifyOptions::default()) {
+        assert!(
+            result.verified(),
+            "{} not fully verified:\n{}",
+            result.method,
+            result.render()
+        );
+    }
+}
+
+/// A method whose one assertion prints as a goal longer than 60 bytes, with byte 57
+/// inside a two-byte character.
+const ACCENTED_GOAL: &str = r#"
+    public class Accent {
+        public static int x;
+
+        public static void check()
+        /*: requires "True" ensures "True" */
+        {
+            //: assert "~(comment ''éééééééééééééééééééééééééé'' (x = 1))";
+        }
+    }
+"#;
+
+#[test]
+fn an_unproved_goal_with_multibyte_text_is_reported_not_fatal() {
+    // The unproved line shortens an unlabelled goal's text; cutting inside a
+    // character must not panic outside the containment boundary.
+    let program = parse_program(ACCENTED_GOAL).expect("parse");
+    let results = verify_program(&program, &VerifyOptions::default());
+    assert_eq!(results.len(), 1);
+    assert!(!results[0].verified());
+    let unproved = &results[0].report.unproved;
+    assert_eq!(unproved.len(), 1, "{unproved:?}");
+    assert!(
+        unproved[0].starts_with("~(comment ''ééé") && unproved[0].contains("é..."),
+        "{unproved:?}"
+    );
+}
+
+#[test]
 fn missing_ghost_update_is_caught() {
     // Forgetting the `content := ...` specification assignment makes the postcondition
     // (and the cardinality invariant) unprovable — the verifier must report unproved
