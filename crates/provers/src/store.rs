@@ -58,8 +58,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the rescued bit, so a verdict an unbudgeted rescue won is never replayed by a
 /// build that no longer rescues; v5 prints subset atoms in the canonical form as
 /// `subseteq` and `subset`, the words the parser reads, and drops the `hints=` part
-/// of the configuration fingerprint.
-pub const STORE_VERSION: u32 = 5;
+/// of the configuration fingerprint; v6 drops every verdict an SMT search reached
+/// before an existential under a universal was a Skolem function of it, since a v5
+/// store may replay a proof that rests on that unsound grounding.
+pub const STORE_VERSION: u32 = 6;
 
 /// Magic prefix of the header line, shared by every format version.
 const MAGIC: &str = "jahob-proof-store";

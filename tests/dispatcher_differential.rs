@@ -16,7 +16,7 @@
 //! dispatcher attempt every obligation identically. Any future scaling change that
 //! breaks one of these properties fails here.
 
-use jahob_repro::frontend::program_tasks;
+use jahob_repro::frontend::{parse_program, program_tasks};
 use jahob_repro::jahob::{self, suite, VerifyOptions};
 use jahob_repro::provers::{Dispatcher, LemmaLibrary, VerificationReport};
 use std::collections::BTreeMap;
@@ -296,15 +296,22 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
     // units, not time. Routing and budgets stay at their defaults (both on); the
     // cache is off, so every pass really runs every attempt. Three whole-suite
     // batches, then the 11 programs one batch each, twice, must all account for
-    // every structure identically, attempt for attempt and abort for abort.
+    // every structure identically, attempt for attempt and abort for abort. Every
+    // pass also proves `Surj` (`tests/fixtures/surj.java`) in a batch of its own:
+    // no suite attempt runs out of fuel, and its postcondition does.
     let lemmas = LemmaLibrary::new();
     let dispatcher = Dispatcher::with_config(
         jahob::DispatcherConfig::builder()
             .cache(jahob::CacheMode::Off)
             .build(),
     );
+    let surj = parse_program(include_str!("fixtures/surj.java")).expect("parse");
+    let surj_pass = || {
+        let results = jahob::verify_program_with(&dispatcher, &surj, &lemmas);
+        structure_accounting("Surj", results.iter().map(|r| &r.report))
+    };
     let suite_pass = || -> PassAccounting {
-        jahob::run_suite_with(&dispatcher, &lemmas)
+        let mut pass: PassAccounting = jahob::run_suite_with(&dispatcher, &lemmas)
             .iter()
             .map(|row| {
                 let per_prover = row
@@ -314,16 +321,20 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
                     .collect();
                 (row.name.clone(), per_prover)
             })
-            .collect()
+            .collect();
+        pass.push(surj_pass());
+        pass
     };
     let program_pass = || -> PassAccounting {
-        suite::full_suite()
+        let mut pass: PassAccounting = suite::full_suite()
             .iter()
             .map(|entry| {
                 let results = jahob::verify_program_with(&dispatcher, &entry.program, &lemmas);
                 structure_accounting(entry.name, results.iter().map(|r| &r.report))
             })
-            .collect()
+            .collect();
+        pass.push(surj_pass());
+        pass
     };
     let first = suite_pass();
     assert!(
@@ -331,7 +342,7 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
             .iter()
             .flat_map(|(_, per_prover)| per_prover.values())
             .any(|(_, _, aborts)| *aborts > 0),
-        "the fuel budgets must engage on the suite: {first:?}"
+        "the fuel budgets must engage: {first:?}"
     );
     for pass in 2..=3 {
         assert_eq!(
@@ -349,7 +360,7 @@ fn repeated_passes_on_one_dispatcher_are_identical() {
     }
     assert_eq!(
         dispatcher.batches_dispatched(),
-        3 + 2 * suite::full_suite().len()
+        3 * 2 + 2 * (suite::full_suite().len() + 1)
     );
 }
 

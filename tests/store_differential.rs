@@ -220,12 +220,13 @@ fn sized_list_store_as_v3() -> String {
     })
 }
 
-/// The sized list's current store under the `v4` header: the same records, keyed by
-/// this version's canonical text and fingerprint.
-fn sized_list_store_as_v4() -> String {
-    sized_list_store_rewritten("v4-source", |line| {
+/// The sized list's current store under an older header that had the same record
+/// layout (`v4` or `v5`): the same records, keyed by this version's canonical text
+/// and fingerprint.
+fn sized_list_store_as(version: &str) -> String {
+    sized_list_store_rewritten(&format!("{version}-source"), |line| {
         if line.starts_with("jahob-proof-store ") {
-            "jahob-proof-store v4".to_string()
+            format!("jahob-proof-store {version}")
         } else {
             line.to_string()
         }
@@ -245,7 +246,8 @@ fn corrupt_truncated_and_future_version_stores_cold_start() {
         ),
         ("old-v2", sized_list_store_as_v2()),
         ("old-v3", sized_list_store_as_v3()),
-        ("old-v4", sized_list_store_as_v4()),
+        ("old-v4", sized_list_store_as("v4")),
+        ("old-v5", sized_list_store_as("v5")),
     ] {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).expect("mkdir");
