@@ -41,9 +41,11 @@ pub mod translate;
 
 pub use fol::{Atom, Clause, Literal, Term};
 pub use resolution::{saturate, ResolutionLimits, ResolutionOutcome, ResolutionStats};
-pub use translate::{sequent_to_clauses, TranslateOptions, TranslationOverflow};
+pub use translate::{
+    implication_to_clauses, sequent_to_clauses, TranslateOptions, TranslationOverflow,
+};
 
-use jahob_logic::Sequent;
+use jahob_logic::{Form, Sequent};
 
 /// Options for the end-to-end first-order prover.
 #[derive(Debug, Clone, Default)]
@@ -87,7 +89,21 @@ impl FolResult {
 
 /// Translates a sequent to clauses and attempts to refute them.
 pub fn prove_sequent(sequent: &Sequent, options: &FolOptions) -> FolResult {
-    match sequent_to_clauses(sequent, &options.translate) {
+    refute(sequent_to_clauses(sequent, &options.translate), options)
+}
+
+/// [`prove_sequent`] of a sequent already approximated into the first-order fragment
+/// ([`implication_to_clauses`]).
+pub fn prove_implication(assumptions: &[Form], goal: &Form, options: &FolOptions) -> FolResult {
+    refute(
+        implication_to_clauses(assumptions, goal, &options.translate),
+        options,
+    )
+}
+
+/// Saturates a translation's clauses.
+fn refute(clauses: Result<Vec<Clause>, TranslationOverflow>, options: &FolOptions) -> FolResult {
+    match clauses {
         Ok(clauses) => {
             let (outcome, stats) = saturate(&clauses, options.limits);
             FolResult {

@@ -63,13 +63,27 @@ impl SequentFeatures {
         visitor.features
     }
 
+    /// Adds `other`'s counts to these: the features of two formulas together.
+    pub(crate) fn add(&mut self, other: &SequentFeatures) {
+        self.card_atoms += other.card_atoms;
+        self.set_atoms += other.set_atoms;
+        self.memberships += other.memberships;
+        self.arith_atoms += other.arith_atoms;
+        self.equalities += other.equalities;
+        self.quantifiers += other.quantifiers;
+        self.lambdas += other.lambdas;
+        self.tuples += other.tuples;
+        self.field_ops += other.field_ops;
+        self.set_binders += other.set_binders;
+    }
+
     /// `true` when the sequent has no quantifiers or higher-order binders — the ground
     /// fragment the SMT prover decides without instantiation heuristics.
     pub fn is_ground(&self) -> bool {
         self.quantifiers == 0 && self.lambdas == 0
     }
 
-    fn visit_const(&mut self, c: &Const) {
+    pub(crate) fn visit_const(&mut self, c: &Const) {
         match c {
             Const::Card => self.card_atoms += 1,
             Const::Elem => {

@@ -29,6 +29,7 @@
 
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
 use jahob_logic::Sequent;
+use jahob_smt::SmtMemo;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -68,6 +69,8 @@ impl Hash for SequentKey {
 pub struct KeyBank {
     /// The batch's interned formulas and their memoised normal forms.
     pub bank: Bank,
+    /// What SMT's attempts on the bank share: its translation memoised per node.
+    pub(crate) smt: SmtMemo,
     forms: HashMap<NodeId, (String, bool)>,
     assumption_lists: HashMap<Box<[NodeId]>, String>,
 }

@@ -1275,13 +1275,7 @@ impl Dispatcher {
         };
         let original = &obligation.sequent;
         if !self.config.cache.is_enabled() {
-            return self.prove_one_uncached(
-                original,
-                context,
-                &mut keys.bank,
-                hinted.as_ref(),
-                &full,
-            );
+            return self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
         }
         let full_classes = var_classes(context, &keys.bank, &full);
         let key = CacheKey {
@@ -1297,8 +1291,7 @@ impl Dispatcher {
         if let Some(outcome) = self.cache.lookup(&key) {
             return self.report_from_cache(&keys.bank, original, outcome);
         }
-        let mut report =
-            self.prove_one_uncached(original, context, &mut keys.bank, hinted.as_ref(), &full);
+        let mut report = self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
         report.cache_misses = 1;
         // A cascade that contained a crash or a deadline stop has attempts with
         // *unknown* verdicts: caching its outcome would freeze a fault-perturbed
@@ -1373,13 +1366,13 @@ impl Dispatcher {
         report
     }
 
-    /// A budgeted phase over `sequent`: every prover in routed order (the static
+    /// A budgeted phase over `interned`: every prover in routed order (the static
     /// [`router::route`] permutation of the global order when routing is on, the
     /// global order itself otherwise), under the sequent's fuel when budgets are on.
-    fn phase<'s>(&self, sequent: &'s Sequent, interned: &'s InternedSequent) -> Phase<'s> {
-        let features = SequentFeatures::of(sequent);
+    /// The features come from the bank, memoised per node.
+    fn phase<'s>(&self, bank: &mut Bank, interned: &'s InternedSequent) -> Phase<'s> {
+        let features = bank.sequent_features(interned);
         Phase {
-            sequent,
             interned,
             provers: if self.config.route {
                 router::route(&features, &self.config.order)
@@ -1393,9 +1386,9 @@ impl Dispatcher {
     /// Attempts one obligation by running its attempt plan: a list of phases, each a
     /// sequent, the provers to try on it in order, and their fuel. The first success
     /// wins. `hinted` is the inlined hint-filtered sequent and `full` the inlined full
-    /// sequent, both in `bank`; they are rebuilt as formulas for the provers here.
-    /// `original` is the obligation's sequent before inlining, which the interactive
-    /// library and the unproved line name. The plan is
+    /// sequent, both in `keys`' bank; a phase's sequent is rebuilt as formulas only
+    /// when MONA or BAPA attempts it. `original` is the obligation's sequent before
+    /// inlining, which the interactive library and the unproved line name. The plan is
     ///
     /// 1. the hinted sequent (the full one without hints), every routed prover;
     /// 2. when hints narrowed the sequent, the full sequent, every routed prover but
@@ -1408,7 +1401,7 @@ impl Dispatcher {
         &self,
         original: &InternedSequent,
         context: &ProverContext,
-        bank: &mut Bank,
+        keys: &mut KeyBank,
         hinted: Option<&InternedSequent>,
         full: &InternedSequent,
     ) -> VerificationReport {
@@ -1417,26 +1410,24 @@ impl Dispatcher {
             ..VerificationReport::default()
         };
         let first = hinted.unwrap_or(full);
-        let first_sequent = bank.materialise_sequent(first);
         // Hints are advice, not a restriction: when they narrowed the sequent, the
         // full assumption set (still instantiated) is tried next. With
         // instantiation-only hints the two sequents coincide and the retry would
         // repeat the first phase, so it is left out. The syntactic checks run once per
         // obligation, in the first phase.
-        let full_sequent = (first != full).then(|| bank.materialise_sequent(full));
-        let mut plan = vec![self.phase(&first_sequent, first)];
-        if let Some(full_sequent) = &full_sequent {
-            let mut retry = self.phase(full_sequent, full);
+        let mut plan = vec![self.phase(&mut keys.bank, first)];
+        if first != full {
+            let mut retry = self.phase(&mut keys.bank, full);
             retry.provers.retain(|p| *p != ProverId::Syntactic);
             plan.push(retry);
         }
         for Phase {
-            sequent,
             interned,
             provers,
             fuel,
         } in &plan
         {
+            let mut sequent = None;
             for &prover in provers {
                 let start = Instant::now();
                 let deadline = self
@@ -1447,9 +1438,9 @@ impl Dispatcher {
                     &self.faults,
                     prover,
                     Attempted {
-                        sequent,
                         interned,
-                        bank: &mut *bank,
+                        sequent: &mut sequent,
+                        keys: &mut *keys,
                     },
                     original,
                     context,
@@ -1477,7 +1468,7 @@ impl Dispatcher {
         // apart from "the provers that might have proved this were stopped". Faults
         // off and no deadline → the suffix never appears. Such cascades are never
         // cached, so only the fuel note needs a cache replay.
-        let mut description = unproved_description(bank, original, &report);
+        let mut description = unproved_description(&keys.bank, original, &report);
         let (crashes, deadlines) = (report.crashes(), report.deadline_aborts());
         if crashes > 0 || deadlines > 0 {
             description.push_str(&format!(
@@ -1489,11 +1480,9 @@ impl Dispatcher {
     }
 }
 
-/// One phase of an obligation's attempt plan: a sequent (as formulas, and in the
-/// worker's bank), the provers to try on it in order, and their fuel (`None` only with
-/// budgets off).
+/// One phase of an obligation's attempt plan: a sequent in the worker's bank, the
+/// provers to try on it in order, and their fuel (`None` only with budgets off).
 struct Phase<'s> {
-    sequent: &'s Sequent,
     interned: &'s InternedSequent,
     provers: Vec<ProverId>,
     fuel: Option<FuelBudget>,
@@ -1613,12 +1602,21 @@ fn fuel_for(features: &SequentFeatures) -> FuelBudget {
     }
 }
 
-/// The sequent one attempt runs on: its formulas for the provers, and its nodes in
-/// the worker's bank for the syntactic prover.
+/// The sequent one attempt runs on: its nodes in the worker's bank, which the
+/// syntactic, SMT and FOL provers read, and its formulas for MONA and BAPA, rebuilt on
+/// the phase's first use.
 struct Attempted<'a> {
-    sequent: &'a Sequent,
     interned: &'a InternedSequent,
-    bank: &'a mut Bank,
+    sequent: &'a mut Option<Sequent>,
+    keys: &'a mut KeyBank,
+}
+
+impl Attempted<'_> {
+    /// The sequent as formulas.
+    fn formulas(&mut self) -> &Sequent {
+        self.sequent
+            .get_or_insert_with(|| self.keys.bank.materialise_sequent(self.interned))
+    }
 }
 
 /// Runs a single prover on a sequent. With `fuel` present, MONA and FOL run under
@@ -1633,7 +1631,7 @@ struct Attempted<'a> {
 /// interactive provers have no long-running loops and are exempt.
 fn attempt(
     prover: ProverId,
-    on: Attempted<'_>,
+    mut on: Attempted<'_>,
     original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
@@ -1646,9 +1644,8 @@ fn attempt(
             AttemptOutcome::Failed
         }
     };
-    let sequent = on.sequent;
     match prover {
-        ProverId::Syntactic => verdict(syntactic_prover_on(on.bank, on.interned)),
+        ProverId::Syntactic => verdict(syntactic_prover_on(&mut on.keys.bank, on.interned)),
         ProverId::Mona => {
             let mut opts = jahob_mona::MonaOptions::default();
             if let Some(fuel) = fuel {
@@ -1656,7 +1653,7 @@ fn attempt(
                 opts.max_states = fuel.mona_states;
             }
             opts.deadline = deadline;
-            let result = jahob_mona::prove_sequent(sequent, &opts);
+            let result = jahob_mona::prove_sequent(on.formulas(), &opts);
             if result.proved {
                 AttemptOutcome::Proved
             } else if result.deadline_exceeded {
@@ -1677,7 +1674,9 @@ fn attempt(
                 opts.ground_limits.max_steps = fuel.smt_steps.min(opts.ground_limits.max_steps);
             }
             opts.ground_limits.deadline = deadline;
-            let result = jahob_smt::prove_sequent(sequent, &opts);
+            let keys = &mut *on.keys;
+            let result =
+                jahob_smt::prove_interned(&mut keys.bank, on.interned, &opts, &mut keys.smt);
             if result.proved {
                 AttemptOutcome::Proved
             } else if result.outcome == jahob_smt::GroundOutcome::Deadline {
@@ -1699,7 +1698,15 @@ fn attempt(
             // SMT prover in the default order.
             opts.limits.max_iterations = fuel.map_or(300, |f| f.fol_iterations.min(300));
             opts.limits.deadline = deadline;
-            let result = jahob_folp::prove_sequent(sequent, &opts);
+            // FOL clausifies the approximation memoised in the bank, which SMT's attempt
+            // on the sequent has usually built already.
+            let bank = &mut on.keys.bank;
+            let vars = bank.first_order_vars(&context.set_vars, &context.fun_vars);
+            let (assumptions, goal) =
+                bank.first_order_implication(&on.interned.assumptions, on.interned.goal, vars);
+            let assumptions: Vec<Form> = assumptions.iter().map(|a| bank.materialise(*a)).collect();
+            let result =
+                jahob_folp::prove_implication(&assumptions, &bank.materialise(goal), &opts);
             if result.proved {
                 AttemptOutcome::Proved
             } else if result.deadline_exceeded() {
@@ -1711,9 +1718,10 @@ fn attempt(
             }
         }
         ProverId::Bapa => {
-            verdict(jahob_bapa::prove_sequent(sequent, &jahob_bapa::BapaOptions::default()).proved)
+            let options = jahob_bapa::BapaOptions::default();
+            verdict(jahob_bapa::prove_sequent(on.formulas(), &options).proved)
         }
-        ProverId::Interactive => verdict(context.lemmas.contains(on.bank, original)),
+        ProverId::Interactive => verdict(context.lemmas.contains(&on.keys.bank, original)),
     }
 }
 
