@@ -13,7 +13,7 @@
 //! asserted facts and keeps the graph, so a search checks each assignment over the
 //! terms of its problem without interning them again.
 
-use std::collections::HashMap;
+use jahob_logic::bank::FastMap;
 
 /// A term handle: a node of the graph.
 pub type TermId = u32;
@@ -24,9 +24,9 @@ pub struct CongruenceClosure {
     /// The function part and argument of each application node; `None` for a leaf.
     parts: Vec<Option<(TermId, TermId)>>,
     /// Leaves by `(symbol, arity)`.
-    leaves: HashMap<(u32, u32), TermId>,
+    leaves: FastMap<(u32, u32), TermId>,
     /// Application nodes by their parts.
-    applications: HashMap<(TermId, TermId), TermId>,
+    applications: FastMap<(TermId, TermId), TermId>,
     /// The applications that have each node as a part.
     uses: Vec<Vec<TermId>>,
     /// The representative of each node's class.
@@ -39,7 +39,7 @@ pub struct CongruenceClosure {
     /// application is the representatives of its parts; an entry whose key still
     /// holds two representatives names an application with that signature. The
     /// graph's own `applications` hold every signature no merge has changed.
-    signatures: HashMap<(TermId, TermId), TermId>,
+    signatures: FastMap<(TermId, TermId), TermId>,
     /// Disequalities asserted since the last clear.
     disequalities: Vec<(TermId, TermId)>,
     /// Merges waiting to be made.
