@@ -143,6 +143,10 @@ pub fn approximate_implication(
 /// Then it approximates the implication, dropping the atoms neither prover represents:
 /// `card`, `tree`, `old`, comprehensions, and lambdas outside an `rtrancl_pt` atom.
 /// `set_vars` and `fun_vars` name the variables known to denote sets and functions.
+///
+/// The provers run its mirror on the formula bank,
+/// [`crate::bank::Bank::first_order_implication`], memoised per node; this `Form`
+/// version is the reference the bank's is tested against.
 pub fn first_order_implication(
     sequent: &Sequent,
     set_vars: &BTreeSet<String>,
