@@ -7,13 +7,16 @@
 //! `docs/ARCHITECTURE.md` for the crate's place in the 11-crate graph.
 //!
 //! Words assign a bit to each of `k` tracks at every position; a symbol is an integer in
-//! `0..2^k`. A [`Dfa`] keeps its transitions in one flat table of `2^k` entries per
-//! state and supports the operations MONA needs: complement, product (intersection and
-//! union), track projection (existential quantification, determinised by a subset
-//! construction on the automaton itself), emptiness with witness extraction,
-//! minimisation and the "zero extension" closure needed after projection. The
-//! `_bounded` products and [`Dfa::project`] give up once an automaton would exceed a
-//! state budget.
+//! `0..2^k`. A [`Dfa`] maps each symbol to a column and keeps one table column per
+//! class of symbols that act alike, so an automaton that reads two of `k` tracks keeps
+//! at most four entries per state, not `2^k`; [`Dfa::reading`] builds one from a table
+//! over the tracks it reads. It supports the operations MONA needs: complement, product
+//! (intersection and union), track projection (existential quantification,
+//! determinised by a subset construction on the automaton itself), emptiness with
+//! witness extraction, minimisation and the "zero extension" closure needed after
+//! projection. The `_bounded` products and [`Dfa::project`] give up once an automaton
+//! would exceed a state budget. [`Dfa::work_cost`], the unit fuel budgets are charged
+//! in, still counts one unit per state and symbol of the uncompressed table.
 //!
 //! # Example
 //!

@@ -33,8 +33,10 @@ pub struct MonaOptions {
     /// every bound variable, so the automaton alphabet can be larger than `2^max_tracks`.
     pub max_tracks: usize,
     /// Work budget of the automata construction, in state×symbol units charged per
-    /// intermediate automaton ([`Dfa::work_cost`](jahob_automata::Dfa::work_cost));
-    /// `0` means unlimited. Exhausting it aborts the attempt cooperatively
+    /// intermediate automaton ([`Dfa::work_cost`](jahob_automata::Dfa::work_cost)):
+    /// one unit per state and symbol of the `2^tracks` alphabet, although the kernel's
+    /// table keeps only one column per class of symbols that act alike. `0` means
+    /// unlimited. Exhausting it aborts the attempt cooperatively
     /// ([`MonaResult::budget_exhausted`]) instead of proving anything. Callers with
     /// a fuel policy (the dispatcher's budgeted cascade) pass a reduced budget here,
     /// and for them an attempt that exhausts it has failed.

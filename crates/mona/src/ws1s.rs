@@ -10,17 +10,16 @@
 //! First-order variables are encoded as singleton sets (the standard MONA encoding): the
 //! track of a first-order variable carries exactly one `1`, at the variable's position.
 //!
-//! Every variable, free or bound, owns a track of the alphabet. Connectives become
-//! products of `jahob-automata`'s flat-table DFAs, each minimised. A quantifier projects
-//! its variable's track away with [`Dfa::project`], a subset construction run on the
-//! body's DFA, and then closes acceptance under trailing zero columns. The decider
-//! charges every intermediate automaton's [`Dfa::work_cost`] against its work budget,
-//! and a product or projection larger than the state cap stops the decision.
-
-// The primitive-automaton constructors fill several transition rows per symbol index, so
-// the symbol loop indexes `trans[state][a]` directly; an iterator rewrite would obscure
-// the transition tables.
-#![allow(clippy::needless_range_loop)]
+//! Every variable, free or bound, owns a track of the alphabet. Each primitive is built
+//! with [`Dfa::reading`] from a table over the one or two tracks it reads, and
+//! `jahob-automata` keeps one column per class of symbols that act alike, so an
+//! automaton's table grows with the tracks it reads, not with the alphabet. Connectives
+//! become products of these DFAs, each minimised. A quantifier projects its variable's
+//! track away with [`Dfa::project`], a subset construction run on the body's DFA, and
+//! then closes acceptance under trailing zero columns. The decider charges every
+//! intermediate automaton's [`Dfa::work_cost`] (states × `2^tracks`, however few
+//! columns its table keeps) against its work budget, and a product or projection larger
+//! than the state cap stops the decision.
 
 use jahob_automata::Dfa;
 use std::collections::BTreeMap;
@@ -194,8 +193,8 @@ impl Decider {
     }
 
     /// Creates a decider with an explicit work budget. The budget is measured in
-    /// state×symbol units of the automata constructed during compilation; `0` means
-    /// unlimited.
+    /// state×symbol units of the automata constructed during compilation
+    /// ([`Dfa::work_cost`]); `0` means unlimited.
     pub fn with_budget(formula: &Ws1s, max_work: u64) -> Self {
         let mut vars = Vec::new();
         collect_all_vars(formula, &mut vars);
@@ -338,9 +337,12 @@ impl Decider {
                 }
                 Some(acc)
             }
+            // `Or` ends in a minimisation and `Not` complements a minimal automaton, so
+            // the three rewritten forms below already compile to minimal automata, which
+            // minimising would give back unchanged. Each is charged once more on top of
+            // what its rewritten form charged.
             Ws1s::Implies(a, b) => {
-                let d = self.compile(&Ws1s::Or(vec![Ws1s::Not(a.clone()), (**b).clone()]))?;
-                charged(d.minimize())
+                charged(self.compile(&Ws1s::Or(vec![Ws1s::Not(a.clone()), (**b).clone()]))?)
             }
             Ws1s::EqPos(x, y) => Some(self.eq_set(self.track(x), self.track(y))),
             Ws1s::EqSet(x, y) => Some(self.eq_set(self.track(x), self.track(y))),
@@ -362,13 +364,9 @@ impl Decider {
                         .minimize(),
                 )
             }
-            Ws1s::ForallPos(v, a) => {
-                let d = self.compile(&Ws1s::Not(Box::new(Ws1s::ExistsPos(
-                    v.clone(),
-                    Box::new(Ws1s::Not(a.clone())),
-                ))))?;
-                charged(d.minimize())
-            }
+            Ws1s::ForallPos(v, a) => charged(self.compile(&Ws1s::Not(Box::new(
+                Ws1s::ExistsPos(v.clone(), Box::new(Ws1s::Not(a.clone()))),
+            )))?),
             Ws1s::ExistsSet(v, a) => {
                 let body = self.compile(a)?;
                 self.charge(body.work_cost())?;
@@ -378,142 +376,83 @@ impl Decider {
                         .minimize(),
                 )
             }
-            Ws1s::ForallSet(v, a) => {
-                let d = self.compile(&Ws1s::Not(Box::new(Ws1s::ExistsSet(
-                    v.clone(),
-                    Box::new(Ws1s::Not(a.clone())),
-                ))))?;
-                charged(d.minimize())
-            }
+            Ws1s::ForallSet(v, a) => charged(self.compile(&Ws1s::Not(Box::new(
+                Ws1s::ExistsSet(v.clone(), Box::new(Ws1s::Not(a.clone()))),
+            )))?),
         }
     }
 
     // ---- primitive automata -------------------------------------------------------
-
-    fn symbols(&self) -> usize {
-        1usize << self.num_tracks()
-    }
-
-    fn bit(symbol: usize, track: usize) -> bool {
-        symbol & (1 << track) != 0
-    }
+    //
+    // Each primitive reads one or two tracks. Its table has an entry per value of
+    // those tracks' bits: bit 0 is the first track listed, bit 1 the second, so the
+    // entries of `x`, `y` are `(x, y)` = `(0, 0)`, `(1, 0)`, `(0, 1)`, `(1, 1)`.
 
     /// Track `t` carries exactly one 1 (encodes a first-order variable).
     fn singleton(&self, t: usize) -> Dfa {
         // States: 0 = none seen, 1 = one seen, 2 = too many.
-        let mut trans = vec![vec![0; self.symbols()]; 3];
-        for a in 0..self.symbols() {
-            let b = Self::bit(a, t);
-            trans[0][a] = if b { 1 } else { 0 };
-            trans[1][a] = if b { 2 } else { 1 };
-            trans[2][a] = 2;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![false, true, false], trans)
+        let trans = vec![vec![0, 1], vec![1, 2], vec![2, 2]];
+        Dfa::reading(self.num_tracks(), &[t], 0, vec![false, true, false], trans)
     }
 
     /// Tracks `x` and `y` agree at every position.
     fn eq_set(&self, x: usize, y: usize) -> Dfa {
-        let mut trans = vec![vec![0; self.symbols()]; 2];
-        for a in 0..self.symbols() {
-            let same = Self::bit(a, x) == Self::bit(a, y);
-            trans[0][a] = if same { 0 } else { 1 };
-            trans[1][a] = 1;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![true, false], trans)
+        let trans = vec![vec![0, 1, 1, 0], vec![1; 4]];
+        Dfa::reading(self.num_tracks(), &[x, y], 0, vec![true, false], trans)
     }
 
     /// Track `x` is a subset of track `y` (positionwise implication).
     fn subset(&self, x: usize, y: usize) -> Dfa {
-        let mut trans = vec![vec![0; self.symbols()]; 2];
-        for a in 0..self.symbols() {
-            let ok = !Self::bit(a, x) || Self::bit(a, y);
-            trans[0][a] = if ok { 0 } else { 1 };
-            trans[1][a] = 1;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![true, false], trans)
+        let trans = vec![vec![0, 1, 0, 0], vec![1; 4]];
+        Dfa::reading(self.num_tracks(), &[x, y], 0, vec![true, false], trans)
     }
 
     /// Track `s` is all zeros.
     fn empty(&self, s: usize) -> Dfa {
-        let mut trans = vec![vec![0; self.symbols()]; 2];
-        for a in 0..self.symbols() {
-            trans[0][a] = if Self::bit(a, s) { 1 } else { 0 };
-            trans[1][a] = 1;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![true, false], trans)
+        let trans = vec![vec![0, 1], vec![1, 1]];
+        Dfa::reading(self.num_tracks(), &[s], 0, vec![true, false], trans)
     }
 
     /// The (singleton) position on track `x` precedes the one on track `y`.
     fn less(&self, x: usize, y: usize) -> Dfa {
         // States: 0 = seen neither, 1 = seen x only, 2 = seen y after x (accept),
         // 3 = reject.
-        let mut trans = vec![vec![0; self.symbols()]; 4];
-        for a in 0..self.symbols() {
-            let bx = Self::bit(a, x);
-            let by = Self::bit(a, y);
-            trans[0][a] = match (bx, by) {
-                (false, false) => 0,
-                (true, false) => 1,
-                _ => 3,
-            };
-            trans[1][a] = match (bx, by) {
-                (false, false) => 1,
-                (false, true) => 2,
-                _ => 3,
-            };
-            trans[2][a] = if bx || by { 3 } else { 2 };
-            trans[3][a] = 3;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![false, false, true, false], trans)
+        let trans = vec![
+            vec![0, 1, 3, 3],
+            vec![1, 3, 2, 3],
+            vec![2, 3, 3, 3],
+            vec![3; 4],
+        ];
+        let accepting = vec![false, false, true, false];
+        Dfa::reading(self.num_tracks(), &[x, y], 0, accepting, trans)
     }
 
     /// The position on track `y` is the successor of the position on track `x`.
     fn succ(&self, x: usize, y: usize) -> Dfa {
         // States: 0 = before x, 1 = x seen (expect y immediately), 2 = accept, 3 = reject.
-        let mut trans = vec![vec![0; self.symbols()]; 4];
-        for a in 0..self.symbols() {
-            let bx = Self::bit(a, x);
-            let by = Self::bit(a, y);
-            trans[0][a] = match (bx, by) {
-                (false, false) => 0,
-                (true, false) => 1,
-                _ => 3,
-            };
-            trans[1][a] = match (bx, by) {
-                (false, true) => 2,
-                _ => 3,
-            };
-            trans[2][a] = if bx || by { 3 } else { 2 };
-            trans[3][a] = 3;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![false, false, true, false], trans)
+        let trans = vec![
+            vec![0, 1, 3, 3],
+            vec![3, 3, 2, 3],
+            vec![2, 3, 3, 3],
+            vec![3; 4],
+        ];
+        let accepting = vec![false, false, true, false];
+        Dfa::reading(self.num_tracks(), &[x, y], 0, accepting, trans)
     }
 
     /// The position on track `x` is position 0.
     fn is_first(&self, x: usize) -> Dfa {
         // States: 0 = at position 0 (expect the bit), 1 = ok, 2 = reject.
-        let mut trans = vec![vec![0; self.symbols()]; 3];
-        for a in 0..self.symbols() {
-            let bx = Self::bit(a, x);
-            trans[0][a] = if bx { 1 } else { 2 };
-            trans[1][a] = if bx { 2 } else { 1 };
-            trans[2][a] = 2;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![false, true, false], trans)
+        let trans = vec![vec![2, 1], vec![1, 2], vec![2, 2]];
+        Dfa::reading(self.num_tracks(), &[x], 0, vec![false, true, false], trans)
     }
 
     /// The position on track `x` is the last position of the word.
     fn is_last(&self, x: usize) -> Dfa {
         // States: 0 = not yet seen, 1 = seen at previous position and nothing after it
         // yet (accepting only if the word ends here), 2 = reject.
-        let mut trans = vec![vec![0; self.symbols()]; 3];
-        for a in 0..self.symbols() {
-            let bx = Self::bit(a, x);
-            trans[0][a] = if bx { 1 } else { 0 };
-            trans[1][a] = 2;
-            trans[2][a] = 2;
-        }
-        Dfa::new(self.num_tracks(), 0, vec![false, true, false], trans)
+        let trans = vec![vec![0, 1], vec![2, 2], vec![2, 2]];
+        Dfa::reading(self.num_tracks(), &[x], 0, vec![false, true, false], trans)
     }
 }
 
@@ -716,5 +655,175 @@ mod tests {
             )),
         );
         assert!(valid(&f));
+    }
+
+    /// The eight primitives spelled out with a transition for every symbol of the whole
+    /// alphabet: the reference the [`Dfa::reading`] tables are checked against.
+    mod full_table {
+        #![allow(clippy::needless_range_loop)]
+
+        use jahob_automata::Dfa;
+
+        fn symbols(k: usize) -> usize {
+            1usize << k
+        }
+
+        fn bit(symbol: usize, track: usize) -> bool {
+            symbol & (1 << track) != 0
+        }
+
+        /// Track `t` carries exactly one 1 (encodes a first-order variable).
+        pub(super) fn singleton(k: usize, t: usize) -> Dfa {
+            // States: 0 = none seen, 1 = one seen, 2 = too many.
+            let mut trans = vec![vec![0; symbols(k)]; 3];
+            for a in 0..symbols(k) {
+                let b = bit(a, t);
+                trans[0][a] = if b { 1 } else { 0 };
+                trans[1][a] = if b { 2 } else { 1 };
+                trans[2][a] = 2;
+            }
+            Dfa::new(k, 0, vec![false, true, false], trans)
+        }
+
+        /// Tracks `x` and `y` agree at every position.
+        pub(super) fn eq_set(k: usize, x: usize, y: usize) -> Dfa {
+            let mut trans = vec![vec![0; symbols(k)]; 2];
+            for a in 0..symbols(k) {
+                let same = bit(a, x) == bit(a, y);
+                trans[0][a] = if same { 0 } else { 1 };
+                trans[1][a] = 1;
+            }
+            Dfa::new(k, 0, vec![true, false], trans)
+        }
+
+        /// Track `x` is a subset of track `y` (positionwise implication).
+        pub(super) fn subset(k: usize, x: usize, y: usize) -> Dfa {
+            let mut trans = vec![vec![0; symbols(k)]; 2];
+            for a in 0..symbols(k) {
+                let ok = !bit(a, x) || bit(a, y);
+                trans[0][a] = if ok { 0 } else { 1 };
+                trans[1][a] = 1;
+            }
+            Dfa::new(k, 0, vec![true, false], trans)
+        }
+
+        /// Track `s` is all zeros.
+        pub(super) fn empty(k: usize, s: usize) -> Dfa {
+            let mut trans = vec![vec![0; symbols(k)]; 2];
+            for a in 0..symbols(k) {
+                trans[0][a] = if bit(a, s) { 1 } else { 0 };
+                trans[1][a] = 1;
+            }
+            Dfa::new(k, 0, vec![true, false], trans)
+        }
+
+        /// The (singleton) position on track `x` precedes the one on track `y`.
+        pub(super) fn less(k: usize, x: usize, y: usize) -> Dfa {
+            // States: 0 = seen neither, 1 = seen x only, 2 = seen y after x (accept),
+            // 3 = reject.
+            let mut trans = vec![vec![0; symbols(k)]; 4];
+            for a in 0..symbols(k) {
+                let bx = bit(a, x);
+                let by = bit(a, y);
+                trans[0][a] = match (bx, by) {
+                    (false, false) => 0,
+                    (true, false) => 1,
+                    _ => 3,
+                };
+                trans[1][a] = match (bx, by) {
+                    (false, false) => 1,
+                    (false, true) => 2,
+                    _ => 3,
+                };
+                trans[2][a] = if bx || by { 3 } else { 2 };
+                trans[3][a] = 3;
+            }
+            Dfa::new(k, 0, vec![false, false, true, false], trans)
+        }
+
+        /// The position on track `y` is the successor of the position on track `x`.
+        pub(super) fn succ(k: usize, x: usize, y: usize) -> Dfa {
+            // States: 0 = before x, 1 = x seen (expect y immediately), 2 = accept, 3 = reject.
+            let mut trans = vec![vec![0; symbols(k)]; 4];
+            for a in 0..symbols(k) {
+                let bx = bit(a, x);
+                let by = bit(a, y);
+                trans[0][a] = match (bx, by) {
+                    (false, false) => 0,
+                    (true, false) => 1,
+                    _ => 3,
+                };
+                trans[1][a] = match (bx, by) {
+                    (false, true) => 2,
+                    _ => 3,
+                };
+                trans[2][a] = if bx || by { 3 } else { 2 };
+                trans[3][a] = 3;
+            }
+            Dfa::new(k, 0, vec![false, false, true, false], trans)
+        }
+
+        /// The position on track `x` is position 0.
+        pub(super) fn is_first(k: usize, x: usize) -> Dfa {
+            // States: 0 = at position 0 (expect the bit), 1 = ok, 2 = reject.
+            let mut trans = vec![vec![0; symbols(k)]; 3];
+            for a in 0..symbols(k) {
+                let bx = bit(a, x);
+                trans[0][a] = if bx { 1 } else { 2 };
+                trans[1][a] = if bx { 2 } else { 1 };
+                trans[2][a] = 2;
+            }
+            Dfa::new(k, 0, vec![false, true, false], trans)
+        }
+
+        /// The position on track `x` is the last position of the word.
+        pub(super) fn is_last(k: usize, x: usize) -> Dfa {
+            // States: 0 = not yet seen, 1 = seen at previous position and nothing after it
+            // yet (accepting only if the word ends here), 2 = reject.
+            let mut trans = vec![vec![0; symbols(k)]; 3];
+            for a in 0..symbols(k) {
+                let bx = bit(a, x);
+                trans[0][a] = if bx { 1 } else { 0 };
+                trans[1][a] = 2;
+                trans[2][a] = 2;
+            }
+            Dfa::new(k, 0, vec![false, true, false], trans)
+        }
+    }
+
+    #[test]
+    fn primitives_are_their_full_table_automata() {
+        for k in 1..=4 {
+            // A decider over `k` tracks.
+            let d = Decider::new(&Ws1s::And(
+                (0..k).map(|i| Ws1s::Empty(format!("V{i}"))).collect(),
+            ));
+            assert_eq!(d.num_tracks(), k);
+            for x in 0..k {
+                let pairs = [
+                    (d.singleton(x), full_table::singleton(k, x)),
+                    (d.empty(x), full_table::empty(k, x)),
+                    (d.is_first(x), full_table::is_first(k, x)),
+                    (d.is_last(x), full_table::is_last(k, x)),
+                ];
+                for (new, old) in pairs {
+                    assert_eq!(new.num_states(), old.num_states());
+                    assert_eq!(new, old, "{k} tracks, track {x}");
+                }
+                // `y == x` included: `EqPos(x, x)` and its kin reach these with one track.
+                for y in 0..k {
+                    let pairs = [
+                        (d.eq_set(x, y), full_table::eq_set(k, x, y)),
+                        (d.subset(x, y), full_table::subset(k, x, y)),
+                        (d.less(x, y), full_table::less(k, x, y)),
+                        (d.succ(x, y), full_table::succ(k, x, y)),
+                    ];
+                    for (new, old) in pairs {
+                        assert_eq!(new.num_states(), old.num_states());
+                        assert_eq!(new, old, "{k} tracks, tracks {x} and {y}");
+                    }
+                }
+            }
+        }
     }
 }
