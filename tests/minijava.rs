@@ -2,7 +2,7 @@
 //! translation → verification-condition generation → integrated reasoning.
 
 use jahob_repro::frontend::parse_program;
-use jahob_repro::jahob::{verify_program, DispatcherConfig, VerifyOptions};
+use jahob_repro::jahob::{verify_program, DispatcherConfig, Verifier, VerifyOptions};
 
 /// A small stack with a set-valued abstract state and a cardinality invariant, written in
 /// the paper's surface syntax (specifications inside `/*: ... */` and `//: ...` comments).
@@ -169,6 +169,30 @@ fn an_unproved_goal_with_multibyte_text_is_reported_not_fatal() {
         unproved[0].starts_with("~(comment ''ééé") && unproved[0].contains("é..."),
         "{unproved:?}"
     );
+}
+
+/// A class and a field named with non-ASCII letters, which the MiniJava lexer accepts.
+/// The translator writes each name into the background axioms (`null ~: Café`, the
+/// field's typing axiom), which once panicked the verifier.
+const ACCENTED_CLASS: &str =
+    r#"public class Café { public static void m() /*: ensures "True" */ { } }"#;
+
+const ACCENTED_FIELD: &str = r#"
+    public class Holder {
+        public Item café;
+
+        public void m() /*: ensures "True" */ { }
+    }
+
+    public class Item { }
+"#;
+
+#[test]
+fn non_ascii_class_and_field_names_verify() {
+    for source in [ACCENTED_CLASS, ACCENTED_FIELD] {
+        let report = Verifier::new().verify_source(source).expect("parses");
+        assert!(report.verified(), "{source}");
+    }
 }
 
 #[test]
