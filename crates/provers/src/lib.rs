@@ -39,8 +39,8 @@
 //!   obligation's cascade order is chosen from the sequent's syntactic features
 //!   ([`jahob_logic::SequentFeatures`] → [`router`]): provers whose fragment the
 //!   sequent matches run first, hopeless ones are demoted to a fallback tail (never
-//!   dropped), so e.g. MONA stops burning ~100 ms failing on cardinality sequents
-//!   BAPA discharges in microseconds.
+//!   dropped), so e.g. MONA no longer fails on cardinality sequents BAPA
+//!   discharges in microseconds.
 //!
 //! Each obligation that reaches the provers runs one attempt plan: a list of
 //! `(sequent, provers, fuel)` phases — the hinted sequent, then the full one — whose
