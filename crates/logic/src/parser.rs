@@ -19,6 +19,12 @@ use crate::form::{Const, Form, Ident};
 use crate::types::Type;
 use std::fmt;
 
+/// The number of the first type variable the parser invents. A binder written without a
+/// type is given `Type::Var(FIRST_FRESH_TYVAR)` if it is the first such binder, and the
+/// next number each time after. Code that builds a formula whose one binder is left open
+/// gives the binder this type, and so builds the formula its text parses to.
+pub const FIRST_FRESH_TYVAR: u32 = 1001;
+
 /// An error produced while lexing or parsing a formula or type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -55,7 +61,7 @@ pub fn parse_form(input: &str) -> Result<Form, ParseError> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        next_tyvar: 1000,
+        next_tyvar: FIRST_FRESH_TYVAR,
     };
     let f = p.parse_formula()?;
     p.expect_eof()?;
@@ -72,7 +78,7 @@ pub fn parse_type(input: &str) -> Result<Type, ParseError> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        next_tyvar: 1000,
+        next_tyvar: FIRST_FRESH_TYVAR,
     };
     let t = p.parse_type()?;
     p.expect_eof()?;
@@ -406,7 +412,7 @@ impl Parser {
 
     fn fresh_tyvar(&mut self) -> Type {
         self.next_tyvar += 1;
-        Type::Var(self.next_tyvar)
+        Type::Var(self.next_tyvar - 1)
     }
 
     // -- formulas ------------------------------------------------------------------
