@@ -19,6 +19,9 @@
 //! `jahob_provers::inst` and `docs/SPEC_LANGUAGE.md`), and
 //! atoms outside the BAPA fragment are approximated away by polarity (Figure 14), so
 //! the prover is sound and simply declines sequents it cannot strengthen usefully.
+//! That front end (comment stripping, simplification, the dropping, the approximation
+//! and the negation normal forms the reduction reads) runs on the dispatcher's formula
+//! bank ([`prove_interned`]); [`prove_sequent`] runs it on a fresh bank.
 //!
 //! # Example
 //!
@@ -42,9 +45,8 @@
 #![warn(missing_docs)]
 
 use jahob_arith::{check_with_limits, Constraint, Limits, LinExpr, Outcome, VarId};
-use jahob_logic::approx::{approximate_implication, Polarity};
-use jahob_logic::form::{Binder, Const, Form};
-use jahob_logic::simplify::{nnf, simplify};
+use jahob_logic::bank::{Bank, Fragment, InternedSequent, NodeId};
+use jahob_logic::form::{Const, Form};
 use jahob_logic::Sequent;
 use std::collections::BTreeMap;
 
@@ -78,31 +80,70 @@ pub struct BapaResult {
     pub set_variables: usize,
 }
 
-/// Attempts to prove a sequent using the BAPA decision procedure.
+/// Attempts to prove a sequent using the BAPA decision procedure, on a fresh bank.
 pub fn prove_sequent(sequent: &Sequent, options: &BapaOptions) -> BapaResult {
-    let sequent = sequent.without_comments();
-    // Approximate into the BAPA fragment. Quantified assumptions are dropped first:
-    // BAPA is quantifier-free, the constraint builder would reject the whole sequent
-    // on meeting one, and discarding an assumption only weakens the premise set (it
-    // can never prove more) — so a sequent whose universal assumption was specialised
-    // by a `by inst` hint is decided from the ground instance alone.
-    let assumptions: Vec<Form> = sequent
-        .assumptions
-        .iter()
-        .map(simplify)
-        .filter(|a| !a.contains_binder(Binder::Forall) && !a.contains_binder(Binder::Exists))
-        .collect();
-    let goal = simplify(&sequent.goal);
-    let (assumptions, goal) = approximate_implication(&assumptions, &goal, &bapa_atom_filter);
-    if goal.is_false() && assumptions.is_empty() {
+    let mut bank = Bank::new();
+    let interned = bank.intern_sequent(sequent);
+    prove_interned(&mut bank, &interned, options)
+}
+
+/// BAPA's front end on the bank: each formula with its comments stripped and
+/// simplified, the quantified assumptions dropped, then the implication approximated
+/// into the BAPA fragment ([`Fragment::Bapa`]). Returns the approximated assumptions,
+/// without those that became `True`, and the approximated goal.
+///
+/// Quantified assumptions are dropped first: BAPA is quantifier-free, the constraint
+/// builder would reject the whole sequent on meeting one, and discarding an assumption
+/// only weakens the premise set (it can never prove more), so a sequent whose universal
+/// assumption was specialised by a `by inst` hint is decided from the ground instance
+/// alone.
+pub fn approximate(bank: &mut Bank, sequent: &InternedSequent) -> (Vec<NodeId>, NodeId) {
+    let prepare = |bank: &mut Bank, f: NodeId| {
+        let stripped = bank.strip_comments(f);
+        bank.simplify(stripped)
+    };
+    let mut assumptions = Vec::with_capacity(sequent.assumptions.len());
+    for a in &sequent.assumptions {
+        let prepared = prepare(bank, *a);
+        if !bank.has_quantifier(prepared) {
+            assumptions.push(prepared);
+        }
+    }
+    let goal = prepare(bank, sequent.goal);
+    bank.approximate_implication(&assumptions, goal, Fragment::Bapa)
+}
+
+/// [`prove_sequent`] of a sequent in `bank`: the approximation and the negation normal
+/// forms the reduction reads run on the bank, the Venn reduction on their formulas.
+pub fn prove_interned(
+    bank: &mut Bank,
+    sequent: &InternedSequent,
+    options: &BapaOptions,
+) -> BapaResult {
+    let not_applicable = |set_variables| BapaResult {
+        proved: false,
+        applicable: false,
+        set_variables,
+    };
+    let (assumptions, goal) = approximate(bank, sequent);
+    if bank.is_false(goal) && assumptions.is_empty() {
         // Nothing useful survived approximation: the goal can only be established from
         // contradictory assumptions, and none are left.
-        return BapaResult {
-            proved: false,
-            applicable: false,
-            set_variables: 0,
-        };
+        return not_applicable(0);
     }
+    // The refutation: every assumption and the negated goal, in negation normal form.
+    let negated = bank.not(goal);
+    let refutation: Vec<Form> = assumptions
+        .iter()
+        .copied()
+        .chain(std::iter::once(negated))
+        .map(|f| {
+            let normal = bank.nnf(f);
+            bank.materialise(normal)
+        })
+        .collect();
+    let assumptions: Vec<Form> = assumptions.iter().map(|a| bank.materialise(*a)).collect();
+    let goal = bank.materialise(goal);
 
     // Collect set variables (and singleton elements) mentioned. Scanning is iterated so
     // that a bare variable equated with a set expression in one atom is recognised as a
@@ -115,11 +156,7 @@ pub fn prove_sequent(sequent: &Sequent, options: &BapaOptions) -> BapaResult {
         }
     }
     if !ok || env.sets.len() > options.max_set_variables {
-        return BapaResult {
-            proved: false,
-            applicable: false,
-            set_variables: env.sets.len(),
-        };
+        return not_applicable(env.sets.len());
     }
 
     // Build constraints for: assumptions AND NOT goal, as a small disjunction of
@@ -128,16 +165,11 @@ pub fn prove_sequent(sequent: &Sequent, options: &BapaOptions) -> BapaResult {
     let mut builder = ConstraintBuilder::new(env);
     let mut branches = vec![builder.base_constraints()];
     let mut supported = true;
-    for a in &assumptions {
-        supported &= builder.add_formula(a, &mut branches);
+    for f in &refutation {
+        supported &= builder.add_nnf(f, &mut branches);
     }
-    supported &= builder.add_formula(&nnf(&Form::not(goal.clone())), &mut branches);
     if !supported || branches.len() > MAX_BRANCHES {
-        return BapaResult {
-            proved: false,
-            applicable: false,
-            set_variables: builder.env.sets.len(),
-        };
+        return not_applicable(builder.env.sets.len());
     }
     let proved = branches
         .iter()
@@ -151,54 +183,6 @@ pub fn prove_sequent(sequent: &Sequent, options: &BapaOptions) -> BapaResult {
 
 /// Maximum number of disjunctive branches explored by the reduction.
 const MAX_BRANCHES: usize = 64;
-
-/// Atoms representable in the BAPA fragment: cardinalities, set equalities/inclusions/
-/// memberships over set variables and set-algebra expressions, and linear arithmetic.
-fn bapa_atom_filter(atom: &Form, _polarity: Polarity) -> Option<Form> {
-    if is_bapa_atom(atom) {
-        Some(atom.clone())
-    } else {
-        None
-    }
-}
-
-fn is_bapa_atom(atom: &Form) -> bool {
-    match atom {
-        Form::App(head, args) => match head.as_ref() {
-            Form::Const(Const::Eq)
-            | Form::Const(Const::Lt)
-            | Form::Const(Const::LtEq)
-            | Form::Const(Const::Gt)
-            | Form::Const(Const::GtEq) => args.iter().all(is_bapa_term),
-            Form::Const(Const::Elem) => {
-                args.len() == 2 && is_element(&args[0]) && is_set_expr(&args[1])
-            }
-            Form::Const(Const::SubsetEq) | Form::Const(Const::Subset) => {
-                args.iter().all(is_set_expr)
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-fn is_bapa_term(t: &Form) -> bool {
-    is_int_term(t) || is_set_expr(t)
-}
-
-fn is_int_term(t: &Form) -> bool {
-    match t {
-        Form::Var(_) | Form::Const(Const::IntLit(_)) => true,
-        Form::App(head, args) => match head.as_ref() {
-            Form::Const(Const::Plus) | Form::Const(Const::Minus) | Form::Const(Const::UMinus) => {
-                args.iter().all(is_int_term)
-            }
-            Form::Const(Const::Card) => args.len() == 1 && is_set_expr(&args[0]),
-            _ => false,
-        },
-        _ => false,
-    }
-}
 
 fn is_set_expr(t: &Form) -> bool {
     match t {
@@ -389,14 +373,9 @@ impl ConstraintBuilder {
         v
     }
 
-    /// Adds the constraints of a BAPA formula to every branch. Disjunctions (including
-    /// the case splits arising from negated equalities) multiply the branch set.
-    /// Returns `false` if the formula is unsupported.
-    fn add_formula(&mut self, f: &Form, branches: &mut Vec<Vec<Constraint>>) -> bool {
-        let f = nnf(f);
-        self.add_nnf(&f, branches)
-    }
-
+    /// Adds the constraints of a formula in negation normal form to every branch.
+    /// Disjunctions (including the case splits arising from negated equalities)
+    /// multiply the branch set. Returns `false` if the formula is unsupported.
     fn add_nnf(&mut self, f: &Form, branches: &mut Vec<Vec<Constraint>>) -> bool {
         if f.is_true() {
             return true;

@@ -10,13 +10,16 @@
 //! * [`translate`] — the Jahob-style translation from higher-order sequents to clauses
 //!   (set memberships become predicates, transitive closure becomes an axiomatised
 //!   reachability predicate, unsupported constructs are approximated away by polarity,
-//!   and a clause with an atom that has no translation is dropped);
+//!   and a clause with an atom that has no translation is dropped). The rewriting, the
+//!   approximation and the negation normal form run on a formula bank, the
+//!   clausification on formulas;
 //! * [`resolution`] — a given-clause saturation loop with binary resolution, factoring
 //!   and subsumption, run on a flat kernel: symbols interned once per run, each clause
 //!   a run of `u32` cells, unification in place on a binding trail.
 //!
-//! The convenience function [`prove_sequent`] runs the full pipeline and reports whether
-//! the sequent was proved.
+//! The convenience function [`prove_sequent`] runs the full pipeline on a fresh bank and
+//! reports whether the sequent was proved; [`prove_interned`] runs it on the
+//! dispatcher's bank.
 //!
 //! # Example
 //!
@@ -42,10 +45,12 @@ pub mod translate;
 pub use fol::{Atom, Clause, Literal, Term};
 pub use resolution::{saturate, ResolutionLimits, ResolutionOutcome, ResolutionStats};
 pub use translate::{
-    implication_to_clauses, sequent_to_clauses, TranslateOptions, TranslationOverflow,
+    implication_to_clauses, interned_to_clauses, sequent_to_clauses, TranslateOptions,
+    TranslationOverflow,
 };
 
-use jahob_logic::{Form, Sequent};
+use jahob_logic::bank::{Bank, InternedSequent};
+use jahob_logic::Sequent;
 
 /// Options for the end-to-end first-order prover.
 #[derive(Debug, Clone, Default)]
@@ -92,11 +97,15 @@ pub fn prove_sequent(sequent: &Sequent, options: &FolOptions) -> FolResult {
     refute(sequent_to_clauses(sequent, &options.translate), options)
 }
 
-/// [`prove_sequent`] of a sequent already approximated into the first-order fragment
-/// ([`implication_to_clauses`]).
-pub fn prove_implication(assumptions: &[Form], goal: &Form, options: &FolOptions) -> FolResult {
+/// [`prove_sequent`] of a sequent in `bank` ([`interned_to_clauses`]), reading the
+/// approximation and the negation normal forms memoised there.
+pub fn prove_interned(
+    bank: &mut Bank,
+    sequent: &InternedSequent,
+    options: &FolOptions,
+) -> FolResult {
     refute(
-        implication_to_clauses(assumptions, goal, &options.translate),
+        interned_to_clauses(bank, sequent, &options.translate),
         options,
     )
 }

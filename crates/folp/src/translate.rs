@@ -18,9 +18,8 @@
 //! sequent.
 
 use crate::fol::{Atom, Clause, Literal, Term};
-use jahob_logic::bank::Bank;
+use jahob_logic::bank::{Bank, InternedSequent, NodeId};
 use jahob_logic::form::{Binder, Const, Form};
-use jahob_logic::simplify::nnf;
 use jahob_logic::types::Type;
 use jahob_logic::Sequent;
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,7 +67,7 @@ pub struct TranslationOverflow;
 
 /// Translates a sequent into a refutation task: a clause set that is unsatisfiable only
 /// if the sequent is valid. Returns the clauses (assumptions, negated goal, and the
-/// required theory axioms).
+/// required theory axioms). The translation runs on a fresh formula bank.
 ///
 /// # Errors
 ///
@@ -77,28 +76,42 @@ pub fn sequent_to_clauses(
     sequent: &Sequent,
     options: &TranslateOptions,
 ) -> Result<Vec<Clause>, TranslationOverflow> {
-    // Rewriting and polarity approximation into the first-order fragment, on a
-    // fresh formula bank.
     let mut bank = Bank::new();
     let interned = bank.intern_sequent(sequent);
-    let vars = bank.first_order_vars(&options.set_vars, &options.fun_vars);
-    let (assumptions, goal) =
-        bank.first_order_implication(&interned.assumptions, interned.goal, vars);
-    let assumptions: Vec<Form> = assumptions.iter().map(|a| bank.materialise(*a)).collect();
-    implication_to_clauses(&assumptions, &bank.materialise(goal), options)
+    interned_to_clauses(&mut bank, &interned, options)
 }
 
-/// The refutation task of an approximated sequent: `assumptions` and `goal` as
-/// [`Bank::first_order_implication`] returns them for the sequent (the dispatcher
-/// hands over the approximation its formula bank holds). Returns the clauses of the
-/// assumptions, the negated goal and the required theory axioms.
+/// [`sequent_to_clauses`] of a sequent in `bank`: rewriting and polarity approximation
+/// into the first-order fragment ([`Bank::first_order_implication`]), memoised in the
+/// bank, then [`implication_to_clauses`].
+///
+/// # Errors
+///
+/// Returns [`TranslationOverflow`] if clausification exceeds the configured budget.
+pub fn interned_to_clauses(
+    bank: &mut Bank,
+    sequent: &InternedSequent,
+    options: &TranslateOptions,
+) -> Result<Vec<Clause>, TranslationOverflow> {
+    let vars = bank.first_order_vars(&options.set_vars, &options.fun_vars);
+    let (assumptions, goal) =
+        bank.first_order_implication(&sequent.assumptions, sequent.goal, vars);
+    implication_to_clauses(bank, &assumptions, goal, options)
+}
+
+/// The refutation task of an approximated sequent in `bank`: `assumptions` and `goal`
+/// as [`Bank::first_order_implication`] returns them. Each formula, the negated goal
+/// and each theory axiom is put in negation normal form on the bank ([`Bank::nnf`])
+/// and clausified. Returns the clauses of the assumptions, the negated goal and the
+/// required theory axioms.
 ///
 /// # Errors
 ///
 /// Returns [`TranslationOverflow`] if clausification exceeds the configured budget.
 pub fn implication_to_clauses(
-    assumptions: &[Form],
-    goal: &Form,
+    bank: &mut Bank,
+    assumptions: &[NodeId],
+    goal: NodeId,
     options: &TranslateOptions,
 ) -> Result<Vec<Clause>, TranslationOverflow> {
     // Refutation set: assumptions plus negated goal.
@@ -114,15 +127,17 @@ pub fn implication_to_clauses(
         untranslated_term: false,
     };
     for a in assumptions {
-        cx.clausify(&nnf(a))?;
+        cx.clausify(&nnf(bank, *a))?;
     }
-    cx.clausify(&nnf(&Form::not(goal.clone())))?;
+    let negated = bank.not(goal);
+    cx.clausify(&nnf(bank, negated))?;
 
     // Reachability axioms for each distinct transitive-closure body encountered.
     let bodies = cx.rtrancl_bodies.clone();
     for (idx, body) in bodies.iter().enumerate() {
         for ax in rtrancl_axioms(idx, body) {
-            cx.clausify(&nnf(&ax))?;
+            let ax = bank.intern(&ax);
+            cx.clausify(&nnf(bank, ax))?;
         }
     }
 
@@ -142,11 +157,18 @@ pub fn implication_to_clauses(
                 used_arith: false,
                 untranslated_term: false,
             };
-            c2.clausify(&nnf(&ax))?;
+            let ax = bank.intern(&ax);
+            c2.clausify(&nnf(bank, ax))?;
             clauses.extend(c2.clauses);
         }
     }
     Ok(clauses)
+}
+
+/// The negation normal form of a formula in `bank`, as a formula.
+fn nnf(bank: &mut Bank, f: NodeId) -> Form {
+    let normal = bank.nnf(f);
+    bank.materialise(normal)
 }
 
 /// Sound axioms for the reachability predicate `reach$idx` generated from a transitive

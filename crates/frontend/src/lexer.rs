@@ -192,7 +192,7 @@ impl<'a> Lexer<'a> {
                 continue;
             }
             if c.is_ascii_digit() {
-                self.lex_number();
+                self.lex_number()?;
                 continue;
             }
             if c.is_alphabetic() || c == '_' || c == '$' {
@@ -244,17 +244,22 @@ impl<'a> Lexer<'a> {
         Ok(())
     }
 
-    fn lex_number(&mut self) {
+    /// An integer literal. `int` is unbounded, but a literal must fit in `i64`.
+    fn lex_number(&mut self) -> Result<(), LexError> {
         let mut n: i64 = 0;
         while let Some(c) = self.peek() {
             if let Some(d) = c.to_digit(10) {
-                n = n * 10 + i64::from(d);
+                n = n
+                    .checked_mul(10)
+                    .and_then(|n| n.checked_add(i64::from(d)))
+                    .ok_or_else(|| self.error("integer literal does not fit in 64 bits"))?;
                 self.bump();
             } else {
                 break;
             }
         }
         self.push(Token::Int(n));
+        Ok(())
     }
 
     fn lex_ident(&mut self) {

@@ -1,6 +1,13 @@
-//! The first-order front end of the SMT and FOL provers on the bank: the rewrites and
-//! the polarity approximation of [`crate::approx::first_order_implication`], and the
-//! negation normal form of [`crate::simplify::nnf`], each memoised per node.
+//! The first-order front end of the SMT and FOL provers on the bank (§6.2, §6.3), and
+//! the negation normal form every refuting prover reads, each memoised per node.
+//!
+//! [`Bank::first_order_implication`] strips a formula's comments and rewrites it into
+//! first-order shape: function equalities pointwise, field-write applications into
+//! `ite`, set and tuple equalities by extensionality, set operations into memberships,
+//! and `ite` lifted out of atoms. It then simplifies the result and approximates it
+//! into [`Fragment::FirstOrder`] ([`Bank::approximate`]), which drops the atoms neither
+//! prover represents: `card`, `tree`, `old`, comprehensions, and lambdas outside an
+//! `rtrancl_pt` atom.
 //!
 //! Two of the rewrites read the context's classification of variables:
 //! function equalities are expanded pointwise for the function variables, and set
@@ -10,13 +17,14 @@
 //!
 //! Each rewrite is one rule applied bottom-up, one pass at a time, until a pass
 //! changes nothing (at most 64 passes), as [`crate::rewrite::rewrite_fixpoint`] runs
-//! it: a pass rebuilds a node's children first, applications through [`Form::app`]'s
-//! flattening, then applies the rule once to the rebuilt node. A pass is memoised per
-//! node and rule.
+//! a rule on `Form` trees: a pass rebuilds a node's children first, applications
+//! through [`Form::app`]'s flattening, then applies the rule once to the rebuilt node.
+//! A pass is memoised per node and rule. The `Form` front end this mirrors is kept as
+//! a test oracle in `crates/logic/tests/reference`.
 //!
 //! [`Form::app`]: crate::form::Form::app
 
-use super::{Bank, FastMap, Node, NodeId, NodeMemo, SetId, Sym};
+use super::{Bank, FastMap, Fragment, Node, NodeId, NodeMemo, SetId, Sym};
 use crate::form::{Binder, Const};
 use crate::subst::fresh_name_by;
 use crate::types::Type;
@@ -30,16 +38,16 @@ pub struct FirstOrderVars(u32);
 /// A rewrite rule, applied bottom-up by [`Bank::rewrite_fixpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Rule {
-    /// [`crate::rewrite::expand_set_membership`]'s rule.
+    /// Membership in a set expression ([`Bank::expand_membership`]).
     Membership,
-    /// [`crate::rewrite::expand_function_equalities`]'s rule, for a classification.
+    /// Function equalities pointwise, for a classification.
     FunctionEqualities(FirstOrderVars),
-    /// [`crate::rewrite::expand_field_write_applications`]'s rule.
+    /// Field-write and array-write applications into `ite`.
     FieldWrites,
-    /// [`crate::rewrite::expand_complex_equalities`]'s rule with the set test of
-    /// [`crate::approx::first_order_implication`], for a classification.
+    /// Tuple equalities componentwise, set equalities and inclusions by
+    /// extensionality, for a classification.
     ComplexEqualities(FirstOrderVars),
-    /// [`crate::rewrite::lift_ite`]'s rule.
+    /// `ite` lifted out of atoms.
     LiftIte,
 }
 
@@ -64,22 +72,10 @@ pub(super) struct FirstOrderMemo {
     membership: NodeMemo,
     field_writes: NodeMemo,
     lifted: NodeMemo,
-    /// The polarity approximation, negative then positive.
-    approximate: [NodeMemo; 2],
-    /// Which constants and binders a node contains ([`Bank::contents`]).
-    contents: Vec<u8>,
     /// The negation normal form of a node, then of its negation.
     nnf: [NodeMemo; 2],
     normal: NodeMemo,
 }
-
-const UNKNOWN: u8 = u8::MAX;
-/// [`Bank::contents`]: a `card`, `tree` or `old` constant.
-const UNSUPPORTED_CONST: u8 = 1;
-/// [`Bank::contents`]: a comprehension.
-const COMPREHENSION: u8 = 2;
-/// [`Bank::contents`]: a lambda.
-const LAMBDA: u8 = 4;
 
 impl Bank {
     /// Interns the classification of `set_vars` and `fun_vars`.
@@ -149,7 +145,7 @@ impl Bank {
         current
     }
 
-    /// One pass of `rule` ([`crate::rewrite::rewrite_bottom_up`]), memoised per node:
+    /// One pass of `rule` ([`crate::rewrite::rewrite_bottom_up`] on `Form`), memoised per node:
     /// the children are rebuilt first, applications through [`Form::app`]'s
     /// flattening, then the rule is applied once to the rebuilt node.
     ///
@@ -201,9 +197,8 @@ impl Bank {
         self.quantify(Binder::Forall, &[(v, Type::Obj)], body)
     }
 
-    /// The rule of [`crate::rewrite::expand_function_equalities`]: `f = g` becomes
-    /// `ALL ptr. f ptr = g ptr` when a side is a function variable or a partial
-    /// `fieldWrite`.
+    /// Function equalities pointwise: `f = g` becomes `ALL ptr. f ptr = g ptr` when a
+    /// side is a function variable (a declared field) or a partial `fieldWrite`.
     fn function_equality_rule(&mut self, id: NodeId, vars: FirstOrderVars) -> Option<NodeId> {
         let &[l, r] = self.as_app_of(id, &Const::Eq)? else {
             return None;
@@ -231,9 +226,10 @@ impl Bank {
         self.app_of(Const::Ite, vec![c, t, e])
     }
 
-    /// The rule of [`crate::rewrite::expand_field_write_applications`], case for case:
-    /// `fieldWrite f x v y ...`, an unflattened `(fieldWrite f x v) y`, and
-    /// `arrayRead (arrayWrite st a i v) b j`.
+    /// Applications of function updates into `ite`, case for case:
+    /// `fieldWrite f x v y ...` becomes `ite (y = x) v (f y) ...`, an unflattened
+    /// `(fieldWrite f x v) y` likewise, and `arrayRead (arrayWrite st a i v) b j`
+    /// becomes `ite (b = a & j = i) v (arrayRead st b j)`.
     fn field_write_rule(&mut self, id: NodeId) -> Option<NodeId> {
         let Node::App(fun, args) = self.node(id).clone() else {
             return None;
@@ -267,7 +263,8 @@ impl Bank {
         None
     }
 
-    /// [`crate::rewrite::looks_like_set`].
+    /// A syntactic test for "this expression denotes a set": set constants, set
+    /// operations, comprehensions and set-typed ascriptions.
     fn looks_like_set(&self, id: NodeId) -> bool {
         match self.node(id) {
             Node::Const(Const::EmptySet | Const::UnivSet) => true,
@@ -281,8 +278,8 @@ impl Bank {
         }
     }
 
-    /// The set test of [`crate::approx::first_order_implication`]: a set-shaped
-    /// expression, a set variable, or an application of one.
+    /// The set test of extensionality: a set-shaped expression, a set variable, or an
+    /// application of one.
     fn set_typed(&self, id: NodeId, vars: FirstOrderVars) -> bool {
         let set_vars = self.class(vars).set_vars;
         self.looks_like_set(id)
@@ -295,8 +292,8 @@ impl Bank {
             }
     }
 
-    /// The rule of [`crate::rewrite::expand_complex_equalities`]: tuple equalities
-    /// componentwise, set equalities and `subseteq` by extensionality.
+    /// Tuple equalities componentwise, set equalities and `subseteq` by
+    /// extensionality (`ALL elt. elt : l <-> elt : r`, `ALL elt. elt : l --> elt : r`).
     fn complex_equality_rule(&mut self, id: NodeId, vars: FirstOrderVars) -> Option<NodeId> {
         if let Some((l, r)) = self.as_eq(id) {
             if let (Some(ls), Some(rs)) = (
@@ -330,8 +327,9 @@ impl Bank {
         None
     }
 
-    /// The rule of [`crate::rewrite::lift_ite`]: an atom with an `ite` argument splits
-    /// on the condition, at the first such argument.
+    /// `ite` lifted out of an atom: an equality, comparison, membership or `subseteq`
+    /// with an `ite c t e` argument becomes `(c --> P t) & (~c --> P e)`, split at the
+    /// first such argument.
     fn lift_ite_rule(&mut self, id: NodeId) -> Option<NodeId> {
         let Node::App(fun, args) = self.node(id).clone() else {
             return None;
@@ -365,8 +363,8 @@ impl Bank {
         None
     }
 
-    /// The rewriting of [`crate::approx::first_order_implication`] on a formula whose
-    /// comments are stripped, memoised per node and classification: function
+    /// The rewriting of [`Bank::first_order_implication`] on a formula whose comments
+    /// are stripped, memoised per node and classification: function
     /// equalities, field-write applications, complex equalities, membership, `ite`
     /// lifting, then simplification.
     fn prepare(&mut self, id: NodeId, vars: FirstOrderVars) -> NodeId {
@@ -383,113 +381,7 @@ impl Bank {
         out
     }
 
-    // ---------------------------------------------------------- approximation
-
-    /// Which of `card`, `tree` and `old`, comprehensions and lambdas a node contains,
-    /// as bits, memoised per node.
-    fn contents(&mut self, id: NodeId) -> u8 {
-        let i = id.0 as usize;
-        if let Some(&known) = self.first_order.contents.get(i) {
-            if known != UNKNOWN {
-                return known;
-            }
-        }
-        let bits = match self.node(id).clone() {
-            Node::Var(_) => 0,
-            Node::Const(Const::Card | Const::Tree | Const::Old) => UNSUPPORTED_CONST,
-            Node::Const(_) => 0,
-            Node::App(f, args) => {
-                let mut bits = self.contents(f);
-                for a in args.iter() {
-                    bits |= self.contents(*a);
-                }
-                bits
-            }
-            Node::Binder(b, _, body) => {
-                let own = match b {
-                    Binder::Comprehension => COMPREHENSION,
-                    Binder::Lambda => LAMBDA,
-                    _ => 0,
-                };
-                own | self.contents(body)
-            }
-            Node::Typed(f, _) => self.contents(f),
-        };
-        let memo = &mut self.first_order.contents;
-        if memo.len() <= i {
-            memo.resize(i + 1, UNKNOWN);
-        }
-        memo[i] = bits;
-        bits
-    }
-
-    /// Whether an atom is in the first-order fragment (`first_order_atom` of
-    /// [`crate::approx`]): no `card`, `tree`, `old` or comprehension, and no lambda
-    /// outside an `rtrancl_pt` atom.
-    fn first_order_atom(&mut self, id: NodeId) -> bool {
-        let bits = self.contents(id);
-        bits & (UNSUPPORTED_CONST | COMPREHENSION) == 0
-            && (bits & LAMBDA == 0 || self.as_app_of(id, &Const::Rtrancl).is_some())
-    }
-
-    /// An atom kept, or the strongest formula at its polarity.
-    fn approximate_atom(&mut self, id: NodeId, positive: bool) -> NodeId {
-        if self.first_order_atom(id) {
-            id
-        } else {
-            self.bool_lit(!positive)
-        }
-    }
-
-    /// [`crate::approx::approximate`] with the first-order fragment's atoms, memoised
-    /// per node and polarity.
-    fn approximate(&mut self, id: NodeId, positive: bool) -> NodeId {
-        if let Some(done) = self.first_order.approximate[positive as usize].get(id) {
-            return done;
-        }
-        let out = match self.node(id).clone() {
-            Node::Const(Const::BoolLit(_)) => id,
-            Node::App(fun, args) => match (self.node(fun).clone(), &args[..]) {
-                (Node::Const(Const::And), _) | (Node::Const(Const::Or), _) => {
-                    let conjunction = matches!(self.node(fun), Node::Const(Const::And));
-                    let parts = args
-                        .iter()
-                        .map(|a| self.approximate(*a, positive))
-                        .collect();
-                    self.junction(conjunction, parts)
-                }
-                (Node::Const(Const::Not), &[f]) => {
-                    let inner = self.approximate(f, !positive);
-                    self.not(inner)
-                }
-                (Node::Const(Const::Impl), &[l, r]) => {
-                    let l = self.approximate(l, !positive);
-                    let r = self.approximate(r, positive);
-                    self.implies(l, r)
-                }
-                (Node::Const(Const::Iff), &[l, r]) => {
-                    let forward = self.implies(l, r);
-                    let backward = self.implies(r, l);
-                    let both = self.and(vec![forward, backward]);
-                    self.approximate(both, positive)
-                }
-                (Node::Const(Const::Comment(_)), &[f]) => {
-                    let inner = self.approximate(f, positive);
-                    self.app(fun, vec![inner])
-                }
-                _ => self.approximate_atom(id, positive),
-            },
-            Node::Binder(b @ (Binder::Forall | Binder::Exists), vars, body) => {
-                let body = self.approximate(body, positive);
-                self.quantify(b, &vars, body)
-            }
-            _ => self.approximate_atom(id, positive),
-        };
-        self.first_order.approximate[positive as usize].set(id, out);
-        out
-    }
-
-    /// One formula of [`crate::approx::first_order_implication`]: comments stripped,
+    /// One formula of [`Bank::first_order_implication`]: comments stripped,
     /// rewritten, and approximated at its polarity, memoised per node, classification
     /// and polarity.
     fn first_order(&mut self, id: NodeId, vars: FirstOrderVars, positive: bool) -> NodeId {
@@ -498,14 +390,15 @@ impl Bank {
         }
         let stripped = self.strip_comments(id);
         let prepared = self.prepare(stripped, vars);
-        let out = self.approximate(prepared, positive);
+        let out = self.approximate(prepared, Fragment::FirstOrder, positive);
         self.class_mut(vars).approximated[positive as usize].set(id, out);
         out
     }
 
-    /// [`crate::approx::first_order_implication`] on the bank: the assumptions, each
-    /// approximated in a negative position and dropped when it becomes `True`, and
-    /// the goal, approximated in a positive position.
+    /// The first-order front end of SMT and FOL: the assumptions, each rewritten and
+    /// approximated in a negative position and dropped when it becomes `True`, and the
+    /// goal, approximated in a positive position. `vars` classifies the set and
+    /// function variables.
     pub fn first_order_implication(
         &mut self,
         assumptions: &[NodeId],
@@ -524,8 +417,9 @@ impl Bank {
 
     // ------------------------------------------------------ negation normal form
 
-    /// [`crate::simplify::nnf`]: the simplified formula in negation normal form,
-    /// memoised per node.
+    /// The simplified formula in negation normal form, memoised per node: negations
+    /// pushed to the atoms, implications and bi-implications expanded, quantifiers
+    /// dualised under a negation, comments dropped.
     pub fn nnf(&mut self, id: NodeId) -> NodeId {
         if let Some(done) = self.first_order.normal.get(id) {
             return done;
@@ -536,7 +430,8 @@ impl Bank {
         out
     }
 
-    /// `nnf_pos` (`positive`) and `nnf_neg` of [`crate::simplify`], memoised per node.
+    /// The negation normal form of a node (`positive`) or of its negation, memoised
+    /// per node.
     fn nnf_signed(&mut self, id: NodeId, positive: bool) -> NodeId {
         if let Some(done) = self.first_order.nnf[positive as usize].get(id) {
             return done;

@@ -1,16 +1,16 @@
-//! Rewrites used by formula approximation (§5.3).
+//! Bottom-up rewriting on `Form` trees, and the two rewrites the VC generator runs on
+//! them (§5.3): unfolding the definitions of specification variables, and resolving
+//! `old` against pre-state snapshots.
 //!
-//! Before handing a sequent to a specialised prover, Jahob rewrites it: definitions of
-//! specification variables are substituted, beta reduction is applied, equalities over
-//! complex types (sets, functions, tuples) are expanded into first-order form, and set
-//! operations are expressed with quantification. This module provides those rewrites in a
-//! prover-independent form; the per-prover interfaces in `jahob-provers` choose which ones
-//! to apply.
+//! The rewrites that bring a sequent into a prover's fragment (membership expansion,
+//! extensionality, pointwise function equalities, field-write applications, `ite`
+//! lifting) run on the formula bank ([`crate::bank::Bank::expand_membership`],
+//! [`crate::bank::Bank::first_order_implication`]); their `Form`-recursive versions are
+//! kept as test oracles in `crates/logic/tests/reference`.
 
-use crate::form::{Binder, Const, Form, Ident};
-use crate::subst::{beta_reduce, free_vars, fresh_name, substitute, Subst};
-use crate::types::Type;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::form::{Const, Form, Ident};
+use crate::subst::{beta_reduce, free_vars, substitute, Subst};
+use std::collections::BTreeMap;
 
 /// Applies a bottom-up rewriting function until the formula no longer changes (with an
 /// iteration bound to guarantee termination on non-confluent rewrite functions).
@@ -61,267 +61,6 @@ pub fn unfold_definitions(form: &Form, defs: &BTreeMap<Ident, Form>) -> Form {
     current
 }
 
-/// Expands membership in set-algebraic expressions into propositional structure:
-///
-/// * `x : A Un B`   becomes `x : A | x : B`
-/// * `x : A Int B`  becomes `x : A & x : B`
-/// * `x : A \ B` and `x : A - B` become `x : A & ~(x : B)`
-/// * `x : {a, b}`   becomes `x = a | x = b`
-/// * `x : {}` / `x : UNIV` become `False` / `True`
-/// * `x : {y. F}`   becomes `F[y := x]` (via beta reduction)
-/// * `x : fieldWrite f y v` style terms are left untouched.
-pub fn expand_set_membership(form: &Form) -> Form {
-    rewrite_fixpoint(&beta_reduce(form), &|f| {
-        let args = f.as_app_of(&Const::Elem)?;
-        let [x, s] = args else { return None };
-        if let Some(parts) = s.as_app_of(&Const::Union) {
-            return Some(Form::or(
-                parts
-                    .iter()
-                    .map(|p| Form::elem(x.clone(), p.clone()))
-                    .collect(),
-            ));
-        }
-        if let Some(parts) = s.as_app_of(&Const::Inter) {
-            return Some(Form::and(
-                parts
-                    .iter()
-                    .map(|p| Form::elem(x.clone(), p.clone()))
-                    .collect(),
-            ));
-        }
-        if let Some([a, b]) = s
-            .as_app_of(&Const::Diff)
-            .or_else(|| s.as_app_of(&Const::Minus))
-        {
-            return Some(Form::and(vec![
-                Form::elem(x.clone(), a.clone()),
-                Form::not(Form::elem(x.clone(), b.clone())),
-            ]));
-        }
-        if let Some(elems) = s.as_app_of(&Const::FiniteSet) {
-            return Some(Form::or(
-                elems
-                    .iter()
-                    .map(|e| Form::eq(x.clone(), e.clone()))
-                    .collect(),
-            ));
-        }
-        if matches!(s, Form::Const(Const::EmptySet)) {
-            return Some(Form::ff());
-        }
-        if matches!(s, Form::Const(Const::UnivSet)) {
-            return Some(Form::tt());
-        }
-        if let Form::Binder(Binder::Comprehension, _, _) = s {
-            // beta_reduce handles well-formed comprehension membership; reaching this
-            // point means the element/tuple arity did not match, so leave it alone.
-            return None;
-        }
-        None
-    })
-}
-
-/// Expands equalities and subset relations over set-typed expressions into universally
-/// quantified membership formulas (extensionality), and tuple equalities into
-/// component-wise equalities. `set_typed` decides whether an expression denotes a set;
-/// callers that have run type inference can supply a precise predicate, while a
-/// syntactic heuristic ([`looks_like_set`]) is adequate for the VC shapes Jahob produces.
-pub fn expand_complex_equalities(form: &Form, set_typed: &dyn Fn(&Form) -> bool) -> Form {
-    rewrite_fixpoint(form, &|f| {
-        if let Some([l, r]) = f.as_app_of(&Const::Eq) {
-            // Tuple equality.
-            if let (Some(ls), Some(rs)) = (l.as_app_of(&Const::Tuple), r.as_app_of(&Const::Tuple)) {
-                if ls.len() == rs.len() {
-                    return Some(Form::and(
-                        ls.iter()
-                            .zip(rs.iter())
-                            .map(|(a, b)| Form::eq(a.clone(), b.clone()))
-                            .collect(),
-                    ));
-                }
-            }
-            // Set extensionality.
-            if set_typed(l) || set_typed(r) {
-                let avoid = free_vars(f);
-                let v = fresh_name("elt", &avoid);
-                return Some(Form::forall(
-                    v.clone(),
-                    Type::Obj,
-                    Form::iff(
-                        Form::elem(Form::var(v.clone()), l.clone()),
-                        Form::elem(Form::var(v), r.clone()),
-                    ),
-                ));
-            }
-        }
-        if let Some([l, r]) = f.as_app_of(&Const::SubsetEq) {
-            let avoid = free_vars(f);
-            let v = fresh_name("elt", &avoid);
-            return Some(Form::forall(
-                v.clone(),
-                Type::Obj,
-                Form::implies(
-                    Form::elem(Form::var(v.clone()), l.clone()),
-                    Form::elem(Form::var(v), r.clone()),
-                ),
-            ));
-        }
-        None
-    })
-}
-
-/// Expands equalities between function-typed expressions pointwise: `f = g` becomes
-/// `ALL z. f z = g z` when either side is a partial `fieldWrite` expression or a
-/// variable in `fun_vars` (the declared fields).
-pub fn expand_function_equalities(form: &Form, fun_vars: &BTreeSet<String>) -> Form {
-    let is_fun = |f: &Form| -> bool {
-        match f {
-            Form::Var(v) => fun_vars.contains(v),
-            // A partial `fieldWrite f x v` (exactly three arguments) denotes a function;
-            // with a fourth argument it is already applied to a point and is a value.
-            Form::App(head, args) => {
-                matches!(head.as_ref(), Form::Const(Const::FieldWrite)) && args.len() == 3
-            }
-            _ => false,
-        }
-    };
-    rewrite_fixpoint(form, &|f| {
-        let [l, r] = f.as_app_of(&Const::Eq)? else {
-            return None;
-        };
-        if is_fun(l) || is_fun(r) {
-            let avoid = free_vars(f);
-            let z = fresh_name("ptr", &avoid);
-            return Some(Form::forall(
-                z.clone(),
-                Type::Obj,
-                Form::eq(
-                    Form::app(l.clone(), vec![Form::var(z.clone())]),
-                    Form::app(r.clone(), vec![Form::var(z)]),
-                ),
-            ));
-        }
-        None
-    })
-}
-
-/// A syntactic heuristic for "this expression denotes a set": set constants, set
-/// operations, comprehensions and variables with conventional set names.
-pub fn looks_like_set(f: &Form) -> bool {
-    match f {
-        Form::Const(Const::EmptySet) | Form::Const(Const::UnivSet) => true,
-        Form::Binder(Binder::Comprehension, _, _) => true,
-        Form::App(fun, _) => matches!(
-            fun.as_ref(),
-            Form::Const(Const::Union)
-                | Form::Const(Const::Inter)
-                | Form::Const(Const::Diff)
-                | Form::Const(Const::FiniteSet)
-        ),
-        Form::Typed(inner, t) => t.is_set() || looks_like_set(inner),
-        _ => false,
-    }
-}
-
-/// Expands applications of function updates: `(fieldWrite f x v) y` becomes
-/// `ite (y = x) v (f y)`, and (after simplification by the caller) the `ite` can be lifted
-/// by [`lift_ite`] for provers without if-then-else.
-pub fn expand_field_write_applications(form: &Form) -> Form {
-    rewrite_fixpoint(form, &|f| {
-        if let Form::App(fun, args) = f {
-            // Applications are kept flattened, so `(fieldWrite f x v) y` appears as
-            // `App(fieldWrite, [f, x, v, y, ...])`.
-            if let Form::Const(Const::FieldWrite) = fun.as_ref() {
-                if args.len() >= 4 {
-                    let (base, at, val, arg) = (&args[0], &args[1], &args[2], &args[3]);
-                    let applied = Form::ite(
-                        Form::eq(arg.clone(), at.clone()),
-                        val.clone(),
-                        Form::app(base.clone(), vec![arg.clone()]),
-                    );
-                    let rest: Vec<Form> = args[4..].to_vec();
-                    return Some(Form::app(applied, rest));
-                }
-            }
-            if let Some(parts) = fun.as_app_of(&Const::FieldWrite) {
-                if parts.len() == 3 && args.len() == 1 {
-                    let (base, at, val) = (&parts[0], &parts[1], &parts[2]);
-                    let arg = &args[0];
-                    return Some(Form::ite(
-                        Form::eq(arg.clone(), at.clone()),
-                        val.clone(),
-                        Form::app(base.clone(), vec![arg.clone()]),
-                    ));
-                }
-            }
-            // arrayRead (arrayWrite st a i v) b j
-            if let Form::Const(Const::ArrayRead) = fun.as_ref() {
-                if args.len() == 3 {
-                    if let Some(w) = args[0].as_app_of(&Const::ArrayWrite) {
-                        if w.len() == 4 {
-                            let (st, a, i, v) = (&w[0], &w[1], &w[2], &w[3]);
-                            let (b, j) = (&args[1], &args[2]);
-                            return Some(Form::ite(
-                                Form::and(vec![
-                                    Form::eq(b.clone(), a.clone()),
-                                    Form::eq(j.clone(), i.clone()),
-                                ]),
-                                v.clone(),
-                                Form::array_read(st.clone(), b.clone(), j.clone()),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        None
-    })
-}
-
-/// Lifts `ite` terms appearing under atoms into propositional case splits:
-/// `P(ite c t e)` becomes `(c --> P(t)) & (~c --> P(e))` for atoms `P` (equalities,
-/// comparisons, membership). Runs to a fixpoint so nested `ite`s are fully removed.
-pub fn lift_ite(form: &Form) -> Form {
-    rewrite_fixpoint(form, &|f| {
-        let (c, head_const) = match f {
-            Form::App(fun, _) => match fun.as_ref() {
-                Form::Const(
-                    c2 @ (Const::Eq
-                    | Const::Lt
-                    | Const::LtEq
-                    | Const::Gt
-                    | Const::GtEq
-                    | Const::Elem
-                    | Const::SubsetEq),
-                ) => (f, c2.clone()),
-                _ => return None,
-            },
-            _ => return None,
-        };
-        let args = c.as_app_of(&head_const)?;
-        for (idx, a) in args.iter().enumerate() {
-            if let Some([cond, then, els]) = a.as_app_of(&Const::Ite) {
-                let mut then_args = args.to_vec();
-                then_args[idx] = then.clone();
-                let mut else_args = args.to_vec();
-                else_args[idx] = els.clone();
-                return Some(Form::and(vec![
-                    Form::implies(
-                        cond.clone(),
-                        Form::app(Form::Const(head_const.clone()), then_args),
-                    ),
-                    Form::implies(
-                        Form::not(cond.clone()),
-                        Form::app(Form::Const(head_const.clone()), else_args),
-                    ),
-                ]));
-            }
-        }
-        None
-    })
-}
-
 /// Replaces every `old e` with `e` after substituting pre-state variable snapshots: each
 /// free variable `v` of `e` that appears in `snapshot` is replaced by its snapshot name.
 /// This is how the VC generator resolves two-state postconditions.
@@ -342,7 +81,9 @@ pub fn resolve_old(form: &Form, snapshot: &BTreeMap<Ident, Ident>) -> Form {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::Bank;
     use crate::parser::parse_form;
+    use std::collections::BTreeSet;
 
     fn p(s: &str) -> Form {
         parse_form(s).expect("parse")
@@ -367,53 +108,64 @@ mod tests {
         assert_eq!(unfold_definitions(&f, &defs).to_string(), "y : c Un {x}");
     }
 
+    /// `text` rewritten as SMT's and FOL's front end rewrites a goal, with no set or
+    /// function variables declared, printed.
+    fn first_order(text: &str) -> String {
+        let mut bank = Bank::new();
+        let goal = bank.intern(&p(text));
+        let vars = bank.first_order_vars(&BTreeSet::new(), &BTreeSet::new());
+        let (_, out) = bank.first_order_implication(&[], goal, vars);
+        bank.materialise(out).to_string()
+    }
+
+    /// `text` with membership expanded on a bank, printed.
+    fn membership(text: &str) -> String {
+        let mut bank = Bank::new();
+        let id = bank.intern(&p(text));
+        let out = bank.expand_membership(id);
+        bank.materialise(out).to_string()
+    }
+
     #[test]
     fn expands_membership_in_set_algebra() {
-        let f = p("x : (a Un b) Int (c - {d})");
-        let g = expand_set_membership(&f);
-        assert_eq!(g.to_string(), "(x : a | x : b) & x : c & ~(x = d)");
+        assert_eq!(
+            membership("x : (a Un b) Int (c - {d})"),
+            "(x : a | x : b) & x : c & ~(x = d)"
+        );
     }
 
     #[test]
     fn expands_membership_in_comprehension() {
-        let f = p("z : {n. n ~= null & n : nodes}");
-        let g = expand_set_membership(&f);
-        assert_eq!(g.to_string(), "~(z = null) & z : nodes");
+        assert_eq!(
+            membership("z : {n. n ~= null & n : nodes}"),
+            "~(z = null) & z : nodes"
+        );
     }
 
     #[test]
     fn expands_set_equality_to_extensionality() {
-        let f = p("content = old_content Un {x}");
-        let g = expand_complex_equalities(&f, &looks_like_set);
-        assert!(g.to_string().starts_with("ALL elt."));
-        assert!(g.contains_const(&Const::Iff));
+        let g = first_order("content = old_content Un {x}");
+        assert!(g.starts_with("ALL elt."), "{g}");
+        assert!(g.contains("elt : old_content | elt = x"), "{g}");
     }
 
     #[test]
     fn expands_tuple_equality_componentwise() {
-        let f = p("(a, b) = (c, d)");
-        let g = expand_complex_equalities(&f, &|_| false);
-        assert_eq!(g.to_string(), "a = c & b = d");
+        assert_eq!(first_order("(a, b) = (c, d)"), "a = c & b = d");
     }
 
     #[test]
     fn expands_field_write_applications() {
-        let f = p("(next(x := y)) z = w");
-        let g = expand_field_write_applications(&f);
-        assert_eq!(g.to_string(), "ite (z = x) y (next z) = w");
-        let lifted = lift_ite(&g);
         assert_eq!(
-            lifted.to_string(),
+            first_order("(next(x := y)) z = w"),
             "(z = x --> y = w) & (~(z = x) --> next z = w)"
         );
     }
 
     #[test]
     fn expands_array_write_reads() {
-        let f = p("arrayRead (arrayWrite arrayState a i v) a j = null");
-        let g = lift_ite(&expand_field_write_applications(&f));
-        assert!(g.to_string().contains("-->"));
-        assert!(g.contains_const(&Const::ArrayRead));
+        let g = first_order("arrayRead (arrayWrite arrayState a i v) a j = null");
+        assert!(g.contains("-->") && g.contains("arrayRead"), "{g}");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! failures can be explained.
 
 use crate::form::{Form, Ident};
-use crate::simplify::strip_comments_deep;
 use crate::subst::free_vars;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -55,16 +54,6 @@ impl Sequent {
             fv.extend(free_vars(a));
         }
         fv
-    }
-
-    /// Returns a copy with all `comment` labels removed from assumptions and goal (the
-    /// labels list is preserved).
-    pub fn without_comments(&self) -> Sequent {
-        Sequent {
-            assumptions: self.assumptions.iter().map(strip_comments_deep).collect(),
-            goal: strip_comments_deep(&self.goal),
-            labels: self.labels.clone(),
-        }
     }
 
     /// Returns the labels attached to each assumption (the outermost `comment` of each).

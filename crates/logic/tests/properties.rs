@@ -1,8 +1,8 @@
 //! Property-based tests of the core logic data structures.
 
+use jahob_logic::bank::{Bank, NodeId};
 use jahob_logic::form::{Const, Form};
 use jahob_logic::parser::parse_form;
-use jahob_logic::simplify::{nnf, simplify};
 use jahob_logic::subst::{free_vars, substitute_one};
 use jahob_logic::types::Type;
 use proptest::prelude::*;
@@ -50,6 +50,14 @@ fn eval(form: &Form, model: &dyn Fn(&Form) -> bool) -> bool {
     }
 }
 
+/// `f` rewritten by one of the bank's normal forms, on a fresh bank.
+fn on_bank(f: &Form, rewrite: fn(&mut Bank, NodeId) -> NodeId) -> Form {
+    let mut bank = Bank::new();
+    let id = bank.intern(f);
+    let out = rewrite(&mut bank, id);
+    bank.materialise(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -65,8 +73,8 @@ proptest! {
         prop_assert_eq!(printed.clone(), reparsed.to_string());
     }
 
-    /// Simplification preserves the propositional truth value of quantifier-free
-    /// formulas under arbitrary atom assignments.
+    /// The bank's simplification preserves the propositional truth value of
+    /// quantifier-free formulas under arbitrary atom assignments.
     #[test]
     fn simplify_preserves_truth(f in arb_form(), seed in 0u64..1024) {
         if f.contains_binder(jahob_logic::Binder::Forall) {
@@ -86,16 +94,16 @@ proptest! {
             seed.hash(&mut h);
             h.finish().is_multiple_of(2)
         };
-        prop_assert_eq!(eval(&f, &model), eval(&simplify(&f), &model));
+        prop_assert_eq!(eval(&f, &model), eval(&on_bank(&f, Bank::simplify), &model));
     }
 
-    /// Negation normal form preserves truth and eliminates implications.
+    /// The bank's negation normal form preserves truth and eliminates implications.
     #[test]
     fn nnf_preserves_truth_and_shape(f in arb_form(), seed in 0u64..1024) {
         if f.contains_binder(jahob_logic::Binder::Forall) {
             return Ok(());
         }
-        let n = nnf(&f);
+        let n = on_bank(&f, Bank::nnf);
         prop_assert!(!n.contains_const(&Const::Impl));
         prop_assert!(!n.contains_const(&Const::Iff));
         let model = |atom: &Form| {

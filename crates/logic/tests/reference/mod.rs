@@ -11,14 +11,21 @@
 //! [`canonicalize`], [`sort_commutative`], [`alpha_normalize`] and [`key_form`] rebuild
 //! each formula recursively, as the library did before it ran them on the bank
 //! (`Bank::canonical`, `Bank::sort_commutative`, `Bank::alpha_normalize` and
-//! `Bank::key_form`).
+//! `Bank::key_form`). [`simplify`], [`rewrite`] and [`approx`] hold simplification,
+//! negation normal form, the fragment rewrites and the polarity approximation with the
+//! provers' front ends, as they ran on `Form` trees.
 
 #![allow(dead_code)]
 
+pub mod approx;
+pub mod rewrite;
+pub mod simplify;
+
+use self::rewrite::expand_set_membership;
+use self::simplify::simplify;
 use jahob_logic::form::{Const, Form, Ident};
 use jahob_logic::norm::is_generated_name;
-use jahob_logic::rewrite::expand_set_membership;
-use jahob_logic::simplify::{simplify, strip_comments_deep};
+use jahob_logic::simplify::strip_comments_deep;
 use jahob_logic::subst::{free_vars, fresh_name, substitute_one, Subst};
 use jahob_logic::Sequent;
 use std::borrow::Cow;

@@ -4,9 +4,12 @@
 //! of Linked Data Structures*, PLDI 2008): an automata-based decision procedure for weak
 //! monadic second-order logic of one successor (WS1S), built on the explicit-state
 //! automata of `jahob-automata`, together with an interface that translates Jahob
-//! sequents in the monadic fragment into WS1S. Where this prover sits in the cascade
-//! (behind FOL on monadic membership sequents, and demoted on reachability, which
-//! [`translate`] approximates away) is described in `docs/ARCHITECTURE.md`.
+//! sequents in the monadic fragment into WS1S. The interface's front end (comment
+//! stripping, membership expansion, simplification and the monadic approximation) runs
+//! on the dispatcher's formula bank ([`prove_interned`]); [`prove_sequent`] runs it on a
+//! fresh bank. Where this prover sits in the cascade (behind FOL on monadic membership
+//! sequents, and demoted on reachability, which [`translate`] approximates away) is
+//! described in `docs/ARCHITECTURE.md`.
 //!
 //! The original MONA decides WS1S/WS2S and is used by Jahob, via field constraint
 //! analysis, for complete reasoning about reachability over list and tree backbones.
@@ -36,5 +39,5 @@
 pub mod translate;
 pub mod ws1s;
 
-pub use translate::{prove_sequent, MonaOptions, MonaResult};
+pub use translate::{approximate, prove_interned, prove_sequent, MonaOptions, MonaResult};
 pub use ws1s::{Decider, Ws1s, Ws1sOutcome};

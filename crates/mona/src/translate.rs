@@ -15,12 +15,14 @@
 //! be laid out along a word, so deciding the WS1S encoding is sound and complete for this
 //! fragment. Atoms outside the fragment (arithmetic, reachability, cardinality, field
 //! dereferences) are approximated away by polarity (Figure 14), preserving soundness.
+//!
+//! The front end runs on a formula bank ([`approximate`]), memoised per node, so a
+//! formula shared by the sequents of one bank is prepared and approximated once; the
+//! WS1S translation reads the approximated implication as a formula.
 
 use crate::ws1s::{Decider, Ws1s, Ws1sOutcome};
-use jahob_logic::approx::{approximate_implication, Polarity};
+use jahob_logic::bank::{Bank, Fragment, InternedSequent, NodeId};
 use jahob_logic::form::{Binder, Const, Form};
-use jahob_logic::rewrite::expand_set_membership;
-use jahob_logic::simplify::simplify;
 use jahob_logic::types::Type;
 use jahob_logic::Sequent;
 use std::collections::BTreeMap;
@@ -87,37 +89,57 @@ pub struct MonaResult {
     pub deadline_exceeded: bool,
 }
 
-/// Attempts to prove a sequent with the WS1S decision procedure.
+/// Attempts to prove a sequent with the WS1S decision procedure, on a fresh bank.
 pub fn prove_sequent(sequent: &Sequent, options: &MonaOptions) -> MonaResult {
-    let sequent = sequent.without_comments();
-    let assumptions: Vec<Form> = sequent
+    let mut bank = Bank::new();
+    let interned = bank.intern_sequent(sequent);
+    prove_interned(&mut bank, &interned, options)
+}
+
+/// MONA's front end on the bank: each formula with its comments stripped, membership
+/// in set expressions expanded and simplified, then the implication approximated into
+/// the monadic fragment ([`Fragment::Monadic`]). Returns the approximated assumptions,
+/// without those that became `True`, and the approximated goal.
+pub fn approximate(bank: &mut Bank, sequent: &InternedSequent) -> (Vec<NodeId>, NodeId) {
+    let prepare = |bank: &mut Bank, f: NodeId| {
+        let stripped = bank.strip_comments(f);
+        let expanded = bank.expand_membership(stripped);
+        bank.simplify(expanded)
+    };
+    let assumptions: Vec<NodeId> = sequent
         .assumptions
         .iter()
-        .map(|a| simplify(&expand_set_membership(a)))
+        .map(|a| prepare(bank, *a))
         .collect();
-    let goal = simplify(&expand_set_membership(&sequent.goal));
-    let (assumptions, goal) = approximate_implication(&assumptions, &goal, &monadic_atom_filter);
-    if goal.is_false() && assumptions.is_empty() {
-        return MonaResult {
-            proved: false,
-            applicable: false,
-            tracks: 0,
-            budget_exhausted: false,
-            deadline_exceeded: false,
-        };
+    let goal = prepare(bank, sequent.goal);
+    bank.approximate_implication(&assumptions, goal, Fragment::Monadic)
+}
+
+/// [`prove_sequent`] of a sequent in `bank`: the approximation runs on the bank, the
+/// WS1S translation on its formulas.
+pub fn prove_interned(
+    bank: &mut Bank,
+    sequent: &InternedSequent,
+    options: &MonaOptions,
+) -> MonaResult {
+    let not_applicable = |tracks| MonaResult {
+        proved: false,
+        applicable: false,
+        tracks,
+        budget_exhausted: false,
+        deadline_exceeded: false,
+    };
+    let (assumptions, goal) = approximate(bank, sequent);
+    if bank.is_false(goal) && assumptions.is_empty() {
+        return not_applicable(0);
     }
-    let implication = Form::implies(Form::and(assumptions), goal);
+    let premise = bank.and(assumptions);
+    let implication = bank.implies(premise, goal);
 
     // Translate into WS1S.
     let mut cx = Translator::default();
-    let Some(ws) = cx.translate(&implication) else {
-        return MonaResult {
-            proved: false,
-            applicable: false,
-            tracks: cx.vars.len(),
-            budget_exhausted: false,
-            deadline_exceeded: false,
-        };
+    let Some(ws) = cx.translate(&bank.materialise(implication)) else {
+        return not_applicable(cx.vars.len());
     };
     // `null` is modelled as a distinguished first-order position. Its identity is not
     // known to the decision procedure, so the implication must hold for *every* choice of
@@ -130,13 +152,7 @@ pub fn prove_sequent(sequent: &Sequent, options: &MonaOptions) -> MonaResult {
     };
     let tracks = cx.vars.len() + usize::from(cx.used_null);
     if tracks > options.max_tracks {
-        return MonaResult {
-            proved: false,
-            applicable: false,
-            tracks,
-            budget_exhausted: false,
-            deadline_exceeded: false,
-        };
+        return not_applicable(tracks);
     }
     let decider = Decider::with_budget(&ws, options.max_work)
         .with_max_states(options.max_states)
@@ -152,35 +168,12 @@ pub fn prove_sequent(sequent: &Sequent, options: &MonaOptions) -> MonaResult {
     }
 }
 
-/// Atoms in the monadic fragment.
-fn monadic_atom_filter(atom: &Form, _polarity: Polarity) -> Option<Form> {
-    if is_monadic_atom(atom) {
-        Some(atom.clone())
-    } else {
-        None
-    }
-}
-
 fn is_element(f: &Form) -> bool {
     matches!(f, Form::Var(_) | Form::Const(Const::Null))
 }
 
 fn is_set_name(f: &Form) -> bool {
     matches!(f, Form::Var(_))
-}
-
-fn is_monadic_atom(atom: &Form) -> bool {
-    match atom {
-        Form::App(head, args) => match (head.as_ref(), args.as_slice()) {
-            (Form::Const(Const::Eq), [l, r]) => {
-                (is_element(l) && is_element(r)) || (is_set_name(l) && is_set_name(r))
-            }
-            (Form::Const(Const::Elem), [e, s]) => is_element(e) && is_set_name(s),
-            (Form::Const(Const::SubsetEq), [l, r]) => is_set_name(l) && is_set_name(r),
-            _ => false,
-        },
-        _ => false,
-    }
 }
 
 /// Translates approximated formulas into WS1S, assigning track names to variables.

@@ -18,7 +18,7 @@
 //!   lemmas; obligations registered there are treated as proved, mirroring Jahob's
 //!   handling of Isabelle/Coq proof scripts.
 //!
-//! The dispatcher tries the provers in a configurable order (§5.2), optionally spreading
+//! The dispatcher tries the provers in a fixed global order (§5.2), optionally spreading
 //! independent obligations over worker threads, and records per-prover sequent counts and
 //! times — the data reported in Figures 7 and 15 of the paper.
 //!
@@ -424,9 +424,6 @@ impl fmt::Display for CacheMode {
 /// (baseline plus `JAHOB_*` environment overrides).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatcherConfig {
-    /// The provers to try, in order (§5.2: "the user lists the provers starting from the
-    /// ones that are most likely to succeed or fail quickly").
-    pub order: Vec<ProverId>,
     /// Spread independent obligations over this many worker threads (1 = sequential).
     /// Workers claim one obligation at a time from one shared queue, so an expensive
     /// obligation never strands the rest of a pre-assigned chunk behind it.
@@ -436,8 +433,10 @@ pub struct DispatcherConfig {
     /// on-disk proof store ([`CacheMode::Persistent`]).
     pub cache: CacheMode,
     /// Choose each obligation's prover order from its sequent's syntactic features
-    /// ([`router::route`]) instead of always using the global `order`. Routing is a
-    /// permutation of `order` — demoted provers still run as a fallback — so it changes
+    /// ([`router::route`]) instead of always using the global order
+    /// ([`ProverId::default_order`], §5.2: "the user lists the provers starting from
+    /// the ones that are most likely to succeed or fail quickly"). Routing is a
+    /// permutation of that order — demoted provers still run as a fallback — so it changes
     /// attempt counts and attribution, never which sequents are proved.
     pub route: bool,
     /// Fuel-budgeted attempts. With `true` (the baseline), the searching provers
@@ -499,12 +498,6 @@ pub struct DispatcherConfigBuilder {
 }
 
 impl DispatcherConfigBuilder {
-    /// Sets the global prover order (§5.2).
-    pub fn order(mut self, order: Vec<ProverId>) -> Self {
-        self.config.order = order;
-        self
-    }
-
     /// Sets the worker thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads.max(1);
@@ -564,7 +557,6 @@ impl DispatcherConfig {
     pub fn builder() -> DispatcherConfigBuilder {
         DispatcherConfigBuilder {
             config: DispatcherConfig {
-                order: ProverId::default_order(),
                 threads: 1,
                 cache: CacheMode::Memory,
                 route: true,
@@ -626,11 +618,15 @@ impl DispatcherConfig {
     }
 
     /// A short stable description of the fields that can change a prover verdict or
-    /// the recorded attempt accounting (order, routing, budgets, deadline), mixed
-    /// into every cache key so entries written under one configuration are never
-    /// served to another.
+    /// the recorded attempt accounting (routing, budgets, deadline), mixed into every
+    /// cache key so entries written under one configuration are never served to
+    /// another. It also names the global prover order, which keeps the keys of
+    /// existing proof stores valid.
     fn fingerprint(&self) -> String {
-        let order: Vec<&str> = self.order.iter().map(|p| p.display_name()).collect();
+        let order: Vec<&str> = ProverId::default_order()
+            .iter()
+            .map(|p| p.display_name())
+            .collect();
         let mut fingerprint = format!(
             "order={}|route={}|budgets={}",
             order.join(","),
@@ -1375,9 +1371,9 @@ impl Dispatcher {
         Phase {
             interned,
             provers: if self.config.route {
-                router::route(&features, &self.config.order)
+                router::route(&features, &ProverId::default_order())
             } else {
-                self.config.order.clone()
+                ProverId::default_order()
             },
             fuel: self.config.budgets.then(|| fuel_for(&features)),
         }
@@ -1386,9 +1382,9 @@ impl Dispatcher {
     /// Attempts one obligation by running its attempt plan: a list of phases, each a
     /// sequent, the provers to try on it in order, and their fuel. The first success
     /// wins. `hinted` is the inlined hint-filtered sequent and `full` the inlined full
-    /// sequent, both in `keys`' bank; a phase's sequent is rebuilt as formulas only
-    /// when MONA or BAPA attempts it. `original` is the obligation's sequent before
-    /// inlining, which the interactive library and the unproved line name. The plan is
+    /// sequent, both in `keys`' bank, where every prover reads them. `original` is the
+    /// obligation's sequent before inlining, which the interactive library and the
+    /// unproved line name. The plan is
     ///
     /// 1. the hinted sequent (the full one without hints), every routed prover;
     /// 2. when hints narrowed the sequent, the full sequent, every routed prover but
@@ -1427,7 +1423,6 @@ impl Dispatcher {
             fuel,
         } in &plan
         {
-            let mut sequent = None;
             for &prover in provers {
                 let start = Instant::now();
                 let deadline = self
@@ -1439,7 +1434,6 @@ impl Dispatcher {
                     prover,
                     Attempted {
                         interned,
-                        sequent: &mut sequent,
                         keys: &mut *keys,
                     },
                     original,
@@ -1602,21 +1596,11 @@ fn fuel_for(features: &SequentFeatures) -> FuelBudget {
     }
 }
 
-/// The sequent one attempt runs on: its nodes in the worker's bank, which the
-/// syntactic, SMT and FOL provers read, and its formulas for MONA and BAPA, rebuilt on
-/// the phase's first use.
+/// The sequent one attempt runs on: its nodes in the worker's bank, where every
+/// prover's front end runs, and the worker's SMT memo beside the bank.
 struct Attempted<'a> {
     interned: &'a InternedSequent,
-    sequent: &'a mut Option<Sequent>,
     keys: &'a mut KeyBank,
-}
-
-impl Attempted<'_> {
-    /// The sequent as formulas.
-    fn formulas(&mut self) -> &Sequent {
-        self.sequent
-            .get_or_insert_with(|| self.keys.bank.materialise_sequent(self.interned))
-    }
 }
 
 /// Runs a single prover on a sequent. With `fuel` present, MONA and FOL run under
@@ -1631,7 +1615,7 @@ impl Attempted<'_> {
 /// interactive provers have no long-running loops and are exempt.
 fn attempt(
     prover: ProverId,
-    mut on: Attempted<'_>,
+    on: Attempted<'_>,
     original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
@@ -1653,7 +1637,7 @@ fn attempt(
                 opts.max_states = fuel.mona_states;
             }
             opts.deadline = deadline;
-            let result = jahob_mona::prove_sequent(on.formulas(), &opts);
+            let result = jahob_mona::prove_interned(&mut on.keys.bank, on.interned, &opts);
             if result.proved {
                 AttemptOutcome::Proved
             } else if result.deadline_exceeded {
@@ -1698,15 +1682,9 @@ fn attempt(
             // SMT prover in the default order.
             opts.limits.max_iterations = fuel.map_or(300, |f| f.fol_iterations.min(300));
             opts.limits.deadline = deadline;
-            // FOL clausifies the approximation memoised in the bank, which SMT's attempt
-            // on the sequent has usually built already.
-            let bank = &mut on.keys.bank;
-            let vars = bank.first_order_vars(&context.set_vars, &context.fun_vars);
-            let (assumptions, goal) =
-                bank.first_order_implication(&on.interned.assumptions, on.interned.goal, vars);
-            let assumptions: Vec<Form> = assumptions.iter().map(|a| bank.materialise(*a)).collect();
-            let result =
-                jahob_folp::prove_implication(&assumptions, &bank.materialise(goal), &opts);
+            // FOL clausifies the approximation and negation normal forms memoised in the
+            // bank, which SMT's attempt on the sequent has usually built already.
+            let result = jahob_folp::prove_interned(&mut on.keys.bank, on.interned, &opts);
             if result.proved {
                 AttemptOutcome::Proved
             } else if result.deadline_exceeded() {
@@ -1719,7 +1697,7 @@ fn attempt(
         }
         ProverId::Bapa => {
             let options = jahob_bapa::BapaOptions::default();
-            verdict(jahob_bapa::prove_sequent(on.formulas(), &options).proved)
+            verdict(jahob_bapa::prove_interned(&mut on.keys.bank, on.interned, &options).proved)
         }
         ProverId::Interactive => verdict(context.lemmas.contains(&on.keys.bank, original)),
     }
@@ -2083,28 +2061,28 @@ mod tests {
     #[test]
     fn router_miss_falls_back_to_the_global_cascade() {
         // Pure arithmetic scores both MONA and BAPA hopeless (no membership atoms, no
-        // set algebra), so with `order = [Mona, Bapa]` the routed primary cascade is
-        // empty and both provers run in the fallback tail — where BAPA, handed a
-        // sequent it can actually decide (pure Presburger), still proves it. A router
-        // that *dropped* hopeless provers instead of demoting them would report this
-        // sequent unproved.
-        let mut config = DispatcherConfig::builder().cache(CacheMode::Off).build();
-        config.order = vec![ProverId::Mona, ProverId::Bapa];
-        config.route = true;
-        let dispatcher = Dispatcher::with_config(config);
-        let o = ob(&["0 <= x"], "0 <= x + 1");
-        let report = dispatcher.prove_one(&o, &ProverContext::default());
+        // set algebra), so the router demotes them to the fallback tail. With SMT and
+        // FOL crashing, BAPA is the only prover left that decides this sequent (pure
+        // Presburger), and it still proves it from the tail. A router that *dropped*
+        // hopeless provers instead of demoting them would report it unproved.
+        let faulty = |route| {
+            let spec = FaultSpec::parse("smt:panic@1;fol:panic@1").expect("valid spec");
+            let config = DispatcherConfig::builder()
+                .cache(CacheMode::Off)
+                .route(route)
+                .faults(spec)
+                .build();
+            let o = ob(&["0 <= x"], "0 <= x + 1");
+            Dispatcher::with_config(config).prove_one(&o, &ProverContext::default())
+        };
+        let report = faulty(true);
         assert!(
             report.succeeded(),
             "fallback cascade must still run on a router miss: {report:?}"
         );
         assert_eq!(report.per_prover[&ProverId::Bapa].proved, 1);
         // And the routed run proves exactly what the unrouted one does.
-        let mut unrouted = DispatcherConfig::builder().cache(CacheMode::Off).build();
-        unrouted.order = vec![ProverId::Mona, ProverId::Bapa];
-        unrouted.route = false;
-        let baseline = Dispatcher::with_config(unrouted).prove_one(&o, &ProverContext::default());
-        assert_eq!(report.proved_sequents, baseline.proved_sequents);
+        assert_eq!(report.proved_sequents, faulty(false).proved_sequents);
     }
 
     #[test]
@@ -2509,14 +2487,9 @@ mod tests {
 
     #[test]
     fn builder_clamps_counts_and_keeps_explicit_knobs() {
-        let config = DispatcherConfig::builder()
-            .threads(0)
-            .route(false)
-            .order(vec![ProverId::Smt])
-            .build();
+        let config = DispatcherConfig::builder().threads(0).route(false).build();
         assert_eq!(config.threads, 1, "clamped");
         assert!(!config.route);
-        assert_eq!(config.order, vec![ProverId::Smt]);
         assert_eq!(config.cache, CacheMode::Memory, "default mode");
     }
 

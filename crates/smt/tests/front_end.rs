@@ -13,13 +13,13 @@
 
 mod reference;
 
-use jahob_logic::approx::first_order_implication;
 use jahob_logic::bank::Bank;
 use jahob_logic::form::{Binder, Const, Form};
-use jahob_logic::simplify::nnf;
 use jahob_logic::{Sequent, SequentFeatures, Type};
 use jahob_smt::{ground_clauses, prove_interned, SmtMemo, SmtOptions};
 use proptest::prelude::*;
+use reference::logic::approx::first_order_implication;
+use reference::logic::simplify::nnf;
 use std::collections::BTreeSet;
 
 /// Objects `a` and `b`, then the names `x`, `y` and `z` the binders reuse.

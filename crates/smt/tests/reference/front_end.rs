@@ -1,17 +1,17 @@
 //! SMT's front end as it was before it ran on the formula bank, kept as a test oracle.
 //!
-//! It approximates each sequent into the first-order fragment with
-//! `jahob_logic::approx::first_order_implication`, puts every formula in negation
+//! It approximates each sequent into the first-order fragment with the `Form`
+//! oracle's `first_order_implication`, puts every formula in negation
 //! normal form, instantiates universals with the sequent's candidate terms and
 //! Skolemises existentials (a Skolem term is a function of the enclosing universal
 //! variables), names literal quotients, and converts each formula to clauses over
 //! atoms interned by `Problem::atom`, all on `Form` trees. `jahob_smt`'s bank front
 //! end must hand the solver the same atoms in the same order and the same clauses.
 
-use jahob_logic::approx::first_order_implication;
+use super::logic::approx::first_order_implication;
+use super::logic::simplify::{nnf, simplify};
 use jahob_logic::form::{Binder, Const, Form, Ident};
 use jahob_logic::rewrite::rewrite_bottom_up;
-use jahob_logic::simplify::{nnf, simplify};
 use jahob_logic::subst::{free_vars, substitute, Subst};
 use jahob_logic::Sequent;
 use jahob_smt::ground::{GAtom, GTerm, GroundOutcome, IndexClause, Problem};

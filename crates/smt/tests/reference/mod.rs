@@ -10,6 +10,11 @@
 
 pub mod front_end;
 
+/// The `Form`-recursive approximation and simplification, from the logic crate's
+/// oracle.
+#[path = "../../../logic/tests/reference/mod.rs"]
+pub mod logic;
+
 use jahob_arith::{Constraint, LinExpr};
 use jahob_smt::{GAtom, GClause, GTerm, GroundLimits, GroundOutcome};
 use std::collections::BTreeMap;

@@ -14,8 +14,12 @@
 
 #![allow(dead_code)]
 
+/// The `Form`-recursive simplifier, from the logic crate's oracle.
+#[path = "../../../logic/tests/reference/mod.rs"]
+mod logic;
+
+use self::logic::simplify::simplify;
 use jahob_logic::form::{Binder, Const, Form, Ident};
-use jahob_logic::simplify::simplify;
 use jahob_logic::subst::{free_vars, fresh_name, substitute_one};
 use jahob_logic::types::Type;
 use jahob_logic::Sequent;

@@ -17,10 +17,11 @@ mod reference;
 
 use jahob_repro::frontend::program_tasks;
 use jahob_repro::jahob::suite;
-use jahob_repro::logic::simplify::{simplify, strip_comments_deep};
+use jahob_repro::logic::simplify::strip_comments_deep;
 use jahob_repro::logic::{Form, Sequent};
 use jahob_repro::provers::inst::apply_inst_hints;
 use jahob_repro::provers::{syntactic_prover_on, KeyBank, LemmaLibrary, ProverContext, SequentKey};
+use reference::simplify::simplify;
 use std::collections::BTreeSet;
 
 /// The key text of an inlined sequent: its assumptions' key forms, without `True`,

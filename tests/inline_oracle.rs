@@ -7,13 +7,17 @@
 //! the inlined sequents structurally on every obligation of the §7 suite: as generated,
 //! with `inst` hints applied, and hint-filtered.
 
+#[path = "../crates/logic/tests/reference/mod.rs"]
+mod reference;
+
 use jahob_repro::frontend::program_tasks;
 use jahob_repro::jahob::suite;
 use jahob_repro::logic::norm::{inline_definitions, is_generated_name};
-use jahob_repro::logic::simplify::{simplify, strip_comments_deep};
+use jahob_repro::logic::simplify::strip_comments_deep;
 use jahob_repro::logic::subst::{free_vars, substitute, Subst};
 use jahob_repro::logic::{Const, Form, Ident, Sequent};
 use jahob_repro::provers::inst::apply_inst_hints;
+use reference::simplify::simplify;
 
 /// The fixpoint `definition_substitution`: collect the definitional links, then
 /// rewrite every binding by the whole map until nothing changes (at most one round
