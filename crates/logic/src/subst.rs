@@ -173,25 +173,20 @@ pub fn substitute_one(form: &Form, name: &str, replacement: &Form) -> Form {
 /// `(% x. e) a` reduces to `e[x := a]`, including partial application of multi-variable
 /// lambdas, and membership in comprehensions `x : {y. F}` reduces to `F[y := x]`.
 pub fn beta_reduce(form: &Form) -> Form {
-    beta_normal(form).into_owned()
-}
-
-/// [`beta_reduce`], borrowing `form` when it has no redex, which is the common case.
-pub(crate) fn beta_normal(form: &Form) -> Cow<'_, Form> {
-    if !has_redex(form) {
-        return Cow::Borrowed(form);
-    }
     let mut current = form.clone();
+    if !has_redex(form) {
+        return current;
+    }
     // Iterate to a fixpoint; reductions can expose new redexes. The bound prevents
     // divergence on ill-typed self-applications (which cannot arise from the parser).
     for _ in 0..64 {
         let next = beta_step(&current);
         if next == current {
-            return Cow::Owned(next);
+            return next;
         }
         current = next;
     }
-    Cow::Owned(current)
+    current
 }
 
 /// Whether [`beta_step`] could change `form`: it contains a lambda application, a
