@@ -4,32 +4,30 @@
 //! The paper's integrated reasoner treats a verification run's proof obligations as one
 //! pool to split and dispatch (§3.5, §6) while reporting results per method (Figures 7
 //! and 15). This module realises that separation between *dispatch* and *attribution*:
-//! [`assemble_program_batch`] flattens every method of a program into one tagged
-//! [`ObligationBatch`] (each obligation carrying its provenance and its method's
-//! [`ProverContext`](jahob_provers::ProverContext)), generating every method's
-//! verification conditions straight into the batch's formula bank, and
-//! [`fold_method_results`] folds
-//! the tagged per-obligation reports back into the per-method
-//! [`MethodResult`] shape — in batch order, so the per-method
-//! `unproved` ordering is identical to a per-method dispatch.
+//! [`assemble_program_batch`] puts every method of a program into one
+//! [`ObligationBatch`] as a record holding its verification task, its provenance and
+//! its [`ProverContext`](jahob_provers::ProverContext); the dispatcher generates the
+//! obligations of every method its method memo does not answer straight into the
+//! batch's formula bank. [`fold_method_results`] folds the tagged per-obligation
+//! reports back into the per-method [`MethodResult`] shape — in batch order, so the
+//! per-method `unproved` ordering is identical to a per-method dispatch.
 
 use crate::MethodResult;
-use jahob_frontend::{program_tasks, Program};
+use jahob_frontend::{program_tasks, MethodTask, Program};
 use jahob_provers::{BatchReport, LemmaLibrary, ObligationBatch, VerificationReport};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One method of an assembled batch: its qualified name and how many obligations it
-/// contributed. The counts are what let [`fold_method_results`] align results with
-/// methods positionally — by name alone, same-named methods (Java-style overloads,
-/// which the frontend does not reject) or methods with zero obligations would be
-/// ambiguous.
+/// One method of an assembled batch: its qualified name and the index of its record in
+/// the batch. The index is what lets [`fold_method_results`] find the method's
+/// obligation count in the report and align results with methods positionally — by
+/// name alone, same-named methods (Java-style overloads, which the frontend does not
+/// reject) or methods with zero obligations would be ambiguous.
 pub type MethodPlan = (String, usize);
 
-/// Assembles the program-wide obligation batch of `program`: one tagged entry per
-/// obligation of every method, tagged `(structure, Class.method, index)` and carrying
-/// the method's prover context. Returns the batch together with the per-method plan in
-/// program order, so methods that produce no obligations still get an (empty,
+/// Assembles the program-wide obligation batch of `program`: one record per method,
+/// holding its verification task and prover context, whose obligations are tagged
+/// `(structure, Class.method, index)`. Returns the batch together with the per-method
+/// plan in program order, so methods that produce no obligations still get an (empty,
 /// trivially verified) result when folding.
 pub fn assemble_program_batch(
     structure: &str,
@@ -42,8 +40,7 @@ pub fn assemble_program_batch(
 }
 
 /// [`assemble_program_batch`] into an existing batch, so several programs share one
-/// batch and its formula bank. Each method's verification conditions are generated
-/// straight into the bank. Returns the program's method plan.
+/// batch and its formula bank. Returns the program's method plan.
 pub fn assemble_into(
     batch: &mut ObligationBatch,
     structure: &str,
@@ -51,14 +48,18 @@ pub fn assemble_into(
     lemmas: &LemmaLibrary,
 ) -> Vec<MethodPlan> {
     program_tasks(program)
-        .iter()
+        .into_iter()
         .map(|task| {
             let method = task.qualified_name();
             let context = Arc::new(task.prover_context(lemmas));
-            let count = batch.push_generated(structure, &method, context, |bank| {
-                task.obligations_in(bank)
-            });
-            (method, count)
+            let record = batch.push_task(
+                structure,
+                &method,
+                context,
+                task,
+                MethodTask::obligations_in,
+            );
+            (method, record)
         })
         .collect()
 }
@@ -69,30 +70,26 @@ pub fn assemble_into(
 /// `unproved` ordering — is identical to what a dedicated per-method `prove_all` call
 /// produces; a method's `total_time` is the sum of its obligations' wall times.
 ///
-/// Alignment is positional, driven by the plan's obligation counts: the k-th
-/// obligation-contributing method of the plan takes the k-th contiguous run of entries
-/// (assembly emits each method's obligations contiguously), so same-named methods and
-/// zero-obligation methods both fold correctly.
+/// Alignment is positional: the report gives each method record's obligation count
+/// ([`BatchReport::per_method`]), and a method's reports are the contiguous run of
+/// entries at its record's place, so same-named methods and zero-obligation methods
+/// both fold correctly.
 pub fn fold_method_results(
     report: &BatchReport,
     structure: &str,
     methods: &[MethodPlan],
 ) -> Vec<MethodResult> {
-    let mut remaining: VecDeque<&jahob_provers::TaggedReport> = report
-        .per_obligation
-        .iter()
-        .filter(|t| t.tag.structure == structure)
-        .collect();
+    let mut starts = vec![0];
+    for count in &report.per_method {
+        starts.push(starts[starts.len() - 1] + count);
+    }
     methods
         .iter()
-        .map(|(method, count)| {
+        .map(|(method, record)| {
             let mut merged = VerificationReport::default();
-            for _ in 0..*count {
-                let tagged = remaining
-                    .pop_front()
-                    .expect("batch report shorter than the method plan it was proved from");
-                debug_assert_eq!(
-                    &tagged.tag.method, method,
+            for tagged in &report.per_obligation[starts[*record]..starts[record + 1]] {
+                debug_assert!(
+                    tagged.tag.structure == structure && &tagged.tag.method == method,
                     "method plan out of step with batch order"
                 );
                 merged.merge(&tagged.report);
@@ -117,20 +114,33 @@ mod tests {
         let (batch, methods) = assemble_program_batch("Sized List", &program, &LemmaLibrary::new());
         let names: Vec<&str> = methods.iter().map(|(m, _)| m.as_str()).collect();
         assert_eq!(names, vec!["List.addNew", "List.isEmpty"]);
+        let records: Vec<usize> = methods.iter().map(|(_, record)| *record).collect();
         assert_eq!(
-            methods.iter().map(|(_, n)| n).sum::<usize>(),
-            batch.len(),
-            "plan counts add up to the batch size"
+            records,
+            vec![0, 1],
+            "one record per method, in program order"
         );
-        assert!(batch.len() >= 5, "expected several obligations");
+        let obligations = batch.obligations();
+        assert!(obligations.len() >= 5, "expected several obligations");
         let mut seen = BTreeMap::new();
-        for entry in batch.entries() {
-            assert_eq!(entry.tag.structure, "Sized List");
-            let next = seen.entry(entry.tag.method.clone()).or_insert(0usize);
-            assert_eq!(entry.tag.index, *next, "indices are dense per method");
+        for (tag, _) in &obligations {
+            assert_eq!(tag.structure, "Sized List");
+            let next = seen.entry(tag.method.clone()).or_insert(0usize);
+            assert_eq!(tag.index, *next, "indices are dense per method");
             *next += 1;
         }
         assert_eq!(seen.len(), methods.len());
+        // The report gives each method its count, and folding takes it from there.
+        let report = jahob_provers::Dispatcher::new().prove_all(&batch);
+        assert_eq!(
+            report.per_method.iter().sum::<usize>(),
+            obligations.len(),
+            "the per-method counts add up to the batch's obligations"
+        );
+        let results = fold_method_results(&report, "Sized List", &methods);
+        for (result, count) in results.iter().zip(&report.per_method) {
+            assert_eq!(result.report.total_sequents, *count, "{}", result.method);
+        }
     }
 
     #[test]
@@ -163,12 +173,13 @@ mod tests {
                 one("List.add", 1, 1),
                 one("List.add", 0, 0),
             ],
+            per_method: vec![2, 0, 1],
             ..BatchReport::default()
         };
         let methods = vec![
-            ("List.add".to_string(), 2),
             ("List.add".to_string(), 0),
             ("List.add".to_string(), 1),
+            ("List.add".to_string(), 2),
         ];
         let results = fold_method_results(&report, "", &methods);
         assert_eq!(results.len(), 3);
@@ -183,7 +194,10 @@ mod tests {
 
     #[test]
     fn folding_keeps_methods_without_obligations() {
-        let report = BatchReport::default();
+        let report = BatchReport {
+            per_method: vec![0],
+            ..BatchReport::default()
+        };
         let methods = vec![("A.empty".to_string(), 0)];
         let results = fold_method_results(&report, "", &methods);
         assert_eq!(results.len(), 1);

@@ -34,9 +34,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use jahob_provers::{
-    store_path, BatchEntry, BatchReport, CacheMode, CacheStats, DispatcherConfig,
-    DispatcherConfigBuilder, ObligationBatch, ObligationTag, ProverStats, SequentCache,
-    TaggedReport, STORE_VERSION,
+    store_path, BatchReport, CacheMode, CacheStats, DispatcherConfig, DispatcherConfigBuilder,
+    ObligationBatch, ObligationTag, ProverStats, SequentCache, TaggedReport, STORE_VERSION,
 };
 pub use verifier::{ProgramReport, Verifier};
 
@@ -84,8 +83,14 @@ pub fn verify_task_with(
     let method = task.qualified_name();
     let mut batch = ObligationBatch::new();
     let context = Arc::new(task.prover_context(lemmas));
-    let count = batch.push_generated("", &method, context, |bank| task.obligations_in(bank));
-    let plan = (method, count);
+    let record = batch.push_task(
+        "",
+        &method,
+        context,
+        task.clone(),
+        MethodTask::obligations_in,
+    );
+    let plan = (method, record);
     let report = dispatcher.prove_all(&batch);
     fold_method_results(&report, "", std::slice::from_ref(&plan))
         .pop()

@@ -28,7 +28,7 @@ use jahob_vcgen::{
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything needed to verify one method.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct MethodTask {
     /// The class name.
     pub class: String,

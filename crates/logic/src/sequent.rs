@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// An implication `assumptions ==> goal` produced by splitting a verification condition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Sequent {
     /// The assumptions (conjunctively).
     pub assumptions: Vec<Form>,

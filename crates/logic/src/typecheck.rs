@@ -13,7 +13,7 @@ use std::fmt;
 
 /// The typing environment: types of free variables (program variables, fields, class-name
 /// sets, specification variables).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TypeEnv {
     vars: BTreeMap<Ident, Type>,
 }

@@ -23,6 +23,19 @@
 //! canonicalised once. Each distinct inlined formula's key form is materialised and
 //! printed once. A formula the batch has already seen costs an id lookup.
 //!
+//! In front of the verdicts sits the **method memo**. Jahob verifies each method on its
+//! own, against its contract and the class invariants (assume/guarantee, §3.3), so a
+//! method's obligations are a function of its verification task. The memo maps a
+//! 128-bit fingerprint of a method (its task, its prover context with the lemma library,
+//! and the dispatcher configuration) to its obligations' cache keys, in order, and the
+//! unproved line of each unproved one. A method the memo answers is not generated,
+//! inlined or keyed again: `prove_all` replays each stored key through the ordinary
+//! lookup below, so its reports and the hit counters are those of a method whose
+//! obligations were all cache hits. A method is memoised only once every one of its
+//! obligations has a verdict here, so a cascade that crashed or hit a deadline, which
+//! is never cached, keeps its method out of the memo too. The memo lives in memory
+//! only: its fingerprints are keyed per process and never written to the store.
+//!
 //! [`inline_definitions`]: jahob_logic::norm::inline_definitions
 //! [`canonicalize`]: jahob_logic::norm::canonicalize
 //! [`alpha_normalize`]: jahob_logic::norm::alpha_normalize
@@ -30,11 +43,11 @@
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
 use jahob_logic::Sequent;
 use jahob_smt::SmtMemo;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::ProverId;
 
@@ -206,6 +219,53 @@ pub(crate) struct CachedOutcome {
     pub from_disk: bool,
 }
 
+/// A 128-bit fingerprint of a value's [`Hash`] encoding, the method memo's key.
+///
+/// The value is hashed once into a byte buffer, which two SipHash-1-3 hashers (std's
+/// `DefaultHasher`) then read under two keys drawn once per process from
+/// [`RandomState`]. Taking the two 64-bit halves as independent uniform values, two
+/// distinct values share a fingerprint with probability 2^-128, and among `n`
+/// distinct values some two do with probability below `n² · 2^-129`: under 10^-26
+/// for a million methods. The keys are secret to the process, so no input can be
+/// chosen offline to collide, and a fingerprint is never written to disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Fingerprint(u64, u64);
+
+/// The [`Hasher`] that collects a value's `Hash` encoding for [`Fingerprint::of`].
+#[derive(Default)]
+struct Encoding(Vec<u8>);
+
+impl Hasher for Encoding {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("an encoding is read whole by Fingerprint::of")
+    }
+}
+
+impl Fingerprint {
+    /// The fingerprint of `value`'s `Hash` encoding.
+    pub(crate) fn of(value: &impl Hash) -> Fingerprint {
+        static KEYS: OnceLock<[RandomState; 2]> = OnceLock::new();
+        let keys = KEYS.get_or_init(|| [RandomState::new(), RandomState::new()]);
+        let mut encoding = Encoding::default();
+        value.hash(&mut encoding);
+        let half = |key: &RandomState| {
+            let mut hasher = key.build_hasher();
+            hasher.write(&encoding.0);
+            hasher.finish()
+        };
+        Fingerprint(half(&keys[0]), half(&keys[1]))
+    }
+}
+
+/// One obligation of a memoised method: its cache key, shared with the verdict map,
+/// and its unproved line when its verdict is unproved.
+pub(crate) type MemoObligation = (Arc<CacheKey>, Option<Box<str>>);
+
 /// Lifetime hit/miss counters of a cache (across every `prove_all` run that shared it).
 ///
 /// Under parallel dispatch the split between hits and misses is not exactly
@@ -222,6 +282,9 @@ pub struct CacheStats {
     /// Of `hits`, how many were answered by an entry loaded from the persistent
     /// on-disk store (a warm start) rather than computed earlier in this process.
     pub disk_hits: u64,
+    /// Methods the method memo answered: their obligations were neither generated
+    /// nor keyed again, and their lookups count among `hits`.
+    pub method_hits: u64,
 }
 
 impl CacheStats {
@@ -236,19 +299,22 @@ impl CacheStats {
     }
 }
 
-/// A mutex-protected map from canonical obligation keys to prover verdicts.
+/// A mutex-protected map from canonical obligation keys to prover verdicts, and the
+/// method memo in front of it (see the [module docs](self)).
 ///
 /// The cache is shared by cloning the owning [`crate::Dispatcher`] (the dispatcher
 /// holds it behind an `Arc`), so one cache can serve every method of a program — or a
-/// whole suite run — across worker threads. One lock suffices: a lookup or insert
-/// holds it for one map probe, while each worker spends far longer keying and proving
-/// between two probes.
+/// whole suite run — across worker threads. One lock per map suffices: a lookup or
+/// insert holds it for one map probe, while each worker spends far longer keying and
+/// proving between two probes.
 #[derive(Debug, Default)]
 pub struct SequentCache {
-    verdicts: Mutex<HashMap<CacheKey, CachedOutcome>>,
+    verdicts: Mutex<HashMap<Arc<CacheKey>, CachedOutcome>>,
+    methods: Mutex<HashMap<Fingerprint, Arc<[MemoObligation]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
+    method_hits: AtomicU64,
 }
 
 impl SequentCache {
@@ -257,15 +323,19 @@ impl SequentCache {
         SequentCache::default()
     }
 
-    fn map(&self) -> MutexGuard<'_, HashMap<CacheKey, CachedOutcome>> {
+    fn map(&self) -> MutexGuard<'_, HashMap<Arc<CacheKey>, CachedOutcome>> {
         self.verdicts.lock().expect("cache lock poisoned")
     }
 
-    /// Looks up a key, recording a hit or miss in the lifetime counters.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedOutcome> {
-        let found = self.map().get(key).cloned();
+    /// Looks up a key, recording a hit or miss in the lifetime counters. A hit returns
+    /// the map's own copy of the key beside the verdict.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<(Arc<CacheKey>, CachedOutcome)> {
+        let found = self
+            .map()
+            .get_key_value(key)
+            .map(|(key, outcome)| (Arc::clone(key), outcome.clone()));
         match &found {
-            Some(outcome) => {
+            Some((_, outcome)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if outcome.from_disk {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -279,8 +349,31 @@ impl SequentCache {
     }
 
     /// Stores the verdict for a key.
-    pub(crate) fn insert(&self, key: CacheKey, outcome: CachedOutcome) {
+    pub(crate) fn insert(&self, key: Arc<CacheKey>, outcome: CachedOutcome) {
         self.map().insert(key, outcome);
+    }
+
+    /// The memoised obligations of the method with memo key `key`, recording a method
+    /// hit when there are some.
+    pub(crate) fn method(&self, key: &Fingerprint) -> Option<Arc<[MemoObligation]>> {
+        let found = self
+            .methods
+            .lock()
+            .expect("memo lock poisoned")
+            .get(key)
+            .cloned();
+        if found.is_some() {
+            self.method_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// Memoises a method whose every obligation has a verdict in this cache.
+    pub(crate) fn memoise(&self, key: Fingerprint, obligations: Vec<MemoObligation>) {
+        self.methods
+            .lock()
+            .expect("memo lock poisoned")
+            .insert(key, obligations.into());
     }
 
     /// Number of cached verdicts.
@@ -299,6 +392,7 @@ impl SequentCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            method_hits: self.method_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -306,7 +400,10 @@ impl SequentCache {
     /// entries that were themselves loaded from disk, so a merge-write never drops
     /// what an earlier process contributed.
     pub(crate) fn export(&self) -> crate::store::Verdicts {
-        self.map().clone().into_iter().collect()
+        self.map()
+            .iter()
+            .map(|(key, outcome)| (CacheKey::clone(key), outcome.clone()))
+            .collect()
     }
 
     /// Loads the verdicts of a store into the cache, marking each as disk-loaded (so
@@ -317,7 +414,7 @@ impl SequentCache {
         let mut cached = self.map();
         for (key, mut outcome) in verdicts {
             outcome.from_disk = true;
-            cached.entry(key).or_insert(outcome);
+            cached.entry(Arc::new(key)).or_insert(outcome);
         }
     }
 }
@@ -452,8 +549,8 @@ mod tests {
             budget_aborts: Vec::new(),
             from_disk: false,
         };
-        cache.insert(key.clone(), outcome.clone());
-        assert_eq!(cache.lookup(&key), Some(outcome));
+        cache.insert(Arc::new(key.clone()), outcome.clone());
+        assert_eq!(cache.lookup(&key).map(|(_, found)| found), Some(outcome));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(cache.len(), 1);

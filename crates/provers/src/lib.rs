@@ -29,12 +29,17 @@
 //!   longer leave threads idle the way a contiguous-chunk split does;
 //! * **result caching** — with [`DispatcherConfig::cache`] enabled, every obligation is
 //!   keyed by the canonical form of its definition-inlined sequent ([`SequentKey`]) and
-//!   looked up in an in-memory cache before any prover runs ([`cache`]). A batch owns
-//!   the formula bank ([`jahob_logic::bank::Bank`]) its obligations were generated
-//!   into, and each worker normalises its share there ([`KeyBank`]; a helper thread
-//!   on a copy): inlining, keying and the syntactic checks run once per distinct
-//!   node, no obligation is interned again, and the inlined sequent is rebuilt as
-//!   formulas only for the provers, on a cache miss;
+//!   looked up in an in-memory cache before any prover runs ([`cache`]). A batch
+//!   ([`ObligationBatch`]) holds one record per method: its tag, its context, a
+//!   fingerprint of its task and context, and a generator for its obligations. In
+//!   front of the verdicts, the cache's method memo answers a method whose task was
+//!   verified before in the process by replaying its stored keys, so its
+//!   obligations are neither generated, inlined nor keyed. Every other method's
+//!   obligations are generated into the formula bank ([`jahob_logic::bank::Bank`])
+//!   the batch owns, and each worker normalises its share there ([`KeyBank`]; a
+//!   helper thread on a copy): inlining, keying and the syntactic checks run once per
+//!   distinct node, no obligation is interned again, and the inlined sequent is
+//!   rebuilt as formulas only for the provers, on a cache miss;
 //! * **per-sequent routing** — with [`DispatcherConfig::route`] enabled, each
 //!   obligation's cascade order is chosen from the sequent's syntactic features
 //!   ([`jahob_logic::SequentFeatures`] → [`router`]): provers whose fragment the
@@ -62,17 +67,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod cache;
 pub mod faults;
 pub mod inst;
 pub mod router;
 pub mod store;
 
+pub use batch::{ObligationBatch, ObligationTag};
 pub use cache::{CacheStats, KeyBank, SequentCache, SequentKey};
 pub use faults::FaultSpec;
 pub use store::{store_path, STORE_VERSION};
 
-use cache::{CacheKey, CachedOutcome};
+use cache::{CacheKey, CachedOutcome, Fingerprint, MemoObligation};
 use faults::FaultPlane;
 use inst::apply_inst_hints;
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
@@ -83,7 +90,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The provers of the integrated reasoning system.
@@ -163,7 +170,7 @@ impl fmt::Display for ProverId {
 /// * **named lemmas** — formulas under a name that `by lemma Name` hints can reference;
 ///   the dispatcher injects the named formula as an extra assumption of the hinted
 ///   sequent (the first step beyond label-only hints, §3.5).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct LemmaLibrary {
     entries: BTreeSet<String>,
     named: BTreeMap<String, Form>,
@@ -230,7 +237,7 @@ impl LemmaLibrary {
 
 /// Per-method context shared by the prover interfaces: which variables denote sets and
 /// fields (used by the approximation steps), plus the lemma library.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct ProverContext {
     /// Set-typed global variables.
     pub set_vars: BTreeSet<String>,
@@ -238,132 +245,6 @@ pub struct ProverContext {
     pub fun_vars: BTreeSet<String>,
     /// Interactively proven lemmas.
     pub lemmas: LemmaLibrary,
-}
-
-/// Provenance of one obligation within a program-wide batch: which data structure and
-/// method it came from, and its index in that method's obligation order. Dispatch
-/// treats the whole batch as one pool (§3.5, §6); the tag is what folds the per-
-/// obligation results back into per-method reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ObligationTag {
-    /// The data structure (suite entry) the obligation belongs to; empty outside suite
-    /// runs.
-    pub structure: String,
-    /// `Class.method`.
-    pub method: String,
-    /// The index of the obligation within its method (the VC split order).
-    pub index: usize,
-}
-
-/// One entry of an [`ObligationBatch`]: the obligation, its provenance, and the proving
-/// context of the method it came from. Contexts are shared per method behind an `Arc`,
-/// so batching a whole program costs one context per method, not per obligation.
-#[derive(Debug, Clone)]
-pub struct BatchEntry {
-    /// The proof obligation, its formulas in the batch's bank.
-    pub obligation: InternedObligation,
-    /// Where the obligation came from.
-    pub tag: ObligationTag,
-    /// The per-method proving context (set/function variable classification, lemmas).
-    pub context: Arc<ProverContext>,
-}
-
-/// A batch of proof obligations, each carrying provenance and its own proving context —
-/// the unit [`Dispatcher::prove_all`] dispatches. Assembling one batch per program (or
-/// per suite) hands the work-stealing queue the whole obligation pool at once while the
-/// tags keep per-method attribution intact.
-///
-/// The batch owns the formula bank its obligations live in. The VC generator builds
-/// them there ([`ObligationBatch::push_generated`]), so a formula shared by several
-/// obligations or methods is one node, and [`Dispatcher::prove_all`] proves on that
-/// bank without interning the obligations again.
-#[derive(Debug, Default)]
-pub struct ObligationBatch {
-    /// Behind a lock only so that `prove_all`, which takes the batch by shared
-    /// reference, can prove on the bank itself and put it back, grown, afterwards.
-    bank: Mutex<Bank>,
-    entries: Vec<BatchEntry>,
-}
-
-impl ObligationBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        ObligationBatch::default()
-    }
-
-    /// Appends one method's obligations, tagging each with `(structure, method, index)`
-    /// and sharing `context` across them. Each obligation is interned into the batch's
-    /// bank once, here.
-    pub fn push_method(
-        &mut self,
-        structure: &str,
-        method: &str,
-        context: Arc<ProverContext>,
-        obligations: Vec<ProofObligation>,
-    ) {
-        self.push_generated(structure, method, context, |bank| {
-            obligations
-                .iter()
-                .map(|o| InternedObligation::intern(bank, o))
-                .collect()
-        });
-    }
-
-    /// Appends one method's obligations as [`ObligationBatch::push_method`] does, built
-    /// by `generate` straight into the batch's bank (as
-    /// `jahob_vcgen::obligations_in` builds them). Returns how many it appended.
-    pub fn push_generated(
-        &mut self,
-        structure: &str,
-        method: &str,
-        context: Arc<ProverContext>,
-        generate: impl FnOnce(&mut Bank) -> Vec<InternedObligation>,
-    ) -> usize {
-        let bank = self.bank.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let obligations = generate(bank);
-        let count = obligations.len();
-        for (index, obligation) in obligations.into_iter().enumerate() {
-            self.entries.push(BatchEntry {
-                obligation,
-                tag: ObligationTag {
-                    structure: structure.to_string(),
-                    method: method.to_string(),
-                    index,
-                },
-                context: Arc::clone(&context),
-            });
-        }
-        count
-    }
-
-    /// The obligation of entry `index`, rebuilt as formulas.
-    pub fn obligation(&self, index: usize) -> ProofObligation {
-        let bank = self.bank.lock().unwrap_or_else(PoisonError::into_inner);
-        self.entries[index].obligation.materialise(&bank)
-    }
-
-    /// A batch in which every obligation shares one context and carries only its index
-    /// as provenance — the shape unit tests and obligation dumps feed the dispatcher.
-    pub fn uniform(obligations: &[ProofObligation], context: &ProverContext) -> Self {
-        let mut batch = ObligationBatch::new();
-        batch.push_method("", "", Arc::new(context.clone()), obligations.to_vec());
-        batch
-    }
-
-    /// The entries, in batch order.
-    pub fn entries(&self) -> &[BatchEntry] {
-        &self.entries
-    }
-
-    /// Number of obligations in the batch.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the batch holds no obligations.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// How the dispatcher caches prover verdicts. Subsumes the old `cache: bool` knob:
@@ -904,11 +785,15 @@ pub struct TaggedReport {
 
 /// The outcome of proving one [`ObligationBatch`]: per-obligation reports in batch
 /// order (so folding them per method reproduces the per-method `unproved` ordering
-/// exactly), plus the wall-clock time of the whole batch.
+/// exactly), each method's obligation count, plus the wall-clock time of the whole
+/// batch.
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     /// One tagged report per obligation, in batch order.
     pub per_obligation: Vec<TaggedReport>,
+    /// One count per method of the batch, in batch order: how many obligations the
+    /// method had. A method's reports are the next that many of `per_obligation`.
+    pub per_method: Vec<usize>,
     /// Wall-clock time of the whole `prove_all` call.
     pub total_time: Duration,
 }
@@ -1113,18 +998,26 @@ impl Dispatcher {
     }
 
     /// Proves one tagged batch, returning a per-obligation report stream in batch
-    /// order. Each obligation is proved under **its own** [`ProverContext`] (carried by
-    /// its [`BatchEntry`]), which is what lets one batch span every method of a program
-    /// — the main reason the previous fixed-context signature could not batch across
-    /// methods.
+    /// order. Each obligation is proved under **its own** method's [`ProverContext`],
+    /// which is what lets one batch span every method of a program.
     ///
-    /// [`DispatcherConfig::threads`] workers claim entries one at a time from one shared
-    /// atomic index instead of being pre-assigned contiguous chunks: a single expensive
-    /// obligation then occupies one worker while the others drain the rest of the
-    /// queue. The calling thread is the last worker, beside `threads - 1` scoped
-    /// helpers, so a single-threaded dispatcher spawns nothing. Each result is written
-    /// into its entry's slot and emitted in batch order, so the folded reports —
-    /// including every method's `unproved` list — are identical for every thread count.
+    /// With the cache on, each method is first looked up in the cache's method memo
+    /// ([`cache`]), under the fingerprint of its task and context extended by the
+    /// configuration's. A method the memo answers is neither generated nor keyed: each
+    /// of its stored cache keys is replayed through the ordinary lookup, so its reports
+    /// and the hit counters are exactly those of a method whose obligations were all
+    /// cache hits. Every other method's obligations are generated into the batch's bank,
+    /// on the calling thread, before any worker starts. Once a method's obligations all
+    /// have a verdict in the cache, the method is memoised.
+    ///
+    /// [`DispatcherConfig::threads`] workers claim the generated obligations one at a
+    /// time from one shared atomic index instead of being pre-assigned contiguous
+    /// chunks: a single expensive obligation then occupies one worker while the others
+    /// drain the rest of the queue. The calling thread is the last worker, beside
+    /// `threads - 1` scoped helpers, so a single-threaded dispatcher spawns nothing.
+    /// Each result is written into its obligation's slot and emitted in batch order,
+    /// so the folded reports — including every method's `unproved` list — are
+    /// identical for every thread count.
     ///
     /// Each worker normalises on one [`KeyBank`] over the batch's formula bank, in
     /// which the obligations already are, so a formula that recurs across them (an
@@ -1137,12 +1030,37 @@ impl Dispatcher {
     pub fn prove_all(&self, batch: &ObligationBatch) -> BatchReport {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let entries = batch.entries();
+        let fingerprint = self.config.fingerprint();
+        let mut bank = batch.bank.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries: Vec<Generated> = Vec::new();
+        let answers: Vec<Answer> = batch
+            .methods
+            .iter()
+            .enumerate()
+            .map(|(method, record)| {
+                let key = self
+                    .config
+                    .cache
+                    .is_enabled()
+                    .then(|| Fingerprint::of(&(record.fingerprint, &fingerprint)));
+                if let Some(stored) = key.as_ref().and_then(|key| self.cache.method(key)) {
+                    return Answer::Memoised(stored);
+                }
+                let obligations = record.obligations(&mut bank);
+                entries.extend(
+                    obligations
+                        .iter()
+                        .map(|obligation| Generated { obligation, method }),
+                );
+                Answer::Generated {
+                    key,
+                    count: obligations.len(),
+                }
+            })
+            .collect();
         let threads = self.config.threads.clamp(1, entries.len().max(1));
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<VerificationReport>> =
-            entries.iter().map(|_| OnceLock::new()).collect();
-        let fingerprint = self.config.fingerprint();
+        let slots: Vec<OnceLock<Proved>> = entries.iter().map(|_| OnceLock::new()).collect();
         let worker = |bank: Bank| {
             let mut keys = KeyBank::over(bank);
             loop {
@@ -1150,15 +1068,15 @@ impl Dispatcher {
                 let Some(entry) = entries.get(i) else {
                     break;
                 };
-                let report = self.prove_entry(entry, &mut keys, &fingerprint);
+                let context = &batch.methods[entry.method].context;
+                let proved = self.prove_entry(entry.obligation, context, &mut keys, &fingerprint);
                 slots[i]
-                    .set(report)
+                    .set(proved)
                     .expect("obligation indices are claimed exactly once");
             }
             keys.bank
         };
         let worker = &worker;
-        let mut bank = batch.bank.lock().unwrap_or_else(PoisonError::into_inner);
         let copies: Vec<Bank> = (1..threads).map(|_| bank.clone()).collect();
         std::thread::scope(|scope| {
             let helpers: Vec<_> = copies
@@ -1177,19 +1095,75 @@ impl Dispatcher {
                 }
             }
         });
-        BatchReport {
-            per_obligation: entries
-                .iter()
-                .zip(slots)
-                .map(|(entry, slot)| TaggedReport {
-                    tag: entry.tag.clone(),
-                    report: slot
-                        .into_inner()
-                        .expect("every claimed obligation stores a result"),
-                })
-                .collect(),
-            total_time: start.elapsed(),
+        drop(bank);
+        let mut proved = slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .expect("every claimed obligation stores a result")
+        });
+        let mut report = BatchReport::default();
+        for (record, answer) in batch.methods.iter().zip(answers) {
+            let reports: Vec<VerificationReport> = match answer {
+                Answer::Memoised(stored) => stored.iter().map(|o| self.replay(o)).collect(),
+                Answer::Generated { key, count } => {
+                    let method: Vec<Proved> = proved.by_ref().take(count).collect();
+                    if let Some(key) = key {
+                        self.memoise(key, &method);
+                    }
+                    method.into_iter().map(|(report, _)| report).collect()
+                }
+            };
+            report.per_method.push(reports.len());
+            report
+                .per_obligation
+                .extend(
+                    reports
+                        .into_iter()
+                        .enumerate()
+                        .map(|(index, report)| TaggedReport {
+                            tag: ObligationTag {
+                                structure: record.structure.clone(),
+                                method: record.method.clone(),
+                                index,
+                            },
+                            report,
+                        }),
+                );
         }
+        report.total_time = start.elapsed();
+        report
+    }
+
+    /// Memoises a method under `key` when every one of its obligations has a verdict
+    /// in the cache: a cascade that crashed or stopped at the deadline has none, so
+    /// its method is proved afresh next time.
+    fn memoise(&self, key: Fingerprint, method: &[Proved]) {
+        let stored: Option<Vec<MemoObligation>> = method
+            .iter()
+            .map(|(report, key)| {
+                let line = report.unproved.first().map(|line| line.as_str().into());
+                key.clone().map(|key| (key, line))
+            })
+            .collect();
+        if let Some(stored) = stored {
+            self.cache.memoise(key, stored);
+        }
+    }
+
+    /// The report of one obligation of a method the memo answered: its stored key
+    /// replayed through the ordinary cache lookup, with its stored unproved line.
+    fn replay(&self, (key, line): &MemoObligation) -> VerificationReport {
+        let start = Instant::now();
+        let (_, outcome) = self
+            .cache
+            .lookup(key)
+            .expect("the verdicts of a memoised method stay cached");
+        let mut report = report_from_cache(&outcome, |_| {
+            line.as_deref()
+                .expect("a memoised unproved verdict keeps its line")
+                .to_string()
+        });
+        report.total_time = start.elapsed();
+        report
     }
 
     /// Proves a uniform-context batch and aggregates the result — the per-method view
@@ -1204,19 +1178,20 @@ impl Dispatcher {
             .aggregate()
     }
 
-    /// Proves one batch entry, stamping the report with the obligation's wall time (so
+    /// Proves one generated obligation, stamping the report with its wall time (so
     /// per-method folds sum to a meaningful method time even inside a program-wide
     /// batch).
     fn prove_entry(
         &self,
-        entry: &BatchEntry,
+        obligation: &InternedObligation,
+        context: &ProverContext,
         keys: &mut KeyBank,
         fingerprint: &str,
-    ) -> VerificationReport {
+    ) -> Proved {
         let start = Instant::now();
-        let mut report = self.prove_one_inner(&entry.obligation, &entry.context, keys, fingerprint);
+        let (mut report, key) = self.prove_one_inner(obligation, context, keys, fingerprint);
         report.total_time = start.elapsed();
-        report
+        (report, key)
     }
 
     /// Attempts one obligation, consulting the result cache first when enabled. It
@@ -1230,16 +1205,18 @@ impl Dispatcher {
         let mut keys = KeyBank::new();
         let interned = InternedObligation::intern(&mut keys.bank, obligation);
         self.prove_one_inner(&interned, context, &mut keys, &fingerprint)
+            .0
     }
 
-    /// Attempts one obligation whose formulas are in `keys`' bank.
+    /// Attempts one obligation whose formulas are in `keys`' bank. Returns its report
+    /// and, when the cache holds a verdict for it afterwards, its cache key.
     fn prove_one_inner(
         &self,
         obligation: &InternedObligation,
         context: &ProverContext,
         keys: &mut KeyBank,
         fingerprint: &str,
-    ) -> VerificationReport {
+    ) -> Proved {
         // §5.3: before any prover runs, substitute the definitions of the intermediate
         // variables introduced by the VC generator (assignment temporaries, pre-state
         // snapshots, splitter renamings). Every prover then works on the collapsed
@@ -1271,7 +1248,8 @@ impl Dispatcher {
         };
         let original = &obligation.sequent;
         if !self.config.cache.is_enabled() {
-            return self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
+            let report = self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
+            return (report, None);
         }
         let full_classes = var_classes(context, &keys.bank, &full);
         let key = CacheKey {
@@ -1284,8 +1262,11 @@ impl Dispatcher {
             lemma_registered: context.lemmas.contains(&keys.bank, original),
             config_fingerprint: fingerprint.to_string(),
         };
-        if let Some(outcome) = self.cache.lookup(&key) {
-            return self.report_from_cache(&keys.bank, original, outcome);
+        if let Some((key, outcome)) = self.cache.lookup(&key) {
+            let report = report_from_cache(&outcome, |report| {
+                unproved_description(&keys.bank, original, report)
+            });
+            return (report, Some(key));
         }
         let mut report = self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
         report.cache_misses = 1;
@@ -1294,7 +1275,7 @@ impl Dispatcher {
         // verdict into the store and replay it on healthy runs. Leave it uncached —
         // the next run (without the fault) recomputes it cleanly.
         if report.crashes() > 0 || report.deadline_aborts() > 0 {
-            return report;
+            return (report, None);
         }
         let prover = report
             .per_prover
@@ -1312,8 +1293,9 @@ impl Dispatcher {
             .filter(|(_, s)| s.budget_aborts > 0)
             .map(|(id, s)| (*id, s.budget_aborts))
             .collect();
+        let key = Arc::new(key);
         self.cache.insert(
-            key,
+            Arc::clone(&key),
             CachedOutcome {
                 proved: report.proved_sequents == 1,
                 prover,
@@ -1322,44 +1304,7 @@ impl Dispatcher {
                 from_disk: false,
             },
         );
-        report
-    }
-
-    /// Materialises a per-obligation report from a cached verdict: the attempted and
-    /// aborted counts of the original run are replayed (with zero time) and the
-    /// original prover is credited, so Figure 7/15 attributions agree with an uncached
-    /// run.
-    fn report_from_cache(
-        &self,
-        bank: &Bank,
-        original: &InternedSequent,
-        outcome: CachedOutcome,
-    ) -> VerificationReport {
-        let mut report = VerificationReport {
-            total_sequents: 1,
-            cache_hits: 1,
-            cache_disk_hits: outcome.from_disk as usize,
-            ..VerificationReport::default()
-        };
-        for (prover, attempted) in &outcome.attempted {
-            report.per_prover.entry(*prover).or_default().attempted += attempted;
-        }
-        for (prover, aborts) in &outcome.budget_aborts {
-            report.per_prover.entry(*prover).or_default().budget_aborts += aborts;
-        }
-        if outcome.proved {
-            report.proved_sequents = 1;
-            if let Some(prover) = outcome.prover {
-                let stats = report.per_prover.entry(prover).or_default();
-                stats.proved += 1;
-                stats.cache_hits += 1;
-            }
-        } else {
-            report
-                .unproved
-                .push(unproved_description(bank, original, &report));
-        }
-        report
+        (report, Some(key))
     }
 
     /// A budgeted phase over `interned`: every prover in routed order (the static
@@ -1472,6 +1417,61 @@ impl Dispatcher {
         report.unproved.push(description);
         report
     }
+}
+
+/// One obligation `prove_all` proves: its formulas in the batch's bank and the index of
+/// its method's record.
+struct Generated<'b> {
+    obligation: &'b InternedObligation,
+    method: usize,
+}
+
+/// How `prove_all` answers one method: from the memo, or by the `count` obligations it
+/// generated, memoised under `key` afterwards (`None` with the cache off).
+enum Answer {
+    Memoised(Arc<[MemoObligation]>),
+    Generated {
+        key: Option<Fingerprint>,
+        count: usize,
+    },
+}
+
+/// One proved obligation's report, and its cache key when the cache holds a verdict
+/// for it.
+type Proved = (VerificationReport, Option<Arc<CacheKey>>);
+
+/// Materialises a per-obligation report from a cached verdict: the attempted and
+/// aborted counts of the original run are replayed (with zero time) and the original
+/// prover is credited, so Figure 7/15 attributions agree with an uncached run. An
+/// unproved verdict's line is `describe`d from the report.
+fn report_from_cache(
+    outcome: &CachedOutcome,
+    describe: impl FnOnce(&VerificationReport) -> String,
+) -> VerificationReport {
+    let mut report = VerificationReport {
+        total_sequents: 1,
+        cache_hits: 1,
+        cache_disk_hits: outcome.from_disk as usize,
+        ..VerificationReport::default()
+    };
+    for (prover, attempted) in &outcome.attempted {
+        report.per_prover.entry(*prover).or_default().attempted += attempted;
+    }
+    for (prover, aborts) in &outcome.budget_aborts {
+        report.per_prover.entry(*prover).or_default().budget_aborts += aborts;
+    }
+    if outcome.proved {
+        report.proved_sequents = 1;
+        if let Some(prover) = outcome.prover {
+            let stats = report.per_prover.entry(prover).or_default();
+            stats.proved += 1;
+            stats.cache_hits += 1;
+        }
+    } else {
+        let line = describe(&report);
+        report.unproved.push(line);
+    }
+    report
 }
 
 /// One phase of an obligation's attempt plan: a sequent in the worker's bank, the
@@ -1675,13 +1675,7 @@ fn attempt(
             }
         }
         ProverId::Fol => {
-            let mut opts = jahob_folp::FolOptions::default();
-            opts.translate.set_vars = context.set_vars.clone();
-            opts.translate.fun_vars = context.fun_vars.clone();
-            // Keep the resolution budget modest: the FOL prover is a fallback behind the
-            // SMT prover in the default order.
-            opts.limits.max_iterations = fuel.map_or(300, |f| f.fol_iterations.min(300));
-            opts.limits.deadline = deadline;
+            let opts = fol_options(context, fuel, deadline);
             // FOL clausifies the approximation and negation normal forms memoised in the
             // bank, which SMT's attempt on the sequent has usually built already.
             let result = jahob_folp::prove_interned(&mut on.keys.bank, on.interned, &opts);
@@ -1701,6 +1695,26 @@ fn attempt(
         }
         ProverId::Interactive => verdict(context.lemmas.contains(&on.keys.bank, original)),
     }
+}
+
+/// FOL's options for one attempt. The attempt stops only on its fuel (the iteration
+/// cap, and the clause caps that bound it with budgets off) or on the configured
+/// deadline: FOL's own wall-clock net is off, so an unproved line never depends on
+/// the machine's load.
+fn fol_options(
+    context: &ProverContext,
+    fuel: Option<&FuelBudget>,
+    deadline: Option<Instant>,
+) -> jahob_folp::FolOptions {
+    let mut opts = jahob_folp::FolOptions::default();
+    opts.translate.set_vars = context.set_vars.clone();
+    opts.translate.fun_vars = context.fun_vars.clone();
+    // Keep the resolution budget modest: the FOL prover is a fallback behind the
+    // SMT prover in the default order.
+    opts.limits.max_iterations = fuel.map_or(300, |f| f.fol_iterations.min(300));
+    opts.limits.max_millis = 0;
+    opts.limits.deadline = deadline;
+    opts
 }
 
 /// Runs one prover attempt inside the fault-containment boundary: any injected fault
@@ -2915,5 +2929,37 @@ mod tests {
         assert_eq!(dispatcher.flush_store().expect("no-op flush"), 0);
         drop(dispatcher); // must not warn or panic: there is no store handle
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn fol_attempts_stop_only_on_fuel_or_the_configured_deadline() {
+        let defaults = jahob_folp::ResolutionLimits::default();
+        let plain = fuel_for(&SequentFeatures::default());
+        let quantified = fuel_for(&SequentFeatures {
+            quantifiers: 1,
+            ..SequentFeatures::default()
+        });
+        let deadline = Instant::now() + Duration::from_millis(5);
+        for (fuel, iterations) in [(None, 300), (Some(&plain), 60), (Some(&quantified), 120)] {
+            for deadline in [None, Some(deadline)] {
+                let limits = fol_options(&ProverContext::default(), fuel, deadline).limits;
+                assert_eq!(limits.max_millis, 0, "no wall-clock net of FOL's own");
+                assert_eq!(limits.deadline, deadline, "the configured deadline only");
+                assert_eq!(limits.max_iterations, iterations);
+                assert_eq!(
+                    (
+                        limits.max_clauses,
+                        limits.max_clause_size,
+                        limits.max_literals
+                    ),
+                    (
+                        defaults.max_clauses,
+                        defaults.max_clause_size,
+                        defaults.max_literals
+                    ),
+                    "the clause caps bound an attempt without fuel"
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ use jahob_logic::types::Type;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An extended guarded command (Figure 8).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Command {
     /// `assume l: F`.
     Assume {
@@ -101,7 +101,7 @@ pub enum Command {
 }
 
 /// A simple guarded command (Figure 9).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Simple {
     /// `assume l: F`.
     Assume {
@@ -131,7 +131,7 @@ pub enum Simple {
 /// The environment desugaring needs: definitions of *defined* specification variables
 /// (for dependency tracking, §4.4) and the types of havocked variables (used when the
 /// weakest precondition quantifies over them).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct DesugarEnv {
     /// Definitions of defined specification variables.
     pub definitions: BTreeMap<Ident, Form>,

@@ -43,7 +43,7 @@ pub const INST_HINT_PREFIX: &str = "inst:";
 ///   lemmas) that bind `var` by substituting `witness` for it, so a prover that cannot
 ///   guess the instantiation sees the ground instance it needs. The instantiation pass
 ///   itself lives in `jahob_provers::inst`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Hint {
     /// `by l`: keep the assumptions labelled `l`.
     Label(String),
@@ -116,7 +116,7 @@ impl Hint {
 
 /// A proof obligation: a sequent plus the `by` hints attached to its goal (§3.5). An
 /// empty hint list means "use all assumptions".
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProofObligation {
     /// The sequent to prove.
     pub sequent: Sequent,

@@ -10,6 +10,10 @@
 //! measures the uncached baseline, and `JAHOB_CACHE_DIR=dir` warm-starts from (and
 //! flushes back to) the persistent proof store — run the example twice with the same
 //! directory to see the second run answer the suite from disk.
+//!
+//! Which cache layer answered is printed too: the table's footer counts the result
+//! cache's hits (those from disk in parentheses), and a line of its own counts the
+//! methods the method memo answered whole.
 
 use jahob_repro::prelude::*;
 
@@ -25,6 +29,10 @@ fn main() {
     let total: usize = rows.iter().map(|r| r.total_sequents).sum();
     let proved: usize = rows.iter().map(|r| r.proved_sequents).sum();
     println!("Across the suite: {proved} of {total} sequents proved automatically.");
+    println!(
+        "Method memo: {} methods answered without generating their obligations.",
+        verifier.cache_stats().method_hits
+    );
     if verifier.config().cache.persistent_dir().is_some() {
         let disk: usize = rows.iter().map(|r| r.cache_disk_hits).sum();
         println!("Persistent store: {disk} of {total} obligations answered from disk.");
