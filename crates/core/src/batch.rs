@@ -49,13 +49,16 @@ pub fn assemble_into(
 ) -> Vec<MethodPlan> {
     program_tasks(program)
         .into_iter()
-        .map(|task| {
+        .map(|mut task| {
             let method = task.qualified_name();
             let context = Arc::new(task.prover_context(lemmas));
+            // Generating the obligations does not read the types; the record keeps them.
+            let types = Arc::new(std::mem::take(&mut task.type_env));
             let record = batch.push_task(
                 structure,
                 &method,
                 context,
+                types,
                 task,
                 MethodTask::obligations_in,
             );

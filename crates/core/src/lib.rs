@@ -63,6 +63,13 @@ impl MethodResult {
         self.report.succeeded()
     }
 
+    /// `true` if the refuter showed some sequent of the method invalid: it has a finite
+    /// countermodel, so the method is wrong, not merely unproved. An unverified method
+    /// that is not invalid is unproved: its provers gave up without a verdict.
+    pub fn invalid(&self) -> bool {
+        self.report.refuted > 0
+    }
+
     /// Renders the method result in the style of Figure 7.
     pub fn render(&self) -> String {
         self.report.render(&self.method)
@@ -83,11 +90,14 @@ pub fn verify_task_with(
     let method = task.qualified_name();
     let mut batch = ObligationBatch::new();
     let context = Arc::new(task.prover_context(lemmas));
+    let mut task = task.clone();
+    let types = Arc::new(std::mem::take(&mut task.type_env));
     let record = batch.push_task(
         "",
         &method,
         context,
-        task.clone(),
+        types,
+        task,
         MethodTask::obligations_in,
     );
     let plan = (method, record);

@@ -20,7 +20,8 @@
 //! ([`sequent`]), canonicalisation and definition inlining ([`norm`]), bottom-up
 //! rewriting and the VC generator's rewrites ([`rewrite`]), the one-pass syntactic
 //! feature extraction behind per-sequent prover routing ([`features`]), and the
-//! hash-consed formula bank ([`bank`]). The dispatcher normalises a whole batch on one
+//! hash-consed formula bank ([`bank`]), and a bounded, exact countermodel search over
+//! small finite models ([`countermodel`]). The dispatcher normalises a whole batch on one
 //! bank, each distinct node once, and every prover's front end runs there:
 //! simplification, negation normal form, and the polarity approximation of Figure 14
 //! into each prover's fragment.
@@ -46,6 +47,7 @@
 extern crate self as jahob_logic;
 
 pub mod bank;
+pub mod countermodel;
 pub mod features;
 pub mod form;
 pub mod norm;

@@ -133,6 +133,61 @@ pub fn infer(form: &Form, env: &TypeEnv) -> Result<Inference, TypeError> {
     })
 }
 
+/// Infers the types of boolean `forms` jointly under `env`, so a free variable has one
+/// type across all of them. Returns the forms with their binder types resolved and the
+/// types of every free variable the environment does not declare. Unlike [`infer`], a
+/// type no formula constrains stays a [`Type::Var`] instead of defaulting to `obj`: a
+/// caller that builds models needs to know which types the formulas leave open. An open
+/// type variable is numbered from [`OPEN_TYVARS`] up, apart from the numbers the parser
+/// and inference invent, so the types can go into a later environment as they are.
+///
+/// # Errors
+///
+/// Returns a [`TypeError`] if the forms cannot be typed consistently as booleans.
+pub fn infer_jointly(
+    forms: &[Form],
+    env: &TypeEnv,
+) -> Result<(Vec<Form>, BTreeMap<Ident, Type>), TypeError> {
+    let mut cx = Cx {
+        unifier: BTreeMap::new(),
+        next: 0,
+        undeclared: BTreeMap::new(),
+    };
+    // The parser numbers each formula's open binder types from the same start, so two
+    // formulas' binders get type variables of their own before they are unified.
+    let forms: Vec<Form> = forms
+        .iter()
+        .map(|f| cx.freshen(f, &mut BTreeMap::new()))
+        .collect();
+    for form in &forms {
+        let ty = cx.infer(form, env, &mut Vec::new())?;
+        cx.unify(&ty, &Type::Bool)?;
+    }
+    let forms = forms
+        .iter()
+        .map(|f| cx.annotate_open(f, &mut Vec::new()))
+        .collect();
+    let undeclared = cx
+        .undeclared
+        .iter()
+        .map(|(k, v)| (k.clone(), reopen(&cx.resolve(v))))
+        .collect();
+    Ok((forms, undeclared))
+}
+
+/// The first number of the type variables [`infer_jointly`] leaves open.
+pub const OPEN_TYVARS: u32 = 1 << 31;
+
+fn reopen(t: &Type) -> Type {
+    match t {
+        Type::Var(v) => Type::Var(v | OPEN_TYVARS),
+        Type::Set(e) => Type::set(reopen(e)),
+        Type::Prod(ts) => Type::Prod(ts.iter().map(reopen).collect()),
+        Type::Fun(a, b) => Type::fun(reopen(a), reopen(b)),
+        _ => t.clone(),
+    }
+}
+
 /// Checks that `form` is a well-typed boolean formula under `env`.
 ///
 /// # Errors
@@ -405,21 +460,81 @@ impl Cx {
 
     /// Rewrites binder annotations with their resolved types.
     fn annotate(&self, form: &Form, scope: &mut Vec<(Ident, Type)>) -> Form {
+        self.annotate_with(form, scope, true)
+    }
+
+    /// `form` with each type variable of its binder annotations replaced by a fresh one,
+    /// the same variable by the same fresh one.
+    fn freshen(&mut self, form: &Form, map: &mut BTreeMap<u32, Type>) -> Form {
         match form {
             Form::Var(_) | Form::Const(_) => form.clone(),
-            Form::Typed(f, t) => Form::Typed(Box::new(self.annotate(f, scope)), t.clone()),
+            Form::Typed(f, t) => Form::Typed(Box::new(self.freshen(f, map)), t.clone()),
             Form::App(f, args) => Form::App(
-                Box::new(self.annotate(f, scope)),
-                args.iter().map(|a| self.annotate(a, scope)).collect(),
+                Box::new(self.freshen(f, map)),
+                args.iter().map(|a| self.freshen(a, map)).collect(),
+            ),
+            Form::Binder(b, vars, body) => {
+                let vars = vars
+                    .iter()
+                    .map(|(v, t)| (v.clone(), self.freshen_type(t, map)))
+                    .collect();
+                Form::Binder(*b, vars, Box::new(self.freshen(body, map)))
+            }
+        }
+    }
+
+    fn freshen_type(&mut self, t: &Type, map: &mut BTreeMap<u32, Type>) -> Type {
+        match t {
+            Type::Var(v) => match map.get(v) {
+                Some(fresh) => fresh.clone(),
+                None => {
+                    let fresh = self.fresh();
+                    map.insert(*v, fresh.clone());
+                    fresh
+                }
+            },
+            Type::Set(e) => Type::set(self.freshen_type(e, map)),
+            Type::Prod(ts) => Type::Prod(ts.iter().map(|t| self.freshen_type(t, map)).collect()),
+            Type::Fun(a, b) => Type::fun(self.freshen_type(a, map), self.freshen_type(b, map)),
+            _ => t.clone(),
+        }
+    }
+
+    /// [`Cx::annotate`] that leaves unconstrained types open.
+    fn annotate_open(&self, form: &Form, scope: &mut Vec<(Ident, Type)>) -> Form {
+        self.annotate_with(form, scope, false)
+    }
+
+    fn annotate_with(&self, form: &Form, scope: &mut Vec<(Ident, Type)>, default: bool) -> Form {
+        match form {
+            Form::Var(_) | Form::Const(_) => form.clone(),
+            Form::Typed(f, t) => {
+                Form::Typed(Box::new(self.annotate_with(f, scope, default)), t.clone())
+            }
+            Form::App(f, args) => Form::App(
+                Box::new(self.annotate_with(f, scope, default)),
+                args.iter()
+                    .map(|a| self.annotate_with(a, scope, default))
+                    .collect(),
             ),
             Form::Binder(b, vars, body) => {
                 let new_vars: Vec<(Ident, Type)> = vars
                     .iter()
-                    .map(|(v, t)| (v.clone(), self.default_unknowns(&self.resolve(t))))
+                    .map(|(v, t)| {
+                        let t = self.resolve(t);
+                        (
+                            v.clone(),
+                            if default {
+                                self.default_unknowns(&t)
+                            } else {
+                                reopen(&t)
+                            },
+                        )
+                    })
                     .collect();
                 let n = vars.len();
                 scope.extend(vars.iter().cloned());
-                let body = self.annotate(body, scope);
+                let body = self.annotate_with(body, scope, default);
                 scope.truncate(scope.len() - n);
                 Form::Binder(*b, new_vars, Box::new(body))
             }

@@ -1,9 +1,11 @@
 //! Property-based tests of the core logic data structures.
 
 use jahob_logic::bank::{Bank, NodeId};
+use jahob_logic::countermodel::Model;
 use jahob_logic::form::{Const, Form};
 use jahob_logic::parser::parse_form;
 use jahob_logic::subst::{free_vars, substitute_one};
+use jahob_logic::typecheck::TypeEnv;
 use jahob_logic::types::Type;
 use proptest::prelude::*;
 
@@ -29,25 +31,29 @@ fn arb_form() -> impl Strategy<Value = Form> {
     })
 }
 
-/// Evaluates a quantifier-free propositional abstraction of the formula: every
-/// non-connective atom is looked up in `model` by its printed form.
-fn eval(form: &Form, model: &dyn Fn(&Form) -> bool) -> bool {
-    if let Form::App(head, args) = form {
-        if let Form::Const(c) = head.as_ref() {
-            match c {
-                Const::And => return args.iter().all(|a| eval(a, model)),
-                Const::Or => return args.iter().any(|a| eval(a, model)),
-                Const::Not => return !eval(&args[0], model),
-                Const::Impl => return !eval(&args[0], model) || eval(&args[1], model),
-                Const::Iff => return eval(&args[0], model) == eval(&args[1], model),
-                _ => {}
-            }
-        }
+/// The types of the variable pool of [`arb_form`].
+fn pool_types() -> TypeEnv {
+    let mut env = TypeEnv::standard();
+    for i in 0..4 {
+        env.insert(format!("p{i}"), Type::Bool);
     }
-    match form {
-        Form::Const(Const::BoolLit(b)) => *b,
-        other => model(other),
+    for i in 0..3 {
+        env.insert(format!("x{i}"), Type::Obj);
+        env.insert(format!("i{i}"), Type::Int);
     }
+    env.insert("s", Type::obj_set());
+    env
+}
+
+/// The truth values of `f` and `g` in the finite model `seed` picks for both: a
+/// universe of one to three objects besides `null`, and values drawn for the pool's
+/// booleans, objects, integers and the set `s`. Equality, membership, integer
+/// comparison and the object quantifiers are evaluated, not abstracted.
+fn in_one_model(f: &Form, g: &Form, seed: u64) -> (Option<bool>, Option<bool>) {
+    let objects = 1 + (seed % 3) as usize;
+    let forms = [f.clone(), g.clone()];
+    let model = Model::sample(&forms, &pool_types(), objects, seed).expect("the pool typechecks");
+    (model.eval(f), model.eval(g))
 }
 
 /// `f` rewritten by one of the bank's normal forms, on a fresh bank.
@@ -73,52 +79,25 @@ proptest! {
         prop_assert_eq!(printed.clone(), reparsed.to_string());
     }
 
-    /// The bank's simplification preserves the propositional truth value of
-    /// quantifier-free formulas under arbitrary atom assignments.
+    /// The bank's simplification preserves the truth value of formulas in finite
+    /// models.
     #[test]
     fn simplify_preserves_truth(f in arb_form(), seed in 0u64..1024) {
-        if f.contains_binder(jahob_logic::Binder::Forall) {
-            return Ok(());
-        }
-        let model = |atom: &Form| {
-            // Interpret reflexive equalities as true so the random model is consistent
-            // with the theory-level rewrites the simplifier performs.
-            if let Some((l, r)) = atom.as_eq() {
-                if l == r {
-                    return true;
-                }
-            }
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            use std::hash::{Hash, Hasher};
-            atom.to_string().hash(&mut h);
-            seed.hash(&mut h);
-            h.finish().is_multiple_of(2)
-        };
-        prop_assert_eq!(eval(&f, &model), eval(&on_bank(&f, Bank::simplify), &model));
+        let (before, after) = in_one_model(&f, &on_bank(&f, Bank::simplify), seed);
+        prop_assert!(before.is_some(), "{} is evaluated exactly", f);
+        prop_assert_eq!(before, after);
     }
 
-    /// The bank's negation normal form preserves truth and eliminates implications.
+    /// The bank's negation normal form preserves truth in finite models and eliminates
+    /// implications.
     #[test]
     fn nnf_preserves_truth_and_shape(f in arb_form(), seed in 0u64..1024) {
-        if f.contains_binder(jahob_logic::Binder::Forall) {
-            return Ok(());
-        }
         let n = on_bank(&f, Bank::nnf);
         prop_assert!(!n.contains_const(&Const::Impl));
         prop_assert!(!n.contains_const(&Const::Iff));
-        let model = |atom: &Form| {
-            if let Some((l, r)) = atom.as_eq() {
-                if l == r {
-                    return true;
-                }
-            }
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            use std::hash::{Hash, Hasher};
-            atom.to_string().hash(&mut h);
-            seed.hash(&mut h);
-            h.finish().is_multiple_of(2)
-        };
-        prop_assert_eq!(eval(&f, &model), eval(&n, &model));
+        let (before, after) = in_one_model(&f, &n, seed);
+        prop_assert!(before.is_some(), "{} is evaluated exactly", f);
+        prop_assert_eq!(before, after);
     }
 
     /// Substituting a variable that does not occur free leaves the formula unchanged, and

@@ -13,6 +13,7 @@
 use crate::cache::Fingerprint;
 use crate::ProverContext;
 use jahob_logic::bank::Bank;
+use jahob_logic::TypeEnv;
 use jahob_vcgen::{InternedObligation, ProofObligation};
 use std::fmt;
 use std::hash::Hash;
@@ -45,6 +46,8 @@ pub(crate) struct MethodRecord {
     pub method: String,
     /// The per-method proving context (set/function variable classification, lemmas).
     pub context: Arc<ProverContext>,
+    /// The types of the method's variables, which the refuter's models follow.
+    pub types: Arc<TypeEnv>,
     /// The fingerprint of the method's task and context; with the dispatcher's
     /// configuration it keys the method memo.
     pub fingerprint: Fingerprint,
@@ -108,23 +111,25 @@ impl ObligationBatch {
 
     /// Appends one method whose obligations `generate` builds from `task` (as
     /// `MethodTask::obligations_in` builds them), tagged `(structure, method, index)`
-    /// and sharing `context`. The task is fingerprinted with the context here and
-    /// generated only when `prove_all` first needs its obligations. Returns the index of
-    /// the method's record, which [`BatchReport::per_method`](crate::BatchReport)
-    /// follows.
+    /// and sharing `context`; `types` are the types of the method's variables. The task
+    /// is fingerprinted with the context and the types here and generated only when
+    /// `prove_all` first needs its obligations. Returns the index of the method's
+    /// record, which [`BatchReport::per_method`](crate::BatchReport) follows.
     pub fn push_task<T: Hash + Send + 'static>(
         &mut self,
         structure: &str,
         method: &str,
         context: Arc<ProverContext>,
+        types: Arc<TypeEnv>,
         task: T,
         generate: fn(&T, &mut Bank) -> Vec<InternedObligation>,
     ) -> usize {
         self.methods.push(MethodRecord {
             structure: structure.to_string(),
             method: method.to_string(),
-            fingerprint: Fingerprint::of(&(&task, &*context)),
+            fingerprint: Fingerprint::of(&(&task, &*context, &*types)),
             context,
+            types,
             generate: Mutex::new(Some(Box::new(move |bank| generate(&task, bank)))),
             obligations: OnceLock::new(),
         });
@@ -132,7 +137,9 @@ impl ObligationBatch {
     }
 
     /// Appends one method given by its obligations, which are interned into the
-    /// batch's bank when `prove_all` needs them. Returns the index of its record.
+    /// batch's bank when `prove_all` needs them. Their variables' types are what the
+    /// standard environment declares and the obligations imply. Returns the index of
+    /// its record.
     pub fn push_method(
         &mut self,
         structure: &str,
@@ -144,6 +151,7 @@ impl ObligationBatch {
             structure,
             method,
             context,
+            Arc::new(TypeEnv::standard()),
             obligations,
             |obligations, bank| {
                 obligations

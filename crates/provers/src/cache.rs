@@ -212,6 +212,10 @@ pub(crate) struct CachedOutcome {
     /// (budgeted cascade only). Replayed like `attempted` so cached and uncached
     /// accounting agree.
     pub budget_aborts: Vec<(ProverId, usize)>,
+    /// The refuter's countermodel of an unproved verdict, restricted to the goal's
+    /// free variables, when it found one. Replayed so a hit renders the `invalid` line
+    /// and counts the refutation as the uncached run did.
+    pub countermodel: Option<Box<str>>,
     /// Whether the entry was loaded from the persistent on-disk store rather than
     /// computed by this process. Not serialized — set by [`SequentCache::absorb`] so
     /// hits on warm-started entries can be attributed separately
@@ -547,6 +551,7 @@ mod tests {
             prover: Some(ProverId::Syntactic),
             attempted: vec![(ProverId::Syntactic, 1)],
             budget_aborts: Vec::new(),
+            countermodel: None,
             from_disk: false,
         };
         cache.insert(Arc::new(key.clone()), outcome.clone());

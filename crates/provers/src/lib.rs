@@ -54,7 +54,11 @@
 //! are: an obligation that no prover proves within its fuel is unproved, and its
 //! unproved line names the provers that ran out. The routed order and the fuel
 //! depend on the sequent alone, so an obligation is attempted identically in every
-//! batch and every run.
+//! batch and every run. After the first attempt other than the syntactic check that
+//! does not prove, the refuter ([`jahob_logic::countermodel`]) looks once for a small
+//! finite countermodel of the full sequent; one ends the plan, and the obligation is
+//! unproved and `invalid` ([`VerificationReport::refuted`]). The interactive prover is
+//! attempted only on obligations its library has registered.
 //!
 //! In front of all three, the structured `by` hints of an obligation
 //! ([`jahob_vcgen::Hint`]) are resolved per sequent: label hints select assumptions,
@@ -83,9 +87,10 @@ use cache::{CacheKey, CachedOutcome, Fingerprint, MemoObligation};
 use faults::FaultPlane;
 use inst::apply_inst_hints;
 use jahob_logic::bank::{Bank, InternedSequent, NodeId};
+use jahob_logic::countermodel::refute;
 use jahob_logic::simplify::strip_comments_deep;
-use jahob_logic::{Form, Sequent, SequentFeatures};
-use jahob_vcgen::{InternedObligation, ProofObligation};
+use jahob_logic::{Form, Sequent, SequentFeatures, TypeEnv};
+use jahob_vcgen::{InternedObligation, ProofObligation, LEMMA_HINT_PREFIX};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -638,6 +643,10 @@ pub struct VerificationReport {
     pub total_sequents: usize,
     /// Number of sequents proved by some prover.
     pub proved_sequents: usize,
+    /// Of the unproved sequents, how many the refuter showed invalid: it found a finite
+    /// model of their assumptions in which the goal is false, so no prover could prove
+    /// them. The others are unproved without a verdict either way.
+    pub refuted: usize,
     /// Descriptions of the obligations no prover could discharge, in obligation order
     /// (the order is deterministic even under parallel dispatch: per-obligation results
     /// are merged by obligation index, not by thread completion order).
@@ -730,6 +739,12 @@ impl VerificationReport {
                 self.budget_aborts()
             ));
         }
+        if self.refuted > 0 {
+            out.push_str(&format!(
+                "Countermodels: {} unproved sequents are invalid.\n",
+                self.refuted
+            ));
+        }
         if self.crashes() > 0 || self.deadline_aborts() > 0 {
             out.push_str(&format!(
                 "Fault containment: {} prover crashes contained, {} attempts stopped at \
@@ -765,6 +780,7 @@ impl VerificationReport {
         }
         self.total_sequents += other.total_sequents;
         self.proved_sequents += other.proved_sequents;
+        self.refuted += other.refuted;
         self.unproved.extend(other.unproved.iter().cloned());
         self.cache_hits += other.cache_hits;
         self.cache_disk_hits += other.cache_disk_hits;
@@ -1068,8 +1084,14 @@ impl Dispatcher {
                 let Some(entry) = entries.get(i) else {
                     break;
                 };
-                let context = &batch.methods[entry.method].context;
-                let proved = self.prove_entry(entry.obligation, context, &mut keys, &fingerprint);
+                let record = &batch.methods[entry.method];
+                let proved = self.prove_entry(
+                    entry.obligation,
+                    &record.context,
+                    &record.types,
+                    &mut keys,
+                    &fingerprint,
+                );
                 slots[i]
                     .set(proved)
                     .expect("obligation indices are claimed exactly once");
@@ -1157,7 +1179,7 @@ impl Dispatcher {
             .cache
             .lookup(key)
             .expect("the verdicts of a memoised method stay cached");
-        let mut report = report_from_cache(&outcome, |_| {
+        let mut report = report_from_cache(&outcome, |_, _| {
             line.as_deref()
                 .expect("a memoised unproved verdict keeps its line")
                 .to_string()
@@ -1185,17 +1207,20 @@ impl Dispatcher {
         &self,
         obligation: &InternedObligation,
         context: &ProverContext,
+        types: &TypeEnv,
         keys: &mut KeyBank,
         fingerprint: &str,
     ) -> Proved {
         let start = Instant::now();
-        let (mut report, key) = self.prove_one_inner(obligation, context, keys, fingerprint);
+        let (mut report, key) = self.prove_one_inner(obligation, context, types, keys, fingerprint);
         report.total_time = start.elapsed();
         (report, key)
     }
 
     /// Attempts one obligation, consulting the result cache first when enabled. It
-    /// interns the obligation into a fresh [`KeyBank`] and normalises there.
+    /// interns the obligation into a fresh [`KeyBank`] and normalises there. The
+    /// refuter's models type the obligation's variables by the standard environment and
+    /// by how the obligation uses them.
     pub fn prove_one(
         &self,
         obligation: &ProofObligation,
@@ -1204,7 +1229,8 @@ impl Dispatcher {
         let fingerprint = self.config.fingerprint();
         let mut keys = KeyBank::new();
         let interned = InternedObligation::intern(&mut keys.bank, obligation);
-        self.prove_one_inner(&interned, context, &mut keys, &fingerprint)
+        let types = TypeEnv::standard();
+        self.prove_one_inner(&interned, context, &types, &mut keys, &fingerprint)
             .0
     }
 
@@ -1214,6 +1240,7 @@ impl Dispatcher {
         &self,
         obligation: &InternedObligation,
         context: &ProverContext,
+        types: &TypeEnv,
         keys: &mut KeyBank,
         fingerprint: &str,
     ) -> Proved {
@@ -1229,8 +1256,12 @@ impl Dispatcher {
         // other provers read are built from it only when no cached verdict answers the
         // obligation. The hint passes run on formulas, so only an obligation with hints
         // is rebuilt as one, and what they build is interned.
-        let (hinted, full) = if obligation.hints.is_empty() {
-            (None, keys.bank.inline_definitions(&obligation.sequent))
+        let (hinted, full, with_lemmas) = if obligation.hints.is_empty() {
+            (
+                None,
+                keys.bank.inline_definitions(&obligation.sequent),
+                None,
+            )
         } else {
             let materialised = obligation.materialise(&keys.bank);
             let hints = &materialised.hints;
@@ -1244,11 +1275,40 @@ impl Dispatcher {
                 &mut keys.bank,
                 &apply_inst_hints(&materialised.sequent, hints),
             );
-            (Some(hinted), full)
+            // The lemmas a hint injects are trusted assumptions of the hinted sequent
+            // alone, so the refuter reads the full sequent with them: a countermodel
+            // must satisfy them too.
+            let named = !context.lemmas.named_lemmas().is_empty();
+            let lemmas: Vec<&Form> = selected
+                .assumptions
+                .iter()
+                .filter(|a| {
+                    named
+                        && a.strip_comments()
+                            .0
+                            .iter()
+                            .any(|l| l.starts_with(LEMMA_HINT_PREFIX))
+                })
+                .collect();
+            let with_lemmas = (!lemmas.is_empty()).then(|| {
+                let mut sequent = materialised.sequent.clone();
+                sequent.assumptions.extend(lemmas.into_iter().cloned());
+                inlined(&mut keys.bank, &apply_inst_hints(&sequent, hints))
+            });
+            (Some(hinted), full, with_lemmas)
         };
+        let refutable = with_lemmas.as_ref().unwrap_or(&full);
         let original = &obligation.sequent;
         if !self.config.cache.is_enabled() {
-            let report = self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
+            let (report, _) = self.prove_one_uncached(
+                original,
+                context,
+                types,
+                keys,
+                hinted.as_ref(),
+                &full,
+                refutable,
+            );
             return (report, None);
         }
         let full_classes = var_classes(context, &keys.bank, &full);
@@ -1263,12 +1323,20 @@ impl Dispatcher {
             config_fingerprint: fingerprint.to_string(),
         };
         if let Some((key, outcome)) = self.cache.lookup(&key) {
-            let report = report_from_cache(&outcome, |report| {
-                unproved_description(&keys.bank, original, report)
+            let report = report_from_cache(&outcome, |report, countermodel| {
+                unproved_description(&keys.bank, original, report, countermodel)
             });
             return (report, Some(key));
         }
-        let mut report = self.prove_one_uncached(original, context, keys, hinted.as_ref(), &full);
+        let (mut report, countermodel) = self.prove_one_uncached(
+            original,
+            context,
+            types,
+            keys,
+            hinted.as_ref(),
+            &full,
+            refutable,
+        );
         report.cache_misses = 1;
         // A cascade that contained a crash or a deadline stop has attempts with
         // *unknown* verdicts: caching its outcome would freeze a fault-perturbed
@@ -1301,6 +1369,7 @@ impl Dispatcher {
                 prover,
                 attempted,
                 budget_aborts,
+                countermodel,
                 from_disk: false,
             },
         );
@@ -1337,15 +1406,26 @@ impl Dispatcher {
     ///
     /// both under fuel when budgets are on. An attempt that runs out of fuel has
     /// failed, so an obligation whose attempts all fail or run out of fuel is
-    /// unproved, and its unproved line names the provers that ran out.
+    /// unproved, and its unproved line names the provers that ran out. The interactive
+    /// prover is attempted only on an obligation its library has registered.
+    ///
+    /// The refuter runs once, on `refutable` (the full sequent, with any lemmas the
+    /// hints inject), right after the first phase-1 attempt other than the syntactic
+    /// check that does not prove. A countermodel ends the plan: the obligation is
+    /// unproved, and `invalid` with the model that is returned beside the report. The
+    /// refuter never proves anything, so it changes no verdict, only what a failing
+    /// obligation costs.
+    #[allow(clippy::too_many_arguments)]
     fn prove_one_uncached(
         &self,
         original: &InternedSequent,
         context: &ProverContext,
+        types: &TypeEnv,
         keys: &mut KeyBank,
         hinted: Option<&InternedSequent>,
         full: &InternedSequent,
-    ) -> VerificationReport {
+        refutable: &InternedSequent,
+    ) -> (VerificationReport, Option<Box<str>>) {
         let mut report = VerificationReport {
             total_sequents: 1,
             ..VerificationReport::default()
@@ -1362,13 +1442,20 @@ impl Dispatcher {
             retry.provers.retain(|p| *p != ProverId::Syntactic);
             plan.push(retry);
         }
-        for Phase {
-            interned,
-            provers,
-            fuel,
-        } in &plan
-        {
+        // An obligation the interactive library has registered is proved by it, valid
+        // or not, so the refuter leaves it alone.
+        let registered = context.lemmas.contains(&keys.bank, original);
+        let mut may_refute = !registered;
+        for (phase, plan_phase) in plan.iter().enumerate() {
+            let Phase {
+                interned,
+                provers,
+                fuel,
+            } = plan_phase;
             for &prover in provers {
+                if prover == ProverId::Interactive && !registered {
+                    continue;
+                }
                 let start = Instant::now();
                 let deadline = self
                     .config
@@ -1381,7 +1468,6 @@ impl Dispatcher {
                         interned,
                         keys: &mut *keys,
                     },
-                    original,
                     context,
                     fuel.as_ref(),
                     deadline,
@@ -1393,12 +1479,26 @@ impl Dispatcher {
                     AttemptOutcome::Proved => {
                         stats.proved += 1;
                         report.proved_sequents = 1;
-                        return report;
+                        return (report, None);
                     }
                     AttemptOutcome::BudgetAborted => stats.budget_aborts += 1,
                     AttemptOutcome::Crashed => stats.crashes += 1,
                     AttemptOutcome::DeadlineExceeded => stats.deadline_aborts += 1,
                     AttemptOutcome::Failed => {}
+                }
+                let failed = matches!(
+                    outcome,
+                    AttemptOutcome::Failed | AttemptOutcome::BudgetAborted
+                );
+                if phase == 0 && prover != ProverId::Syntactic && failed && may_refute {
+                    may_refute = false;
+                    if let Some(model) = contained_refutation(&keys.bank, refutable, types) {
+                        report.refuted = 1;
+                        let line =
+                            unproved_description(&keys.bank, original, &report, Some(&model));
+                        report.unproved.push(line);
+                        return (report, Some(model));
+                    }
                 }
             }
         }
@@ -1407,7 +1507,7 @@ impl Dispatcher {
         // apart from "the provers that might have proved this were stopped". Faults
         // off and no deadline → the suffix never appears. Such cascades are never
         // cached, so only the fuel note needs a cache replay.
-        let mut description = unproved_description(&keys.bank, original, &report);
+        let mut description = unproved_description(&keys.bank, original, &report, None);
         let (crashes, deadlines) = (report.crashes(), report.deadline_aborts());
         if crashes > 0 || deadlines > 0 {
             description.push_str(&format!(
@@ -1415,8 +1515,35 @@ impl Dispatcher {
             ));
         }
         report.unproved.push(description);
-        report
+        (report, None)
     }
+}
+
+/// The refuter's cap on evaluation steps per obligation, across its universes of 1–4
+/// objects ([`jahob_logic::countermodel`]). It is sized from the work of the refuted
+/// obligations: at seed 1 the 33 obligations `reject_mutants` leaves unproved per pass
+/// are refuted in 66–4,428 steps (median 938), and the 157 suite obligations whose
+/// assumptions have a model (posed with the goal `False`) in at most 27,209, the three
+/// of `SinglyLinkedList.addTwo` that need four objects. A valid sequent pays the cap
+/// unless the search exhausts the four universes first; on the suite that takes up to
+/// 5.3 million steps.
+pub const REFUTER_CAP: u64 = 32_768;
+
+/// Runs the refuter on an inlined sequent in `bank`, inside the containment boundary:
+/// a panic counts as no countermodel. Returns the countermodel restricted to the
+/// goal's free variables.
+fn contained_refutation(
+    bank: &Bank,
+    sequent: &InternedSequent,
+    types: &TypeEnv,
+) -> Option<Box<str>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let materialised = bank.materialise_sequent(sequent);
+        let model = refute(&materialised, types, REFUTER_CAP).model?;
+        Some(model.describe(bank.free_vars(sequent.goal)).into())
+    }))
+    .ok()
+    .flatten()
 }
 
 /// One obligation `prove_all` proves: its formulas in the batch's bank and the index of
@@ -1443,10 +1570,10 @@ type Proved = (VerificationReport, Option<Arc<CacheKey>>);
 /// Materialises a per-obligation report from a cached verdict: the attempted and
 /// aborted counts of the original run are replayed (with zero time) and the original
 /// prover is credited, so Figure 7/15 attributions agree with an uncached run. An
-/// unproved verdict's line is `describe`d from the report.
+/// unproved verdict's line is `describe`d from the report and the stored countermodel.
 fn report_from_cache(
     outcome: &CachedOutcome,
-    describe: impl FnOnce(&VerificationReport) -> String,
+    describe: impl FnOnce(&VerificationReport, Option<&str>) -> String,
 ) -> VerificationReport {
     let mut report = VerificationReport {
         total_sequents: 1,
@@ -1468,7 +1595,8 @@ fn report_from_cache(
             stats.cache_hits += 1;
         }
     } else {
-        let line = describe(&report);
+        report.refuted = outcome.countermodel.is_some() as usize;
+        let line = describe(&report, outcome.countermodel.as_deref());
         report.unproved.push(line);
     }
     report
@@ -1483,16 +1611,23 @@ struct Phase<'s> {
 }
 
 /// The unproved line of an obligation: the description of its sequent (`original`, in
-/// `bank`), followed by ` [out of fuel: <tags>]` when some attempts ran out of fuel,
-/// naming those provers by [`ProverId::tag`] in [`ProverId`] order. An uncached run and
-/// a cache replay both build the line here from the per-prover abort counts, so they
-/// render alike.
+/// `bank`), followed by ` [invalid: <model>]` when the refuter found a countermodel, and
+/// otherwise by ` [out of fuel: <tags>]` when some attempts ran out of fuel, naming
+/// those provers by [`ProverId::tag`] in [`ProverId`] order. An uncached run and a
+/// cache replay both build the line here from the countermodel and the per-prover
+/// abort counts, so they render alike.
 fn unproved_description(
     bank: &Bank,
     original: &InternedSequent,
     report: &VerificationReport,
+    countermodel: Option<&str>,
 ) -> String {
     let mut description = bank.describe(original);
+    match countermodel {
+        Some("") => return description + " [invalid]",
+        Some(model) => return format!("{description} [invalid: {model}]"),
+        None => {}
+    }
     let out_of_fuel: Vec<&str> = report
         .per_prover
         .iter()
@@ -1616,7 +1751,6 @@ struct Attempted<'a> {
 fn attempt(
     prover: ProverId,
     on: Attempted<'_>,
-    original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
     deadline: Option<Instant>,
@@ -1693,7 +1827,8 @@ fn attempt(
             let options = jahob_bapa::BapaOptions::default();
             verdict(jahob_bapa::prove_interned(&mut on.keys.bank, on.interned, &options).proved)
         }
-        ProverId::Interactive => verdict(context.lemmas.contains(&on.keys.bank, original)),
+        // The cascade attempts it only on an obligation its library has registered.
+        ProverId::Interactive => AttemptOutcome::Proved,
     }
 }
 
@@ -1728,7 +1863,6 @@ fn contained_attempt(
     faults: &FaultPlane,
     prover: ProverId,
     on: Attempted<'_>,
-    original: &InternedSequent,
     context: &ProverContext,
     fuel: Option<&FuelBudget>,
     deadline: Option<Instant>,
@@ -1736,7 +1870,7 @@ fn contained_attempt(
     faults::install_quiet_panic_hook();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         faults.prover_attempt(prover);
-        attempt(prover, on, original, context, fuel, deadline)
+        attempt(prover, on, context, fuel, deadline)
     }));
     faults::clear_injected_panic_marker();
     match outcome {
@@ -2300,7 +2434,10 @@ mod tests {
     fn budgets_off_restores_the_pre_cost_model_dispatcher_exactly() {
         // With budgets off the plan is the plain cascade: every prover runs once,
         // without fuel, and a sequent none of them proves costs exactly one attempt
-        // per prover and no aborts.
+        // per prover and no aborts. The interactive prover is attempted only on an
+        // obligation its library holds, and the refuter finds no countermodel here:
+        // the elements of the sets have a type the sequent leaves open, and the
+        // quantifiers range over it.
         let dispatcher = Dispatcher::with_config(
             DispatcherConfig::builder()
                 .cache(CacheMode::Off)
@@ -2317,6 +2454,7 @@ mod tests {
             .collect();
         let mut once: Vec<(ProverId, usize)> = ProverId::default_order()
             .into_iter()
+            .filter(|p| *p != ProverId::Interactive)
             .map(|p| (p, 1))
             .collect();
         once.sort();
@@ -2471,6 +2609,35 @@ mod tests {
         // Without the inst hint the injected lemma alone is not enough.
         o.hints = vec![Hint::lemma("capBound")];
         assert!(!dispatcher.prove_one(&o, &context).succeeded());
+    }
+
+    #[test]
+    fn the_refuter_reads_the_lemmas_a_hint_injects() {
+        // Unrouted, SMT fails the hinted sequent first and BAPA proves it after. The
+        // full sequent without the injected lemma has a countermodel; with it, none,
+        // so the refuter must not end the cascade before BAPA.
+        let mut o = ob(
+            &["comment ''noise'' (c : d)"],
+            "card (content Int (m - excluded)) <= used + 1",
+        );
+        o.hints = vec![
+            Hint::lemma("capBound"),
+            Hint::inst("s", parse_form("m - excluded").expect("parse")),
+        ];
+        let mut context = ProverContext::default();
+        context.lemmas.register_lemma(
+            "capBound",
+            parse_form("ALL s. card (content Int s) <= used").expect("parse"),
+        );
+        let dispatcher = Dispatcher::with_config(
+            DispatcherConfig::builder()
+                .cache(CacheMode::Off)
+                .route(false)
+                .build(),
+        );
+        let report = dispatcher.prove_one(&o, &context);
+        assert!(report.succeeded(), "{report:?}");
+        assert_eq!(report.per_prover[&ProverId::Smt].proved, 0, "{report:?}");
     }
 
     #[test]
@@ -2730,7 +2897,10 @@ mod tests {
                 .build(),
         );
         let o = ob(&["x = y"], "y = x");
-        let report = dispatcher.prove_one(&o, &ProverContext::default());
+        // The interactive prover is attempted only on an obligation its library holds.
+        let mut context = ProverContext::default();
+        context.lemmas.register(LemmaLibrary::key_of(&o));
+        let report = dispatcher.prove_one(&o, &context);
         assert!(!report.succeeded(), "every prover crashed");
         assert_eq!(report.crashes(), ProverId::default_order().len());
         assert_eq!(report.proved_sequents, 0);
@@ -2776,7 +2946,10 @@ mod tests {
         let spec = FaultSpec::parse("interactive:panic@1").expect("valid spec");
         let dispatcher = Dispatcher::with_config(DispatcherConfig::builder().faults(spec).build());
         let o = ob(&["p"], "q");
-        let context = ProverContext::default();
+        // Registered, so the interactive prover is attempted (and crashes) and the
+        // refuter leaves the obligation alone.
+        let mut context = ProverContext::default();
+        context.lemmas.register(LemmaLibrary::key_of(&o));
         let first = dispatcher.prove_one(&o, &context);
         assert!(!first.succeeded() && first.crashes() > 0, "{first:?}");
         assert_eq!(first.cache_misses, 1);

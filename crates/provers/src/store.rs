@@ -18,9 +18,9 @@
 //! never *replayed* under another: entries with a foreign fingerprint are loaded but
 //! can never be looked up, and a later merge-write carries them along untouched, so
 //! one store file can serve many configurations side by side. The record's outcome
-//! half holds the proved bit, the credited prover and the per-prover attempted and
-//! budget-abort counts — everything a replay needs to render the same report line,
-//! `[out of fuel: …]` note included.
+//! half holds the proved bit, the credited prover, the per-prover attempted and
+//! budget-abort counts and the refuter's countermodel — everything a replay needs to
+//! render the same report line, `[out of fuel: …]` or `[invalid: …]` note included.
 //!
 //! **Versioning and robustness.** The file starts with a
 //! `jahob-proof-store v<N>` header ([`STORE_VERSION`]) and ends with an `## end`
@@ -60,8 +60,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `subseteq` and `subset`, the words the parser reads, and drops the `hints=` part
 /// of the configuration fingerprint; v6 drops every verdict an SMT search reached
 /// before an existential under a universal was a Skolem function of it, since a v5
-/// store may replay a proof that rests on that unsound grounding.
-pub const STORE_VERSION: u32 = 6;
+/// store may replay a proof that rests on that unsound grounding; v7 adds the
+/// refuter's countermodel to verdict records, and drops the attempt counts of
+/// cascades that ran every prover on an obligation the refuter now ends early.
+pub const STORE_VERSION: u32 = 7;
 
 /// Magic prefix of the header line, shared by every format version.
 const MAGIC: &str = "jahob-proof-store";
@@ -179,8 +181,8 @@ fn parse(text: &str) -> Result<Verdicts, StoreError> {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields[0] {
             "V" => {
-                if fields.len() != 10 {
-                    return Err(err("verdict record needs 10 fields"));
+                if fields.len() != 11 {
+                    return Err(err("verdict record needs 11 fields"));
                 }
                 let key = CacheKey {
                     config_fingerprint: unescape(fields[1]).ok_or_else(|| err("fingerprint"))?,
@@ -208,6 +210,16 @@ fn parse(text: &str) -> Result<Verdicts, StoreError> {
                     attempted: parse_counts(fields[8]).ok_or_else(|| err("attempted counts"))?,
                     budget_aborts: parse_counts(fields[9])
                         .ok_or_else(|| err("budget-abort counts"))?,
+                    countermodel: match fields[10] {
+                        "-" => None,
+                        tagged => Some(
+                            tagged
+                                .strip_prefix('=')
+                                .and_then(unescape)
+                                .ok_or_else(|| err("countermodel"))?
+                                .into(),
+                        ),
+                    },
                     from_disk: false, // stamped by `SequentCache::absorb`
                 };
                 verdicts.push((key, outcome));
@@ -291,7 +303,7 @@ pub(crate) fn merge_write_with(
     let written = verdicts.len();
     for (key, outcome) in &verdicts {
         out.push_str(&format!(
-            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
             escape(&key.config_fingerprint),
             escape(key.sequent.repr()),
             match &key.hinted {
@@ -304,6 +316,10 @@ pub(crate) fn merge_write_with(
             outcome.prover.map_or("-", |prover| prover.tag()),
             render_counts(&outcome.attempted),
             render_counts(&outcome.budget_aborts),
+            match &outcome.countermodel {
+                None => "-".to_string(),
+                Some(model) => format!("={}", escape(model)),
+            },
         ));
     }
     out.push_str(&format!("## end\t{written}\n"));
@@ -428,6 +444,7 @@ mod tests {
                     prover: Some(ProverId::Bapa),
                     attempted: vec![(ProverId::Syntactic, 1), (ProverId::Bapa, 1)],
                     budget_aborts: vec![(ProverId::Fol, 1)],
+                    countermodel: None,
                     from_disk: false,
                 },
             ),
@@ -436,8 +453,9 @@ mod tests {
                 CachedOutcome {
                     proved: false,
                     prover: None,
-                    attempted: Vec::new(),
+                    attempted: vec![(ProverId::Smt, 1)],
                     budget_aborts: Vec::new(),
+                    countermodel: Some("x = o1, s = {(o1, null)}\tand\\more".into()),
                     from_disk: false,
                 },
             ),

@@ -247,8 +247,9 @@ fn parse_errors_carry_line_numbers() {
 /// The precondition has a model (a `next` that cycles through `null`, `a` and `b`), so
 /// the postcondition must stay unproved. Naming the witness of `EX y` by one constant
 /// for every `x` would make `next` constant and prove it; with a Skolem function of
-/// `x`, SMT and FOL both run out of fuel. The dispatcher runs with the builder's
-/// defaults (fuel budgets on), whatever `JAHOB_*` knobs are set.
+/// `x`, SMT runs out of fuel, and the refuter then finds such a model, so the line
+/// reads `invalid` (the goal `False` has no variables to show). The dispatcher runs
+/// with the builder's defaults (fuel budgets on), whatever `JAHOB_*` knobs are set.
 #[test]
 fn a_satisfiable_precondition_does_not_prove_false() {
     let program = parse_program(include_str!("fixtures/surj.java")).expect("parse");
@@ -262,9 +263,10 @@ fn a_satisfiable_precondition_does_not_prove_false() {
         .find(|r| r.method == "Surj.absurd")
         .expect("Surj.absurd is verified");
     assert!(!absurd.verified(), "{}", absurd.render());
+    assert!(absurd.invalid(), "{}", absurd.render());
     assert_eq!(
         absurd.report.unproved,
-        vec!["post [out of fuel: smt, fol]".to_string()],
+        vec!["post [invalid]".to_string()],
         "{}",
         absurd.render()
     );
